@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use qcp_core::dht::{ChordNetwork, PastryNetwork};
-use qcp_core::overlay::flood::FloodEngine;
+use qcp_core::obs::NoopRecorder;
+use qcp_core::overlay::flood::{FloodEngine, FloodSpec};
 use qcp_core::overlay::topology::{gnutella_two_tier, TopologyConfig};
 use qcp_core::sketch::BloomFilter;
 use qcp_core::terms::{sanitize_name, tokenize};
@@ -123,10 +124,19 @@ fn flooding(c: &mut Criterion) {
     let mut rng = Pcg64::new(5);
     let mut g = c.benchmark_group("flood");
     for ttl in [2u32, 3, 4] {
+        let spec = FloodSpec::new(ttl);
         g.bench_function(format!("ttl{ttl}_40k"), |b| {
             b.iter(|| {
                 let src = rng.index(40_000) as u32;
-                black_box(engine.flood(&topo.graph, src, ttl, &[], Some(&forwarders)))
+                let (census, _) = engine.run(
+                    &topo.graph,
+                    src,
+                    &[],
+                    Some(&forwarders),
+                    &spec,
+                    &mut NoopRecorder,
+                );
+                black_box(census.at(ttl))
             })
         });
     }

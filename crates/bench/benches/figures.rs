@@ -10,7 +10,7 @@ use qcp_core::analysis::{
     ReplicationAnalysis, TermReplicationAnalysis, TransientConfig,
 };
 use qcp_core::overlay::topology::{gnutella_two_tier, TopologyConfig};
-use qcp_core::overlay::{flood_trials, Placement, PlacementModel, SimConfig};
+use qcp_core::overlay::{sweep_ttl, Placement, PlacementModel, SimConfig};
 use qcp_core::search::{
     evaluate, gen_queries, SearchSpec, SearchWorld, WorkloadConfig, WorldConfig,
 };
@@ -175,7 +175,7 @@ fn fig8(c: &mut Criterion) {
         ..Default::default()
     };
     c.bench_function("fig8_flood_sweep_ttl3", |b| {
-        b.iter(|| flood_trials(pool, &topo.graph, &placement, Some(&forwarders), 3, &sim))
+        b.iter(|| sweep_ttl(pool, &topo.graph, &placement, Some(&forwarders), &[3], &sim)[0])
     });
 }
 

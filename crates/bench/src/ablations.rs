@@ -5,7 +5,7 @@ use crate::{Repro, Scale};
 use qcp_core::overlay::topology::{
     barabasi_albert, erdos_renyi, gnutella_two_tier, TopologyConfig,
 };
-use qcp_core::overlay::{flood_trials, Placement, PlacementModel, SimConfig};
+use qcp_core::overlay::{sweep_ttl, Placement, PlacementModel, SimConfig};
 use qcp_core::search::{
     evaluate, gen_queries, AdvertiseSearch, GiaSearch, SearchSpec, SearchWorld, SynopsisPolicy,
     SynopsisSearch, WorkloadConfig, WorldConfig,
@@ -223,7 +223,7 @@ pub fn topology(r: &Repro) -> String {
         ("barabasi-albert", &ba, None),
     ] {
         for ttl in [2u32, 3, 4] {
-            let p = flood_trials(pool, &topo.graph, &placement, fwd.as_deref(), ttl, &sim);
+            let p = sweep_ttl(pool, &topo.graph, &placement, fwd.as_deref(), &[ttl], &sim)[0];
             t.row([
                 label.to_string(),
                 ttl.to_string(),
@@ -283,8 +283,9 @@ pub fn walk(r: &Repro) -> String {
 /// peers (random vs targeted at ultrapeers) erode the already-poor Zipf
 /// success rate?
 pub fn churn(r: &Repro) -> String {
+    use qcp_core::obs::NoopRecorder;
     use qcp_core::overlay::churn::{fail_highest_degree, fail_random, surviving_holders};
-    use qcp_core::overlay::FloodEngine;
+    use qcp_core::overlay::{FloodEngine, FloodSpec};
     use qcp_core::util::rng::{child_seed, Pcg64};
 
     let n = match r.scale {
@@ -332,7 +333,12 @@ pub fn churn(r: &Repro) -> String {
                     let src = alive_nodes[rng.index(alive_nodes.len())];
                     let obj = rng.index(placement.num_objects()) as u32;
                     let holders = surviving_holders(placement.holders(obj), &overlay.alive);
-                    let res = engine.flood(&overlay.graph, src, 3, &holders, None);
+                    let spec = FloodSpec::new(3);
+                    let rec = &mut NoopRecorder;
+                    let res = engine
+                        .run(&overlay.graph, src, &holders, None, &spec, rec)
+                        .0
+                        .at(3);
                     successes += res.found as u64;
                     reached += res.reached as u64;
                     count += 1;

@@ -26,7 +26,7 @@ use qcp_core::dht::ChordNetwork;
 use qcp_core::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use qcp_core::obs::{Counter, Event, Kernel, MetricsRecorder, Recorder};
 use qcp_core::overlay::topology::erdos_renyi;
-use qcp_core::overlay::{repair_round_rec, MaintenancePolicy};
+use qcp_core::overlay::{repair_round, MaintenancePolicy};
 use qcp_core::search::{
     gen_queries, FaultContext, SearchSpec, SearchSystem, SearchWorld, WorkloadConfig, WorldConfig,
 };
@@ -235,8 +235,14 @@ pub fn profile_data(r: &Repro, pool: &Pool) -> ProfileData {
     let mut graph = topo.graph;
     let mut rep = MetricsRecorder::new();
     for round in 0..sz.repair_rounds {
-        let (repaired, stats) = repair_round_rec(pool, &graph, &alive, &policy, round, &mut rep);
+        let (repaired, stats) = repair_round(pool, &graph, &alive, &policy, round);
         stats.check_identity();
+        rep.rec_span(Kernel::Repair);
+        rep.rec_count(Kernel::Repair, Counter::Messages, stats.messages);
+        rep.rec_count(Kernel::Repair, Counter::Probes, stats.probes);
+        rep.rec_count(Kernel::Repair, Counter::Rewires, stats.added);
+        rep.rec_count(Kernel::Repair, Counter::Pruned, stats.pruned);
+        rep.rec_hop(Kernel::Repair, round as u32, stats.added);
         graph = repaired;
     }
     master.absorb(rep);

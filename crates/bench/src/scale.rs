@@ -20,9 +20,11 @@
 //! `paper` rungs {40k, 200k, 1M}; `--huge` appends a 10M rung.
 
 use crate::{Repro, Scale};
+use qcp_core::obs::NoopRecorder;
 use qcp_core::overlay::topology::{gnutella_two_tier, TopologyConfig};
 use qcp_core::overlay::{
-    sweep_ttl, FloodEngine, Placement, PlacementModel, SimConfig, SweepPoint, VisitedRepr,
+    sweep_ttl, FloodEngine, FloodSpec, Placement, PlacementModel, SimConfig, SweepPoint,
+    VisitedRepr,
 };
 use qcp_core::xpar::Pool;
 use std::fmt::Write as _;
@@ -183,9 +185,10 @@ pub fn run_ladder(seed: u64, rungs: &[usize]) -> Vec<ScaleCell> {
             let mut epoch = FloodEngine::with_repr(n, VisitedRepr::EpochMarks);
             let mut bits = FloodEngine::with_repr(n, VisitedRepr::Bitset);
             let max_ttl = SCALE_TTLS[SCALE_TTLS.len() - 1];
+            let (spec, fwd) = (FloodSpec::new(max_ttl), Some(forwarders.as_slice()));
             for source in [0u32, (n / 2) as u32, (n - 1) as u32] {
-                let a = epoch.flood_census(&topo.graph, source, max_ttl, &[], Some(&forwarders));
-                let b = bits.flood_census(&topo.graph, source, max_ttl, &[], Some(&forwarders));
+                let (a, _) = epoch.run(&topo.graph, source, &[], fwd, &spec, &mut NoopRecorder);
+                let (b, _) = bits.run(&topo.graph, source, &[], fwd, &spec, &mut NoopRecorder);
                 assert_eq!(a, b, "visited-set representations diverged at n={n}");
             }
         }
@@ -219,7 +222,15 @@ pub fn run_ladder(seed: u64, rungs: &[usize]) -> Vec<ScaleCell> {
         // max-TTL census, so the frontier capacity is the steady-state one.
         let mut engine = FloodEngine::new(n);
         let max_ttl = SCALE_TTLS[SCALE_TTLS.len() - 1];
-        let _ = engine.flood_census(&topo.graph, 0, max_ttl, &[], Some(&forwarders));
+        let spec = FloodSpec::new(max_ttl);
+        let _ = engine.run(
+            &topo.graph,
+            0,
+            &[],
+            Some(&forwarders),
+            &spec,
+            &mut NoopRecorder,
+        );
         let repr = match engine.repr() {
             VisitedRepr::EpochMarks => "epoch",
             VisitedRepr::Bitset => "bitset",

@@ -21,8 +21,7 @@ use crate::{figures::fig8_topology, Repro, Scale};
 use qcp_core::faults::{FaultConfig, FaultPlan};
 use qcp_core::overlay::topology::gnutella_two_tier;
 use qcp_core::overlay::{
-    sweep_ttl, sweep_ttl_faulty, sweep_ttl_faulty_reference, sweep_ttl_reference, Placement,
-    PlacementModel, SimConfig,
+    sweep_reference, sweep_ttl, sweep_ttl_faulty, Placement, PlacementModel, SimConfig,
 };
 use qcp_core::xpar::Pool;
 use std::fmt::Write as _;
@@ -102,13 +101,14 @@ fn time_config(r: &Repro, scale: Scale, label: &'static str, threads: usize) -> 
     // qcplint: allow(nondet) — wall-clock is the bench's measurand; it
     // times seeded sweeps and never feeds back into simulation results.
     let t0 = Instant::now();
-    let reference = sweep_ttl_reference(
+    let reference = sweep_reference(
         &pool,
         &topo.graph,
         &placement,
         Some(&forwarders),
         &BENCH_TTLS,
         &sim,
+        None,
     );
     let reference_secs = t0.elapsed().as_secs_f64();
 
@@ -142,14 +142,14 @@ fn time_config(r: &Repro, scale: Scale, label: &'static str, threads: usize) -> 
 
     // qcplint: allow(nondet) — wall-clock timing only, see above.
     let t0 = Instant::now();
-    let faulty_reference = sweep_ttl_faulty_reference(
+    let faulty_reference = sweep_reference(
         &pool,
         &topo.graph,
         &placement,
         Some(&forwarders),
         &BENCH_TTLS,
         &sim,
-        &plan,
+        Some(&plan),
     );
     let faulty_reference_secs = t0.elapsed().as_secs_f64();
 

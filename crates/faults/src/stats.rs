@@ -55,7 +55,7 @@ impl FaultStats {
     /// sums* in place: after the call, `levels[i]` holds the counters a
     /// search truncated at level `i` would have accumulated.
     ///
-    /// This is the hop-census companion (`FloodEngine::flood_census_faulty`
+    /// This is the hop-census companion (a faulty `FloodEngine::run` census
     /// records one increment per BFS level): because every counter is
     /// additive, the TTL-`t` flood's fault accounting is exactly the
     /// prefix sum of the per-level draws of the TTL-max flood.

@@ -6,7 +6,10 @@
 //! kernels here re-express the same searches on the [`Calendar`] from
 //! `qcp-vtime`: every transmission is a `Deliver` event scheduled at
 //! `now + plan.latency(u, v)`, and fault checks (churn liveness, Bernoulli
-//! drops) run when the message *arrives*, not when it is sent.
+//! drops) run when the message *arrives*, not when it is sent. Both
+//! kernels take their [`Recorder`] directly (pass
+//! [`qcp_obs::NoopRecorder`] for an unrecorded run); the recorder is
+//! write-only, so outcomes never depend on it.
 //!
 //! # Accounting contract
 //!
@@ -31,16 +34,16 @@
 //! census's frontier scan order, but every aggregate the outcome exposes
 //! — `reached`, `messages`, the first-hit hop — is level-cumulative and
 //! therefore order-independent inside a level. [`event_flood`] with
-//! `FaultPlan::none` and `max_ttl = t` is thus bit-identical to
-//! `flood_census(...).at(t)` (pinned by the proptests in
+//! `FaultPlan::none` and `max_ttl = t` is thus bit-identical to the hop
+//! census's `.at(t)` (pinned by the proptests in
 //! `tests/event_flood.rs` and at 40k-node scale in
 //! `tests/determinism.rs`).
 
 use crate::flood::FloodOutcome;
 use crate::graph::Graph;
-use crate::walk::WalkOutcome;
+use crate::walk::{pick_next, WalkOutcome};
 use qcp_faults::{FaultPlan, FaultStats};
-use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
+use qcp_obs::{Counter, Event, Kernel, Recorder};
 use qcp_util::rng::Pcg64;
 use qcp_vtime::{tie_break, Calendar};
 
@@ -125,41 +128,16 @@ fn flood_send_round(
 ///
 /// * `cutoff` — optional virtual-time deadline: events past it are not
 ///   delivered and the outcome reports `truncated = true`;
-/// * other parameters mirror [`FloodEngine::flood_faulty`]
-///   (`holders` sorted, `forwarders` mask with the source always
-///   forwarding, `nonce` the query's position in the drop stream).
+/// * other parameters mirror [`FloodEngine::flood_reference`] with its
+///   fault context spelled out (`holders` sorted, `forwarders` mask with
+///   the source always forwarding, `nonce` the query's position in the
+///   drop stream);
+/// * `rec` — write-only instrumentation: outcomes and stats are
+///   bit-identical for any recorder.
 ///
-/// [`FloodEngine::flood_faulty`]: crate::FloodEngine::flood_faulty
-#[allow(clippy::too_many_arguments)] // mirrors `flood_faulty` + the cutoff
-pub fn event_flood(
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-    cutoff: Option<u64>,
-) -> (EventFloodOutcome, FaultStats) {
-    event_flood_rec(
-        graph,
-        source,
-        max_ttl,
-        holders,
-        forwarders,
-        plan,
-        time,
-        nonce,
-        cutoff,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`event_flood`] with an instrumentation [`Recorder`]. The recorder is
-/// write-only: outcomes and stats are bit-identical for any recorder.
-#[allow(clippy::too_many_arguments)] // mirrors `event_flood` + recorder
-pub fn event_flood_rec<R: Recorder>(
+/// [`FloodEngine::flood_reference`]: crate::FloodEngine::flood_reference
+#[allow(clippy::too_many_arguments)] // the flood + fault context, cutoff and recorder
+pub fn event_flood<R: Recorder>(
     graph: &Graph,
     source: u32,
     max_ttl: u32,
@@ -299,23 +277,9 @@ struct Walker {
     previous: u32,
 }
 
-/// Mirrors the synchronous kernels' neighbor pick (identical RNG
-/// consumption): prefer a neighbor other than where we came from, up to
-/// four re-picks.
-fn pick_next(neighbors: &[u32], previous: u32, rng: &mut Pcg64) -> u32 {
-    if neighbors.len() == 1 {
-        return neighbors[0];
-    }
-    let mut pick = neighbors[rng.index(neighbors.len())];
-    let mut tries = 0;
-    while pick == previous && tries < 4 {
-        pick = neighbors[rng.index(neighbors.len())];
-        tries += 1;
-    }
-    pick
-}
-
-fn step_tie(walker: u32, step: u32) -> u64 {
+/// Calendar tie-break of walker `walker`'s step `step`, shared with the
+/// capacity-aware walk so both order simultaneous steps identically.
+pub(crate) fn step_tie(walker: u32, step: u32) -> u64 {
     tie_break(((walker as u64) << 32) | step as u64)
 }
 
@@ -324,44 +288,14 @@ fn step_tie(walker: u32, step: u32) -> u64 {
 /// the walker's own event chain — a walker has at most one in-flight
 /// event — so interleaving across walkers cannot perturb any stream.
 ///
-/// Fault semantics mirror [`random_walk_search_faulty`]: a dead target
-/// or in-flight drop wastes the message and strands the walker in place
-/// for that step; walks never retry. `cutoff` truncates as in
-/// [`event_flood`].
+/// Fault semantics mirror [`random_walk_search`]'s: a dead target or
+/// in-flight drop wastes the message and strands the walker in place for
+/// that step; walks never retry. `cutoff` truncates and `rec` records as
+/// in [`event_flood`].
 ///
-/// [`random_walk_search_faulty`]: crate::walk::random_walk_search_faulty
-#[allow(clippy::too_many_arguments)] // mirrors the faulty walk + the cutoff
-pub fn event_walk(
-    graph: &Graph,
-    source: u32,
-    k: usize,
-    ttl: u32,
-    holders: &[u32],
-    seed: u64,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-    cutoff: Option<u64>,
-) -> (EventWalkOutcome, FaultStats) {
-    event_walk_rec(
-        graph,
-        source,
-        k,
-        ttl,
-        holders,
-        seed,
-        plan,
-        time,
-        nonce,
-        cutoff,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`event_walk`] with an instrumentation [`Recorder`]; write-only, so
-/// outcomes and stats are recorder-independent.
-#[allow(clippy::too_many_arguments)] // mirrors `event_walk` + recorder
-pub fn event_walk_rec<R: Recorder>(
+/// [`random_walk_search`]: crate::walk::random_walk_search
+#[allow(clippy::too_many_arguments)] // the walk + fault context, cutoff and recorder
+pub fn event_walk<R: Recorder>(
     graph: &Graph,
     source: u32,
     k: usize,
@@ -531,8 +465,9 @@ pub fn event_walk_rec<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flood::FloodEngine;
+    use crate::flood::{FloodEngine, FloodSpec};
     use qcp_faults::FaultConfig;
+    use qcp_obs::NoopRecorder;
 
     fn path(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -544,15 +479,18 @@ mod tests {
         let g = path(6);
         let plan = FaultPlan::none(6);
         let mut engine = FloodEngine::new(6);
-        let census = engine.flood_census(&g, 0, 5, &[4], None);
+        let census = engine
+            .run(&g, 0, &[4], None, &FloodSpec::new(5), &mut NoopRecorder)
+            .0;
         for ttl in 0..=5 {
-            let (out, _) = event_flood(&g, 0, ttl, &[4], None, &plan, 0, 7, None);
+            let (out, _) =
+                event_flood(&g, 0, ttl, &[4], None, &plan, 0, 7, None, &mut NoopRecorder);
             assert_eq!(out.flood, census.at(ttl), "ttl {ttl}");
             assert!(!out.truncated);
             // Unit latency: completion is the deepest delivered hop.
             assert_eq!(out.completion_time, ttl.min(5) as u64);
         }
-        let (out, stats) = event_flood(&g, 0, 5, &[4], None, &plan, 0, 7, None);
+        let (out, stats) = event_flood(&g, 0, 5, &[4], None, &plan, 0, 7, None, &mut NoopRecorder);
         assert_eq!(out.first_hit_time, Some(4));
         assert_eq!(out.holders_reached, 1);
         assert_eq!(stats.ticks, out.completion_time);
@@ -564,9 +502,22 @@ mod tests {
         let plan = FaultPlan::none(300);
         let mut engine = FloodEngine::new(300);
         let holders = [50u32, 200u32];
-        let census = engine.flood_census(&g, 7, 6, &holders, None);
+        let census = engine
+            .run(&g, 7, &holders, None, &FloodSpec::new(6), &mut NoopRecorder)
+            .0;
         for ttl in 0..=6 {
-            let (out, _) = event_flood(&g, 7, ttl, &holders, None, &plan, 0, 1, None);
+            let (out, _) = event_flood(
+                &g,
+                7,
+                ttl,
+                &holders,
+                None,
+                &plan,
+                0,
+                1,
+                None,
+                &mut NoopRecorder,
+            );
             assert_eq!(out.flood, census.at(ttl), "ttl {ttl}");
         }
     }
@@ -581,7 +532,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (out, _) = event_flood(&g, 0, 4, &[4], None, &plan, 0, 2, None);
+        let (out, _) = event_flood(&g, 0, 4, &[4], None, &plan, 0, 2, None, &mut NoopRecorder);
         assert!(out.flood.found);
         let hit = out.first_hit_time.expect("path flood must hit");
         assert!(
@@ -595,9 +546,20 @@ mod tests {
     fn cutoff_truncates_and_reports_partial_coverage() {
         let g = path(10);
         let plan = FaultPlan::none(10);
-        let (full, _) = event_flood(&g, 0, 9, &[9], None, &plan, 0, 3, None);
+        let (full, _) = event_flood(&g, 0, 9, &[9], None, &plan, 0, 3, None, &mut NoopRecorder);
         assert!(full.flood.found);
-        let (cut, _) = event_flood(&g, 0, 9, &[9], None, &plan, 0, 3, Some(4));
+        let (cut, _) = event_flood(
+            &g,
+            0,
+            9,
+            &[9],
+            None,
+            &plan,
+            0,
+            3,
+            Some(4),
+            &mut NoopRecorder,
+        );
         assert!(cut.truncated);
         assert!(!cut.flood.found);
         assert_eq!(cut.completion_time, 4);
@@ -619,7 +581,20 @@ mod tests {
                 ..Default::default()
             },
         );
-        let run = || event_flood(&g, 3, 5, &[150], None, &plan, 9, 42, Some(40));
+        let run = || {
+            event_flood(
+                &g,
+                3,
+                5,
+                &[150],
+                None,
+                &plan,
+                9,
+                42,
+                Some(40),
+                &mut NoopRecorder,
+            )
+        };
         assert_eq!(run(), run());
     }
 
@@ -639,7 +614,7 @@ mod tests {
         let t = (0..2u64)
             .find(|&t| !plan.alive_at(0, t))
             .expect("full churn downs node 0");
-        let (out, stats) = event_flood(&g, 0, 3, &[3], None, &plan, t, 0, None);
+        let (out, stats) = event_flood(&g, 0, 3, &[3], None, &plan, t, 0, None, &mut NoopRecorder);
         assert_eq!(out.flood.messages, 0);
         assert_eq!(out.flood.reached, 0);
         assert_eq!(stats, FaultStats::default());
@@ -649,7 +624,7 @@ mod tests {
     fn event_walk_on_path_marches_forward_in_time() {
         let g = path(5);
         let plan = FaultPlan::none(5);
-        let (out, _) = event_walk(&g, 0, 1, 10, &[4], 2, &plan, 0, 0, None);
+        let (out, _) = event_walk(&g, 0, 1, 10, &[4], 2, &plan, 0, 0, None, &mut NoopRecorder);
         assert!(out.walk.found);
         assert_eq!(out.walk.found_at_step, Some(4));
         // Unit latency: time equals steps.
@@ -661,7 +636,7 @@ mod tests {
     fn event_walk_source_holder_is_instant() {
         let g = path(5);
         let plan = FaultPlan::none(5);
-        let (out, _) = event_walk(&g, 2, 4, 10, &[2], 1, &plan, 0, 0, None);
+        let (out, _) = event_walk(&g, 2, 4, 10, &[2], 1, &plan, 0, 0, None, &mut NoopRecorder);
         assert_eq!(out.first_hit_time, Some(0));
         assert_eq!(out.walk.messages, 0);
         assert_eq!(out.walk.visited, 1);
@@ -671,7 +646,19 @@ mod tests {
     fn event_walk_cutoff_truncates() {
         let g = path(50);
         let plan = FaultPlan::none(50);
-        let (out, _) = event_walk(&g, 0, 1, 40, &[49], 3, &plan, 0, 0, Some(5));
+        let (out, _) = event_walk(
+            &g,
+            0,
+            1,
+            40,
+            &[49],
+            3,
+            &plan,
+            0,
+            0,
+            Some(5),
+            &mut NoopRecorder,
+        );
         assert!(out.truncated);
         assert!(!out.walk.found);
         assert_eq!(out.completion_time, 5);
@@ -689,12 +676,50 @@ mod tests {
                 ..Default::default()
             },
         );
-        let run = |k: usize| event_walk(&g, 5, k, 30, &[160], 0xabc, &plan, 0, 9, Some(100));
+        let run = |k: usize| {
+            event_walk(
+                &g,
+                5,
+                k,
+                30,
+                &[160],
+                0xabc,
+                &plan,
+                0,
+                9,
+                Some(100),
+                &mut NoopRecorder,
+            )
+        };
         assert_eq!(run(8), run(8));
         // Walker w's stream does not depend on how many walkers run:
         // k=1 outcome is reproducible inside the k=8 run's first stream.
-        let (one, _) = event_walk(&g, 5, 1, 30, &[], 0xabc, &plan, 0, 9, None);
-        let (eight, _) = event_walk(&g, 5, 8, 30, &[], 0xabc, &plan, 0, 9, None);
+        let (one, _) = event_walk(
+            &g,
+            5,
+            1,
+            30,
+            &[],
+            0xabc,
+            &plan,
+            0,
+            9,
+            None,
+            &mut NoopRecorder,
+        );
+        let (eight, _) = event_walk(
+            &g,
+            5,
+            8,
+            30,
+            &[],
+            0xabc,
+            &plan,
+            0,
+            9,
+            None,
+            &mut NoopRecorder,
+        );
         assert!(eight.walk.messages >= one.walk.messages);
     }
 
@@ -714,7 +739,7 @@ mod tests {
         let t = (0..2u64)
             .find(|&t| !plan.alive_at(0, t))
             .expect("full churn downs node 0");
-        let (out, _) = event_walk(&g, 0, 4, 10, &[4], 0, &plan, t, 0, None);
+        let (out, _) = event_walk(&g, 0, 4, 10, &[4], 0, &plan, t, 0, None, &mut NoopRecorder);
         assert!(!out.walk.found);
         assert_eq!(out.walk.messages, 0);
     }

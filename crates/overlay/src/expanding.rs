@@ -5,26 +5,31 @@
 //! for distant content (early rings are re-covered) — the standard
 //! trade-off the hybrid designs in §V try to exploit.
 //!
-//! # Census-backed ring accounting
+//! # One schedule, two ring sources
 //!
-//! A TTL-`t` flood is a prefix of the TTL-`max` flood, so the per-ring
-//! costs of the whole iterative-deepening schedule can be read off **one**
-//! BFS: [`FloodEngine::flood_census_pruned`] runs a single flood that
-//! stops at the first level containing a holder, and every ring's
-//! `(reached, messages)` is a prefix snapshot ([`CensusOutcome::at`]).
-//! The fault-free search below does exactly that — one BFS instead of
-//! `r*` overlapping ones, with bitwise-identical outcomes (pinned by the
-//! `matches_naive_*` tests against the naive per-ring oracle).
+//! [`expanding_ring_search`] folds one ring schedule over a per-ring flood
+//! outcome, and branches once per query on where the rings come from:
 //!
-//! The *faulty* search cannot be censused: each ring is an independent
-//! transmission with its own drop nonce (`mix64(nonce ^ ttl)`), so ring
-//! `t+1` re-draws every edge rather than extending ring `t`'s draws. That
-//! asymmetry is deliberate — iterative deepening doubles as coarse retry
-//! under loss — so the faulty path keeps the per-ring loop.
+//! * **Fault-free: one census.** A TTL-`t` flood is a prefix of the
+//!   TTL-`max` flood, so every ring's `(reached, messages)` is a prefix
+//!   snapshot ([`CensusOutcome::at`]) of **one** pruned census that stops
+//!   at the first level containing a holder — one BFS instead of `r*`
+//!   overlapping ones, bitwise-identical to flooding each ring (pinned
+//!   by the `matches_naive_*` tests against the per-ring oracle). The
+//!   census records under [`Kernel::Flood`].
+//! * **Faulty: one census per ring.** Each ring is an independent
+//!   transmission with its own drop nonce (`mix64(nonce ^ ttl)`), so ring
+//!   `t+1` re-draws every edge rather than extending ring `t`'s draws.
+//!   That asymmetry is deliberate — iterative deepening doubles as coarse
+//!   retry under loss. The per-ring floods are not recorded under
+//!   [`Kernel::Flood`]; their fault counters are summed under
+//!   [`Kernel::ExpandingRing`].
+//!
+//! [`CensusOutcome::at`]: crate::flood::CensusOutcome::at
 
-use crate::flood::{CensusOutcome, FloodEngine, FloodOutcome, FloodSpec};
+use crate::flood::{CensusBuf, FloodEngine, FloodFaults, FloodOutcome, FloodSpec};
 use crate::graph::Graph;
-use qcp_faults::{FaultPlan, FaultStats};
+use qcp_faults::FaultStats;
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
 use qcp_util::hash::mix64;
 
@@ -43,93 +48,88 @@ pub struct ExpandingOutcome {
     pub rings: u32,
 }
 
-/// Folds the iterative-deepening schedule over a hop census: ring `t`
-/// costs `census.at(t).messages` (a full standalone TTL-`t` flood), the
-/// schedule stops at the first successful ring or once a ring covers the
-/// whole graph.
-fn schedule_over_census(census: &CensusOutcome, max_ttl: u32, num_nodes: u32) -> ExpandingOutcome {
-    let mut total_messages = 0u64;
-    let mut rings = 0u32;
-    let mut last: Option<FloodOutcome> = None;
+/// Folds the iterative-deepening schedule over `ring(ttl)`, the outcome
+/// and fault counters of a standalone TTL-`ttl` flood: ring costs add up,
+/// and the schedule stops at the first successful ring or once a ring
+/// covers the whole graph.
+fn schedule(
+    max_ttl: u32,
+    num_nodes: u32,
+    mut ring: impl FnMut(u32) -> (FloodOutcome, FaultStats),
+) -> (ExpandingOutcome, FaultStats) {
+    let mut out = ExpandingOutcome {
+        found: false,
+        found_at_ttl: None,
+        messages: 0,
+        final_reach: 1,
+        rings: 0,
+    };
+    let mut stats = FaultStats::default();
     for ttl in 1..=max_ttl {
-        let out = census.at(ttl);
-        total_messages += out.messages;
-        rings += 1;
-        let found = out.found;
-        let reached = out.reached;
-        last = Some(out);
-        if found {
-            return ExpandingOutcome {
-                found: true,
-                found_at_ttl: Some(ttl),
-                messages: total_messages,
-                final_reach: reached,
-                rings,
-            };
+        let (flood, ring_stats) = ring(ttl);
+        stats.absorb(&ring_stats);
+        out.messages += flood.messages;
+        out.rings += 1;
+        out.final_reach = flood.reached;
+        if flood.found {
+            out.found = true;
+            out.found_at_ttl = Some(ttl);
+            break;
         }
         // If the ring covers the whole network, deeper rings are futile.
-        if ttl > 1 && reached == num_nodes {
+        if ttl > 1 && flood.reached == num_nodes {
             break;
         }
     }
-    ExpandingOutcome {
-        found: false,
-        found_at_ttl: None,
-        messages: total_messages,
-        final_reach: last.map(|o| o.reached).unwrap_or(1),
-        rings,
-    }
+    (out, stats)
 }
 
-/// Runs the expanding-ring search.
+/// Runs the expanding-ring search from `source` with rings of TTL 1
+/// through `max_ttl` (`holders` sorted, `forwarders` as in
+/// [`FloodEngine::run`]). `faults` selects the ring source described in
+/// the module docs; under `Some`, each ring floods at the query's tick
+/// with its own drop nonce, and the returned [`FaultStats`] sum every
+/// ring's counters.
 ///
-/// Internally performs **one** pruned hop-census BFS and reconstructs the
-/// per-ring cost schedule from its prefix snapshots — equivalent to (and
-/// pinned bitwise against) flooding each ring from scratch, at roughly
-/// `1/r*` of the cost for a hit on ring `r*`.
-pub fn expanding_ring_search(
+/// The ring schedule records under [`Kernel::ExpandingRing`]; the
+/// recorder is write-only, so outcomes are recorder-independent.
+#[allow(clippy::too_many_arguments)] // the search + fault context + recorder
+pub fn expanding_ring_search<R: Recorder>(
     engine: &mut FloodEngine,
     graph: &Graph,
     source: u32,
     max_ttl: u32,
     holders: &[u32],
     forwarders: Option<&[bool]>,
-) -> ExpandingOutcome {
-    expanding_ring_search_rec(
-        engine,
-        graph,
-        source,
-        max_ttl,
-        holders,
-        forwarders,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`expanding_ring_search`] with an instrumentation [`Recorder`]: the
-/// underlying pruned census records under [`Kernel::Flood`]; the ring
-/// schedule itself records under [`Kernel::ExpandingRing`]. Write-only,
-/// so outcomes are recorder-independent.
-#[allow(clippy::too_many_arguments)] // mirrors the plain search + recorder
-pub fn expanding_ring_search_rec<R: Recorder>(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
+    faults: Option<FloodFaults<'_>>,
     rec: &mut R,
-) -> ExpandingOutcome {
+) -> (ExpandingOutcome, FaultStats) {
     rec.rec_span(Kernel::ExpandingRing);
-    let spec = FloodSpec::new(max_ttl).pruned();
-    let (census, _) = engine.run(graph, source, holders, forwarders, &spec, rec);
-    let out = schedule_over_census(&census, max_ttl, graph.num_nodes() as u32);
-    record_schedule(rec, &out);
-    out
-}
-
-/// Records one completed ring schedule under [`Kernel::ExpandingRing`].
-fn record_schedule<R: Recorder>(rec: &mut R, out: &ExpandingOutcome) {
+    let num_nodes = graph.num_nodes() as u32;
+    let mut buf = CensusBuf::default();
+    let (out, stats) = match faults {
+        None => {
+            let spec = FloodSpec::new(max_ttl).pruned();
+            engine.run_into(graph, source, holders, forwarders, &spec, rec, &mut buf);
+            schedule(max_ttl, num_nodes, |ttl| {
+                (buf.census.at(ttl), FaultStats::default())
+            })
+        }
+        Some(FloodFaults { plan, time, nonce }) => schedule(max_ttl, num_nodes, |ttl| {
+            let spec = FloodSpec::new(ttl).faulty(plan, time, mix64(nonce ^ ttl as u64));
+            engine.run_into(
+                graph,
+                source,
+                holders,
+                forwarders,
+                &spec,
+                &mut NoopRecorder,
+                &mut buf,
+            );
+            let level = ttl.min(buf.census.levels()) as usize;
+            (buf.census.at(ttl), buf.stats[level])
+        }),
+    };
     rec.rec_count(Kernel::ExpandingRing, Counter::Messages, out.messages);
     rec.rec_count(Kernel::ExpandingRing, Counter::Rings, out.rings as u64);
     if let Some(ttl) = out.found_at_ttl {
@@ -139,139 +139,51 @@ fn record_schedule<R: Recorder>(rec: &mut R, out: &ExpandingOutcome) {
         Kernel::ExpandingRing,
         if out.found { Event::Hit } else { Event::Miss },
     );
-}
-
-/// Fault-aware expanding-ring search: each ring floods through
-/// [`FloodEngine::flood_faulty`]. Rings are independent transmissions, so
-/// each ring gets its own drop nonce (`mix64(nonce ^ ttl)`): a message
-/// lost at TTL 2 may succeed on the retry implicit in the TTL-3 ring —
-/// iterative deepening doubles as coarse retry under loss. Because the
-/// per-ring nonces differ, rings are *not* prefixes of one another and
-/// the census shortcut does not apply (see the module docs).
-#[allow(clippy::too_many_arguments)] // mirrors the plain search + fault context
-pub fn expanding_ring_search_faulty(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-) -> (ExpandingOutcome, FaultStats) {
-    expanding_ring_search_faulty_rec(
-        engine,
-        graph,
-        source,
-        max_ttl,
-        holders,
-        forwarders,
-        plan,
-        time,
-        nonce,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`expanding_ring_search_faulty`] with an instrumentation
-/// [`Recorder`]; write-only, so outcomes and stats are
-/// recorder-independent.
-#[allow(clippy::too_many_arguments)] // mirrors the faulty search + recorder
-pub fn expanding_ring_search_faulty_rec<R: Recorder>(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-    rec: &mut R,
-) -> (ExpandingOutcome, FaultStats) {
-    rec.rec_span(Kernel::ExpandingRing);
-    let (out, stats) = expanding_ring_faulty_impl(
-        engine, graph, source, max_ttl, holders, forwarders, plan, time, nonce,
-    );
-    record_schedule(rec, &out);
-    rec.rec_faults(Kernel::ExpandingRing, &stats);
-    (out, stats)
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the plain search + fault context
-fn expanding_ring_faulty_impl(
-    engine: &mut FloodEngine,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
-) -> (ExpandingOutcome, FaultStats) {
-    let mut total_messages = 0u64;
-    let mut rings = 0u32;
-    let mut stats = FaultStats::default();
-    let mut last: Option<FloodOutcome> = None;
-    for ttl in 1..=max_ttl {
-        let (out, ring_stats) = engine.flood_faulty(
-            graph,
-            source,
-            ttl,
-            holders,
-            forwarders,
-            plan,
-            time,
-            mix64(nonce ^ ttl as u64),
-        );
-        stats.absorb(&ring_stats);
-        total_messages += out.messages;
-        rings += 1;
-        let found = out.found;
-        let reached = out.reached;
-        last = Some(out);
-        if found {
-            return (
-                ExpandingOutcome {
-                    found: true,
-                    found_at_ttl: Some(ttl),
-                    messages: total_messages,
-                    final_reach: reached,
-                    rings,
-                },
-                stats,
-            );
-        }
-        // If the ring covers the whole network, deeper rings are futile.
-        if ttl > 1 && reached == graph.num_nodes() as u32 {
-            break;
-        }
+    if faults.is_some() {
+        rec.rec_faults(Kernel::ExpandingRing, &stats);
     }
-    (
-        ExpandingOutcome {
-            found: false,
-            found_at_ttl: None,
-            messages: total_messages,
-            final_reach: last.map(|o| o.reached).unwrap_or(1),
-            rings,
-        },
-        stats,
-    )
+    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcp_faults::{FaultConfig, FaultPlan};
 
     fn path(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
         Graph::from_edges(n, &edges)
     }
 
-    /// The pre-census oracle: literally flood every ring from scratch.
+    /// The pre-census oracle: literally flood every ring from scratch
+    /// (each faulty ring with its own drop nonce).
     fn naive_expanding_ring(
+        engine: &mut FloodEngine,
+        graph: &Graph,
+        source: u32,
+        (max_ttl, holders): (u32, &[u32]),
+        forwarders: Option<&[bool]>,
+        faults: Option<FloodFaults<'_>>,
+    ) -> (ExpandingOutcome, FaultStats) {
+        schedule(max_ttl, graph.num_nodes() as u32, |ttl| {
+            let ring_faults = faults.map(|f| FloodFaults {
+                nonce: mix64(f.nonce ^ ttl as u64),
+                ..f
+            });
+            engine.flood_reference(graph, source, ttl, holders, forwarders, ring_faults)
+        })
+    }
+
+    fn faults(plan: &FaultPlan, nonce: u64) -> Option<FloodFaults<'_>> {
+        Some(FloodFaults {
+            plan,
+            time: 0,
+            nonce,
+        })
+    }
+
+    /// Fault-free, unrecorded search.
+    fn ring(
         engine: &mut FloodEngine,
         graph: &Graph,
         source: u32,
@@ -279,43 +191,18 @@ mod tests {
         holders: &[u32],
         forwarders: Option<&[bool]>,
     ) -> ExpandingOutcome {
-        let mut total_messages = 0u64;
-        let mut rings = 0u32;
-        let mut last: Option<FloodOutcome> = None;
-        for ttl in 1..=max_ttl {
-            let out = engine.flood(graph, source, ttl, holders, forwarders);
-            total_messages += out.messages;
-            rings += 1;
-            let found = out.found;
-            let reached = out.reached;
-            last = Some(out);
-            if found {
-                return ExpandingOutcome {
-                    found: true,
-                    found_at_ttl: Some(ttl),
-                    messages: total_messages,
-                    final_reach: reached,
-                    rings,
-                };
-            }
-            if ttl > 1 && reached == graph.num_nodes() as u32 {
-                break;
-            }
-        }
-        ExpandingOutcome {
-            found: false,
-            found_at_ttl: None,
-            messages: total_messages,
-            final_reach: last.map(|o| o.reached).unwrap_or(1),
-            rings,
-        }
+        let rec = &mut NoopRecorder;
+        expanding_ring_search(
+            engine, graph, source, max_ttl, holders, forwarders, None, rec,
+        )
+        .0
     }
 
     #[test]
     fn stops_at_first_successful_ring() {
         let g = path(10);
         let mut e = FloodEngine::new(10);
-        let out = expanding_ring_search(&mut e, &g, 0, 9, &[3], None);
+        let out = ring(&mut e, &g, 0, 9, &[3], None);
         assert!(out.found);
         assert_eq!(out.found_at_ttl, Some(3));
         assert_eq!(out.rings, 3);
@@ -325,8 +212,8 @@ mod tests {
     fn nearby_object_is_cheap_far_object_is_expensive() {
         let g = path(20);
         let mut e = FloodEngine::new(20);
-        let near = expanding_ring_search(&mut e, &g, 0, 19, &[1], None);
-        let far = expanding_ring_search(&mut e, &g, 0, 19, &[15], None);
+        let near = ring(&mut e, &g, 0, 19, &[1], None);
+        let far = ring(&mut e, &g, 0, 19, &[15], None);
         assert!(near.found && far.found);
         assert!(near.messages < far.messages / 4);
     }
@@ -335,7 +222,7 @@ mod tests {
     fn miss_reports_total_cost() {
         let g = path(5);
         let mut e = FloodEngine::new(5);
-        let out = expanding_ring_search(&mut e, &g, 0, 2, &[4], None);
+        let out = ring(&mut e, &g, 0, 2, &[4], None);
         assert!(!out.found);
         assert!(out.messages > 0);
         assert_eq!(out.found_at_ttl, None);
@@ -361,8 +248,8 @@ mod tests {
                 (2, vec![399], Some(&masked)),
             ] {
                 let fwd: Option<&[bool]> = fwd.map(|m: &Vec<bool>| m.as_slice());
-                let fast = expanding_ring_search(&mut e, &g, src, 9, &holders, fwd);
-                let slow = naive_expanding_ring(&mut e, &g, src, 9, &holders, fwd);
+                let fast = ring(&mut e, &g, src, 9, &holders, fwd);
+                let (slow, _) = naive_expanding_ring(&mut e, &g, src, (9, &holders), fwd, None);
                 assert_eq!(fast, slow, "seed {seed} src {src}");
             }
         }
@@ -370,21 +257,53 @@ mod tests {
 
     #[test]
     fn faulty_rings_match_plain_under_none_plan() {
+        // `None` (one pruned census) and `Some(FaultPlan::none)` (one
+        // census per ring) take the two ring sources; they must agree.
         let g = crate::topology::erdos_renyi(300, 5.0, 31).graph;
         let plan = FaultPlan::none(300);
         let mut e = FloodEngine::new(300);
+        let rec = &mut NoopRecorder;
         for nonce in 0..5u64 {
-            let plain = expanding_ring_search(&mut e, &g, 7, 6, &[200], None);
+            let plain = ring(&mut e, &g, 7, 6, &[200], None);
             let (faulty, stats) =
-                expanding_ring_search_faulty(&mut e, &g, 7, 6, &[200], None, &plan, 0, nonce);
+                expanding_ring_search(&mut e, &g, 7, 6, &[200], None, faults(&plan, nonce), rec);
             assert_eq!(plain, faulty);
             assert_eq!(stats, FaultStats::default());
         }
     }
 
     #[test]
+    fn faulty_rings_match_naive_per_ring_faulty_floods() {
+        // Each faulty ring is a census run at the ring's TTL; it must be
+        // bitwise the standalone faulty flood with the ring's nonce.
+        let g = crate::topology::erdos_renyi(300, 5.0, 33).graph;
+        let plan = FaultPlan::build(
+            300,
+            &FaultConfig {
+                loss: 0.3,
+                churn: 0.2,
+                horizon: 16,
+                ..Default::default()
+            },
+        );
+        let mut e = FloodEngine::new(300);
+        for (src, time, nonce) in [(0u32, 0u64, 1u64), (42, 5, 2), (150, 9, 3), (299, 15, 4)] {
+            for holders in [vec![], vec![120u32], vec![src]] {
+                let f = Some(FloodFaults {
+                    plan: &plan,
+                    time,
+                    nonce,
+                });
+                let rec = &mut NoopRecorder;
+                let fast = expanding_ring_search(&mut e, &g, src, 6, &holders, None, f, rec);
+                let slow = naive_expanding_ring(&mut e, &g, src, (6, &holders), None, f);
+                assert_eq!(fast, slow, "src {src} time {time}");
+            }
+        }
+    }
+
+    #[test]
     fn faulty_rings_accumulate_drop_stats() {
-        use qcp_faults::FaultConfig;
         let g = crate::topology::erdos_renyi(300, 5.0, 32).graph;
         let plan = FaultPlan::build(
             300,
@@ -395,7 +314,16 @@ mod tests {
             },
         );
         let mut e = FloodEngine::new(300);
-        let (out, stats) = expanding_ring_search_faulty(&mut e, &g, 0, 5, &[], None, &plan, 0, 9);
+        let (out, stats) = expanding_ring_search(
+            &mut e,
+            &g,
+            0,
+            5,
+            &[],
+            None,
+            faults(&plan, 9),
+            &mut NoopRecorder,
+        );
         assert!(!out.found);
         assert!(stats.dropped > 0, "50% loss over 5 rings must drop");
         assert!(stats.wasted() <= out.messages);
@@ -407,7 +335,7 @@ mod tests {
         // The hop-0 check happens inside the first ring.
         let g = path(5);
         let mut e = FloodEngine::new(5);
-        let out = expanding_ring_search(&mut e, &g, 2, 4, &[2], None);
+        let out = ring(&mut e, &g, 2, 4, &[2], None);
         assert!(out.found);
         assert_eq!(out.found_at_ttl, Some(1));
         assert_eq!(out.rings, 1);
@@ -417,7 +345,7 @@ mod tests {
     fn zero_max_ttl_is_a_no_op() {
         let g = path(5);
         let mut e = FloodEngine::new(5);
-        let out = expanding_ring_search(&mut e, &g, 0, 0, &[4], None);
+        let out = ring(&mut e, &g, 0, 0, &[4], None);
         assert_eq!(
             out,
             ExpandingOutcome {

@@ -16,22 +16,33 @@
 //! [`FloodEngine::run_into`] extends that guarantee to the census vectors
 //! via a caller-held [`CensusBuf`].
 //!
+//! # One kernel, two fault models
+//!
+//! Every BFS here is generic over the visited set and over a crate-private
+//! fault model: a zero-sized fault-free model whose checks compile away,
+//! and [`FloodFaults`], which consults a [`FaultPlan`] on every
+//! transmission. The entry points match on `Option<FloodFaults>` once per
+//! query, so the fault-free census is the clean hot loop and records
+//! exactly what it always has (no fault counters, no dead-source events).
+//!
 //! # The hop census and the BFS prefix property
 //!
 //! A TTL-`t` flood executes *exactly* the first `t` levels of a TTL-max
 //! flood: the frontier at hop `h` is a pure function of the first `h`
 //! levels, message counters advance transmission by transmission in the
 //! same order, and fault draws key on `(edge, nonce, message index)` —
-//! none of which mention the TTL. [`FloodEngine::flood_census`] exploits
-//! this: one BFS at `max_ttl` records, per hop level, the cumulative
-//! `reached`/`messages` (and, in the faulty variant, cumulative fault
-//! counters), from which [`CensusOutcome::at`] reconstructs the
-//! [`FloodOutcome`] of *every* TTL ≤ `max_ttl` bit for bit. An 8-point
-//! TTL curve then costs one expanding ball instead of the sum of eight.
+//! none of which mention the TTL. [`FloodEngine::run`] exploits this: one
+//! BFS at `max_ttl` records, per hop level, the cumulative
+//! `reached`/`messages` and cumulative fault counters, from which
+//! [`CensusOutcome::at`] reconstructs the [`FloodOutcome`] of *every*
+//! TTL ≤ `max_ttl` bit for bit. An 8-point TTL curve then costs one
+//! expanding ball instead of the sum of eight.
+//! [`FloodEngine::flood_reference`] floods a single TTL and is the oracle
+//! the prefix property is pinned against.
 
 use crate::graph::Graph;
 use qcp_faults::{FaultPlan, FaultStats};
-use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
+use qcp_obs::{Counter, Event, Kernel, Recorder};
 
 /// Fault context of a [`FloodSpec`]: the plan plus the query's position
 /// in the plan's streams.
@@ -45,16 +56,13 @@ pub struct FloodFaults<'p> {
     pub nonce: u64,
 }
 
-/// One unified description of a flood — the single entry point behind
-/// which `flood` / `flood_faulty` / `flood_census` /
-/// `flood_census_faulty` / `flood_census_pruned` collapse (the legacy
-/// methods remain as the reference oracles their bitwise pins run
-/// against).
+/// One description of a flood census: its depth, its fault context, and
+/// whether it stops at the first hit.
 ///
 /// [`FloodEngine::run`] always returns the full hop census plus the
 /// per-level cumulative [`FaultStats`]; a single-TTL outcome is
-/// `census.at(ttl)` — bit-identical to the corresponding legacy call by
-/// the BFS prefix property.
+/// `census.at(ttl)` — bit-identical to [`FloodEngine::flood_reference`]
+/// at that TTL by the BFS prefix property.
 ///
 /// ```
 /// use qcp_overlay::{FloodEngine, FloodSpec, Graph};
@@ -288,11 +296,174 @@ enum Visited {
 }
 
 // ---------------------------------------------------------------------
-// BFS cores, generic over the visited set (monomorphic hot loops).
+// Fault models, monomorphized like the visited sets.
 // ---------------------------------------------------------------------
 
+/// The per-transmission fault model of a synchronous kernel. Kernels are
+/// generic over it and their entry points match on `Option<FloodFaults>`
+/// once per query, so the fault-free instance ([`NoFaults`]) compiles to
+/// the clean hot loop.
+pub(crate) trait Faults: Copy {
+    /// Whether transmissions can fail; `false` also compiles away the
+    /// kernels' `rec_faults` calls.
+    const ACTIVE: bool;
+    /// Whether `source` is up when the query is issued.
+    fn source_alive(&self, source: u32) -> bool;
+    /// Whether message number `msg` (1-based, the drop-stream index) from
+    /// `u` reaches `v`; a lost message is counted in `stats` as a dead
+    /// target or a drop.
+    fn deliver(&self, u: u32, v: u32, msg: u64, stats: &mut FaultStats) -> bool;
+}
+
+/// The fault-free model: every source is up and every message arrives.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NoFaults;
+
+impl Faults for NoFaults {
+    const ACTIVE: bool = false;
+
+    #[inline(always)]
+    fn source_alive(&self, _source: u32) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn deliver(&self, _u: u32, _v: u32, _msg: u64, _stats: &mut FaultStats) -> bool {
+        true
+    }
+}
+
+/// Messages to nodes that are down at tick `time` are wasted
+/// ([`FaultStats::dead_targets`]) and in-flight drops are wasted
+/// ([`FaultStats::dropped`]); dead nodes neither receive, answer, nor
+/// forward. Synchronous searches are fire-and-forget: no retries.
+impl Faults for FloodFaults<'_> {
+    const ACTIVE: bool = true;
+
+    fn source_alive(&self, source: u32) -> bool {
+        self.plan.alive_at(source, self.time)
+    }
+
+    #[inline]
+    fn deliver(&self, u: u32, v: u32, msg: u64, stats: &mut FaultStats) -> bool {
+        if !self.plan.alive_at(v, self.time) {
+            stats.dead_targets += 1;
+            false
+        } else if self.plan.drop_message(u, v, self.nonce, msg) {
+            stats.dropped += 1;
+            false
+        } else {
+            true
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// BFS cores, generic over the visited set and the fault model
+// (monomorphic hot loops).
+// ---------------------------------------------------------------------
+
+/// Running totals of one BFS.
+#[derive(Clone, Copy)]
+struct Bfs {
+    reached: u32,
+    messages: u64,
+    first_hit_hop: Option<u32>,
+}
+
+impl Bfs {
+    /// Starts a query: clears the marks, then seeds the frontier with
+    /// `source` when `alive` (a dead source leaves both empty, so no mark
+    /// of an earlier query survives into [`FloodEngine::was_reached`]).
+    fn start<V: VisitMarks>(
+        visited: &mut V,
+        frontier: &mut Vec<u32>,
+        source: u32,
+        holders: &[u32],
+        alive: bool,
+    ) -> Self {
+        debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
+        visited.begin();
+        frontier.clear();
+        if alive {
+            visited.insert(source);
+            frontier.push(source);
+        }
+        Self {
+            reached: u32::from(alive),
+            messages: 0,
+            first_hit_hop: (alive && holders.binary_search(&source).is_ok()).then_some(0),
+        }
+    }
+
+    fn outcome(&self) -> FloodOutcome {
+        FloodOutcome {
+            found: self.first_hit_hop.is_some(),
+            found_at_hop: self.first_hit_hop,
+            reached: self.reached,
+            messages: self.messages,
+        }
+    }
+
+    /// Expands the frontier by one level (hop `hop`) and returns the
+    /// level's fault stats. Only forwarders expand; the source always
+    /// sends.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // the BFS state plus the query
+    fn expand<V: VisitMarks, F: Faults>(
+        &mut self,
+        visited: &mut V,
+        frontier: &mut Vec<u32>,
+        next: &mut Vec<u32>,
+        graph: &Graph,
+        source: u32,
+        hop: u32,
+        holders: &[u32],
+        forwarders: Option<&[bool]>,
+        faults: F,
+    ) -> FaultStats {
+        let Bfs {
+            mut reached,
+            mut messages,
+            mut first_hit_hop,
+        } = *self;
+        let mut stats = FaultStats::default();
+        next.clear();
+        for &u in frontier.iter() {
+            if u != source {
+                if let Some(mask) = forwarders {
+                    if !mask[u as usize] {
+                        continue;
+                    }
+                }
+            }
+            for &v in graph.neighbors(u) {
+                messages += 1;
+                if !faults.deliver(u, v, messages, &mut stats) {
+                    continue;
+                }
+                if visited.insert(v) {
+                    reached += 1;
+                    if first_hit_hop.is_none() && holders.binary_search(&v).is_ok() {
+                        first_hit_hop = Some(hop);
+                    }
+                    next.push(v);
+                }
+            }
+        }
+        std::mem::swap(frontier, next);
+        *self = Bfs {
+            reached,
+            messages,
+            first_hit_hop,
+        };
+        stats
+    }
+}
+
+/// One standalone TTL-`ttl` flood (the reference oracle).
 #[allow(clippy::too_many_arguments)] // internal core behind the engine API
-fn flood_core<V: VisitMarks>(
+fn flood_core<V: VisitMarks, F: Faults>(
     visited: &mut V,
     frontier: &mut Vec<u32>,
     next: &mut Vec<u32>,
@@ -301,236 +472,84 @@ fn flood_core<V: VisitMarks>(
     ttl: u32,
     holders: &[u32],
     forwarders: Option<&[bool]>,
-    faults: Option<FloodFaults<'_>>,
-    stats: &mut FaultStats,
-) -> FloodOutcome {
-    debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
-    visited.begin();
-    frontier.clear();
-    next.clear();
-    let mut reached = 1u32;
-    let mut messages = 0u64;
-    let mut found_at_hop = None;
-    visited.insert(source);
-    if holders.binary_search(&source).is_ok() {
-        found_at_hop = Some(0);
-    }
-    frontier.push(source);
+    faults: F,
+) -> (FloodOutcome, FaultStats) {
+    let mut bfs = Bfs::start(
+        visited,
+        frontier,
+        source,
+        holders,
+        faults.source_alive(source),
+    );
+    let mut total = FaultStats::default();
     let mut hop = 0u32;
     while hop < ttl && !frontier.is_empty() {
         hop += 1;
-        next.clear();
-        for &u in frontier.iter() {
-            // Only forwarders expand (the source always sends).
-            if u != source {
-                if let Some(mask) = forwarders {
-                    if !mask[u as usize] {
-                        continue;
-                    }
-                }
-            }
-            for &v in graph.neighbors(u) {
-                messages += 1;
-                if let Some(f) = faults {
-                    if !f.plan.alive_at(v, f.time) {
-                        stats.dead_targets += 1;
-                        continue;
-                    }
-                    if f.plan.drop_message(u, v, f.nonce, messages) {
-                        stats.dropped += 1;
-                        continue;
-                    }
-                }
-                if visited.insert(v) {
-                    reached += 1;
-                    if found_at_hop.is_none() && holders.binary_search(&v).is_ok() {
-                        found_at_hop = Some(hop);
-                    }
-                    next.push(v);
-                }
-            }
-        }
-        std::mem::swap(frontier, next);
+        let stats = bfs.expand(
+            visited, frontier, next, graph, source, hop, holders, forwarders, faults,
+        );
+        total.absorb(&stats);
     }
-    FloodOutcome {
-        found: found_at_hop.is_some(),
-        found_at_hop,
-        reached,
-        messages,
-    }
+    (bfs.outcome(), total)
 }
 
+/// The hop census: one BFS to `max_ttl`, snapshotting every level.
 #[allow(clippy::too_many_arguments)] // internal core behind the engine API
-fn census_core<V: VisitMarks, R: Recorder>(
+fn census_core<V: VisitMarks, F: Faults, R: Recorder>(
     visited: &mut V,
     frontier: &mut Vec<u32>,
     next: &mut Vec<u32>,
     graph: &Graph,
     source: u32,
-    max_ttl: u32,
     holders: &[u32],
     forwarders: Option<&[bool]>,
-    stop_on_hit: bool,
+    spec: &FloodSpec<'_>,
+    faults: F,
     rec: &mut R,
-    out: &mut CensusOutcome,
+    buf: &mut CensusBuf,
 ) {
-    debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
     rec.rec_span(Kernel::Flood);
-    visited.begin();
-    frontier.clear();
-    next.clear();
+    let (out, level_stats) = (&mut buf.census, &mut buf.stats);
+    let alive = faults.source_alive(source);
+    let mut bfs = Bfs::start(visited, frontier, source, holders, alive);
     out.reached.clear();
     out.messages.clear();
-    out.first_hit_hop = None;
-    let mut reached = 1u32;
-    let mut messages = 0u64;
-    visited.insert(source);
-    if holders.binary_search(&source).is_ok() {
-        out.first_hit_hop = Some(0);
+    out.reached.push(bfs.reached);
+    out.messages.push(bfs.messages);
+    level_stats.clear();
+    level_stats.push(FaultStats::default());
+    if !alive {
+        out.first_hit_hop = None;
+        rec.rec_event(Kernel::Flood, Event::DeadSource);
+        return;
     }
-    frontier.push(source);
-    out.reached.push(reached);
-    out.messages.push(messages);
     let mut hop = 0u32;
-    while hop < max_ttl && !frontier.is_empty() {
+    while hop < spec.max_ttl && !frontier.is_empty() {
         hop += 1;
-        next.clear();
-        let level_start = messages;
-        for &u in frontier.iter() {
-            // Only forwarders expand (the source always sends).
-            if u != source {
-                if let Some(mask) = forwarders {
-                    if !mask[u as usize] {
-                        continue;
-                    }
-                }
-            }
-            for &v in graph.neighbors(u) {
-                messages += 1;
-                if visited.insert(v) {
-                    reached += 1;
-                    if out.first_hit_hop.is_none() && holders.binary_search(&v).is_ok() {
-                        out.first_hit_hop = Some(hop);
-                    }
-                    next.push(v);
-                }
-            }
+        let level_start = bfs.messages;
+        let stats = bfs.expand(
+            visited, frontier, next, graph, source, hop, holders, forwarders, faults,
+        );
+        out.reached.push(bfs.reached);
+        out.messages.push(bfs.messages);
+        rec.rec_hop(Kernel::Flood, hop, bfs.messages - level_start);
+        if F::ACTIVE {
+            rec.rec_faults(Kernel::Flood, &stats);
         }
-        std::mem::swap(frontier, next);
-        out.reached.push(reached);
-        out.messages.push(messages);
-        rec.rec_hop(Kernel::Flood, hop, messages - level_start);
+        level_stats.push(stats);
         // Expanding-ring early exit: the successful ring is
         // `max(first_hit_hop, 1)`, and its prefix sums are complete
         // once this level is.
-        if stop_on_hit && out.first_hit_hop.is_some() {
+        if spec.pruned && bfs.first_hit_hop.is_some() {
             break;
         }
     }
-    rec.rec_count(Kernel::Flood, Counter::Messages, messages);
-    rec.rec_event(
-        Kernel::Flood,
-        if out.first_hit_hop.is_some() {
-            Event::Hit
-        } else {
-            Event::Miss
-        },
-    );
-}
-
-#[allow(clippy::too_many_arguments)] // internal core behind the engine API
-fn census_faulty_core<V: VisitMarks, R: Recorder>(
-    visited: &mut V,
-    frontier: &mut Vec<u32>,
-    next: &mut Vec<u32>,
-    graph: &Graph,
-    source: u32,
-    max_ttl: u32,
-    holders: &[u32],
-    forwarders: Option<&[bool]>,
-    faults: FloodFaults<'_>,
-    stop_on_hit: bool,
-    rec: &mut R,
-    out: &mut CensusOutcome,
-    level_stats: &mut Vec<FaultStats>,
-) {
-    debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
-    rec.rec_span(Kernel::Flood);
-    out.reached.clear();
-    out.messages.clear();
-    out.first_hit_hop = None;
-    level_stats.clear();
-    let FloodFaults { plan, time, nonce } = faults;
-    if !plan.alive_at(source, time) {
-        rec.rec_event(Kernel::Flood, Event::DeadSource);
-        out.reached.push(0);
-        out.messages.push(0);
-        level_stats.push(FaultStats::default());
-        return;
-    }
-    visited.begin();
-    frontier.clear();
-    next.clear();
-    let mut reached = 1u32;
-    let mut messages = 0u64;
-    visited.insert(source);
-    if holders.binary_search(&source).is_ok() {
-        out.first_hit_hop = Some(0);
-    }
-    frontier.push(source);
-    out.reached.push(reached);
-    out.messages.push(messages);
-    level_stats.push(FaultStats::default());
-    let mut hop = 0u32;
-    while hop < max_ttl && !frontier.is_empty() {
-        hop += 1;
-        next.clear();
-        let mut stats = FaultStats::default();
-        let level_start = messages;
-        for &u in frontier.iter() {
-            // Only forwarders expand (the source always sends).
-            if u != source {
-                if let Some(mask) = forwarders {
-                    if !mask[u as usize] {
-                        continue;
-                    }
-                }
-            }
-            for &v in graph.neighbors(u) {
-                messages += 1;
-                if !plan.alive_at(v, time) {
-                    stats.dead_targets += 1;
-                    continue;
-                }
-                if plan.drop_message(u, v, nonce, messages) {
-                    stats.dropped += 1;
-                    continue;
-                }
-                if visited.insert(v) {
-                    reached += 1;
-                    if out.first_hit_hop.is_none() && holders.binary_search(&v).is_ok() {
-                        out.first_hit_hop = Some(hop);
-                    }
-                    next.push(v);
-                }
-            }
-        }
-        std::mem::swap(frontier, next);
-        out.reached.push(reached);
-        out.messages.push(messages);
-        rec.rec_hop(Kernel::Flood, hop, messages - level_start);
-        rec.rec_faults(Kernel::Flood, &stats);
-        level_stats.push(stats);
-        // Expanding-ring early exit, as in the fault-free census.
-        if stop_on_hit && out.first_hit_hop.is_some() {
-            break;
-        }
-    }
+    out.first_hit_hop = bfs.first_hit_hop;
     FaultStats::accumulate_prefix(level_stats);
-    rec.rec_count(Kernel::Flood, Counter::Messages, messages);
+    rec.rec_count(Kernel::Flood, Counter::Messages, bfs.messages);
     rec.rec_event(
         Kernel::Flood,
-        if out.first_hit_hop.is_some() {
+        if bfs.first_hit_hop.is_some() {
             Event::Hit
         } else {
             Event::Miss
@@ -546,7 +565,7 @@ fn census_faulty_core<V: VisitMarks, R: Recorder>(
 /// // Path 0-1-2-3: a TTL-2 flood from node 0 reaches nodes 0,1,2.
 /// let graph = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
 /// let mut engine = FloodEngine::new(4);
-/// let out = engine.flood(&graph, 0, 2, &[2], None);
+/// let (out, _stats) = engine.flood_reference(&graph, 0, 2, &[2], None, None);
 /// assert!(out.found);
 /// assert_eq!(out.found_at_hop, Some(2));
 /// assert_eq!(out.reached, 3);
@@ -616,66 +635,50 @@ impl FloodEngine {
         visited + (self.frontier.capacity() + self.next.capacity()) * std::mem::size_of::<u32>()
     }
 
-    /// Floods from `source` with `ttl` hops and reports coverage plus
-    /// whether a holder of the target was reached.
+    /// Floods from `source` with `ttl` hops — one standalone flood, the
+    /// reference oracle the census is pinned against ([`Self::run`]'s
+    /// `census.at(ttl)` is bit-identical).
     ///
     /// * `holders` — sorted peer list holding the target (empty = pure
     ///   coverage measurement);
     /// * `forwarders` — optional mask; nodes with `false` receive but do
-    ///   not forward (Gnutella leaves). `None` = everyone forwards.
-    pub fn flood(
+    ///   not forward (Gnutella leaves). `None` = everyone forwards;
+    /// * `faults` — `None` runs fault-free. Under `Some`, every
+    ///   transmission consults the plan; `nonce` identifies the query in
+    ///   the plan's drop stream (distinct queries must pass distinct
+    ///   nonces). A dead source sends nothing and reaches nobody.
+    pub fn flood_reference(
         &mut self,
         graph: &Graph,
         source: u32,
         ttl: u32,
         holders: &[u32],
         forwarders: Option<&[bool]>,
-    ) -> FloodOutcome {
+        faults: Option<FloodFaults<'_>>,
+    ) -> (FloodOutcome, FaultStats) {
         let (frontier, next) = (&mut self.frontier, &mut self.next);
-        let mut stats = FaultStats::default();
-        with_visited!(self, marks => flood_core(
-            marks, frontier, next, graph, source, ttl, holders, forwarders, None, &mut stats,
-        ))
+        match faults {
+            None => with_visited!(self, marks => flood_core(
+                marks, frontier, next, graph, source, ttl, holders, forwarders, NoFaults,
+            )),
+            Some(f) => with_visited!(self, marks => flood_core(
+                marks, frontier, next, graph, source, ttl, holders, forwarders, f,
+            )),
+        }
     }
 
-    /// Hop-census flood: one BFS at `max_ttl` whose per-level snapshots
-    /// reconstruct the [`FloodOutcome`] of every TTL ≤ `max_ttl`
-    /// ([`CensusOutcome::at`]), bit-identical to running [`Self::flood`]
-    /// separately at each TTL (pinned by tests and proptests).
-    pub fn flood_census(
-        &mut self,
-        graph: &Graph,
-        source: u32,
-        max_ttl: u32,
-        holders: &[u32],
-        forwarders: Option<&[bool]>,
-    ) -> CensusOutcome {
-        let mut out = CensusOutcome::default();
-        let (frontier, next) = (&mut self.frontier, &mut self.next);
-        with_visited!(self, marks => census_core(
-            marks, frontier, next, graph, source, max_ttl, holders, forwarders,
-            false, &mut NoopRecorder, &mut out,
-        ));
-        out
-    }
-
-    /// Unified flood entry point: runs the census described by `spec`,
-    /// recording into `rec` (pass [`NoopRecorder`] for free
+    /// The flood entry point: runs the census described by `spec`,
+    /// recording into `rec` (pass [`qcp_obs::NoopRecorder`] for free
     /// no-instrumentation runs). Returns the census plus the per-level
     /// *cumulative* [`FaultStats`] (all-zero entries for fault-free
     /// specs, so consumers index uniformly).
     ///
-    /// Dispatch table (each arm bit-identical to the legacy method):
-    ///
-    /// | `plan`  | `pruned` | behaves as                       |
-    /// |---------|----------|----------------------------------|
-    /// | `None`  | `false`  | [`Self::flood_census`]           |
-    /// | `None`  | `true`   | [`Self::flood_census_pruned`]    |
-    /// | `Some`  | `false`  | [`Self::flood_census_faulty`]    |
-    /// | `Some`  | `true`   | faulty census with the early exit |
-    ///
-    /// and `census.at(t)` reconstructs [`Self::flood`] /
-    /// [`Self::flood_faulty`] at TTL `t` (the BFS prefix property).
+    /// `census.at(t)` reconstructs [`Self::flood_reference`] at TTL `t`
+    /// with the same fault context, and `stats[t.min(census.levels())]`
+    /// its fault counters (the BFS prefix property). A pruned spec stops
+    /// once the level holding the first hit is complete; the levels it
+    /// keeps are those of the full census. Under a fault plan whose
+    /// source is dead at `time`, the census is all-zero.
     ///
     /// Allocates fresh result vectors per call; hot sweep loops use
     /// [`Self::run_into`] with a reused [`CensusBuf`] instead.
@@ -708,123 +711,15 @@ impl FloodEngine {
         buf: &mut CensusBuf,
     ) {
         let (frontier, next) = (&mut self.frontier, &mut self.next);
-        let (out, level_stats) = (&mut buf.census, &mut buf.stats);
         match spec.plan {
-            None => {
-                with_visited!(self, marks => census_core(
-                    marks, frontier, next, graph, source, spec.max_ttl, holders,
-                    forwarders, spec.pruned, rec, out,
-                ));
-                level_stats.clear();
-                level_stats.resize(out.reached.len(), FaultStats::default());
-            }
-            Some(f) => {
-                with_visited!(self, marks => census_faulty_core(
-                    marks, frontier, next, graph, source, spec.max_ttl, holders,
-                    forwarders, f, spec.pruned, rec, out, level_stats,
-                ));
-            }
+            None => with_visited!(self, marks => census_core(
+                marks, frontier, next, graph, source, holders, forwarders, spec, NoFaults, rec,
+                buf,
+            )),
+            Some(f) => with_visited!(self, marks => census_core(
+                marks, frontier, next, graph, source, holders, forwarders, spec, f, rec, buf,
+            )),
         }
-    }
-
-    /// Like [`Self::flood_census`], but stops expanding as soon as the
-    /// level containing the first holder hit is complete — the
-    /// expanding-ring driver, which never needs prefix sums past its
-    /// successful ring. Levels up to the stop point are identical to
-    /// [`Self::flood_census`]'s.
-    pub fn flood_census_pruned(
-        &mut self,
-        graph: &Graph,
-        source: u32,
-        max_ttl: u32,
-        holders: &[u32],
-        forwarders: Option<&[bool]>,
-    ) -> CensusOutcome {
-        let mut out = CensusOutcome::default();
-        let (frontier, next) = (&mut self.frontier, &mut self.next);
-        with_visited!(self, marks => census_core(
-            marks, frontier, next, graph, source, max_ttl, holders, forwarders,
-            true, &mut NoopRecorder, &mut out,
-        ));
-        out
-    }
-
-    /// Fault-aware hop census: one faulty BFS at `max_ttl`, per-level
-    /// snapshots plus *cumulative* per-level [`FaultStats`] (entry `h` =
-    /// the counters a standalone TTL-`h` [`Self::flood_faulty`] with the
-    /// same `(plan, time, nonce)` reports). Fault draws key on
-    /// `(edge, nonce, message index)` and message indices advance
-    /// identically in every TTL prefix, so the reconstruction is exact —
-    /// bit for bit, drops included. A dead source yields the all-zero
-    /// census, mirroring [`Self::flood_faulty`].
-    #[allow(clippy::too_many_arguments)] // mirrors `flood_faulty`
-    pub fn flood_census_faulty(
-        &mut self,
-        graph: &Graph,
-        source: u32,
-        max_ttl: u32,
-        holders: &[u32],
-        forwarders: Option<&[bool]>,
-        plan: &FaultPlan,
-        time: u64,
-        nonce: u64,
-    ) -> (CensusOutcome, Vec<FaultStats>) {
-        let mut out = CensusOutcome::default();
-        let mut level_stats = Vec::new();
-        let faults = FloodFaults { plan, time, nonce };
-        let (frontier, next) = (&mut self.frontier, &mut self.next);
-        with_visited!(self, marks => census_faulty_core(
-            marks, frontier, next, graph, source, max_ttl, holders, forwarders,
-            faults, false, &mut NoopRecorder, &mut out, &mut level_stats,
-        ));
-        (out, level_stats)
-    }
-
-    /// Fault-aware flood: like [`Self::flood`], but every transmission
-    /// consults `plan` — messages to nodes that are down at workload tick
-    /// `time` are wasted ([`FaultStats::dead_targets`]), in-flight drops
-    /// are wasted ([`FaultStats::dropped`]), and dead nodes neither
-    /// receive, answer, nor forward. Flooding is fire-and-forget: lost
-    /// messages are never retried.
-    ///
-    /// `nonce` identifies this query in the plan's drop stream; distinct
-    /// queries must pass distinct nonces.
-    ///
-    /// Under [`FaultPlan::none`] this is *exactly* [`Self::flood`]: the
-    /// same traversal, the same message accounting, bit for bit (pinned
-    /// by tests here and in `tests/determinism.rs`). A dead source sends
-    /// nothing and fails immediately.
-    #[allow(clippy::too_many_arguments)] // mirrors `flood` + the fault context
-    pub fn flood_faulty(
-        &mut self,
-        graph: &Graph,
-        source: u32,
-        ttl: u32,
-        holders: &[u32],
-        forwarders: Option<&[bool]>,
-        plan: &FaultPlan,
-        time: u64,
-        nonce: u64,
-    ) -> (FloodOutcome, FaultStats) {
-        let mut stats = FaultStats::default();
-        if !plan.alive_at(source, time) {
-            return (
-                FloodOutcome {
-                    found: false,
-                    found_at_hop: None,
-                    reached: 0,
-                    messages: 0,
-                },
-                stats,
-            );
-        }
-        let faults = Some(FloodFaults { plan, time, nonce });
-        let (frontier, next) = (&mut self.frontier, &mut self.next);
-        let out = with_visited!(self, marks => flood_core(
-            marks, frontier, next, graph, source, ttl, holders, forwarders,
-            faults, &mut stats,
-        ));
-        (out, stats)
     }
 
     /// True if `node` was reached by the most recent flood.
@@ -842,22 +737,36 @@ impl FloodEngine {
     pub fn hits_in_last_flood(&self, holders: &[u32]) -> u32 {
         holders.iter().filter(|&&h| self.was_reached(h)).count() as u32
     }
-
-    /// Coverage-only flood: how many peers a TTL-`ttl` flood reaches.
-    pub fn coverage(
-        &mut self,
-        graph: &Graph,
-        source: u32,
-        ttl: u32,
-        forwarders: Option<&[bool]>,
-    ) -> u32 {
-        self.flood(graph, source, ttl, &[], forwarders).reached
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcp_obs::NoopRecorder;
+
+    /// Fault-free single-TTL flood through the reference oracle.
+    fn flood(
+        e: &mut FloodEngine,
+        g: &Graph,
+        src: u32,
+        ttl: u32,
+        holders: &[u32],
+        fwd: Option<&[bool]>,
+    ) -> FloodOutcome {
+        e.flood_reference(g, src, ttl, holders, fwd, None).0
+    }
+
+    /// Fault-free hop census through the unified entry point.
+    fn census(
+        e: &mut FloodEngine,
+        g: &Graph,
+        src: u32,
+        spec: FloodSpec<'_>,
+        holders: &[u32],
+        fwd: Option<&[bool]>,
+    ) -> CensusOutcome {
+        e.run(g, src, holders, fwd, &spec, &mut NoopRecorder).0
+    }
 
     /// Path graph 0-1-2-3-4.
     fn path() -> Graph {
@@ -868,21 +777,21 @@ mod tests {
     fn ttl_limits_reach() {
         let g = path();
         let mut e = FloodEngine::new(5);
-        assert_eq!(e.coverage(&g, 0, 0, None), 1);
-        assert_eq!(e.coverage(&g, 0, 1, None), 2);
-        assert_eq!(e.coverage(&g, 0, 2, None), 3);
-        assert_eq!(e.coverage(&g, 0, 4, None), 5);
-        assert_eq!(e.coverage(&g, 2, 1, None), 3);
+        assert_eq!(flood(&mut e, &g, 0, 0, &[], None).reached, 1);
+        assert_eq!(flood(&mut e, &g, 0, 1, &[], None).reached, 2);
+        assert_eq!(flood(&mut e, &g, 0, 2, &[], None).reached, 3);
+        assert_eq!(flood(&mut e, &g, 0, 4, &[], None).reached, 5);
+        assert_eq!(flood(&mut e, &g, 2, 1, &[], None).reached, 3);
     }
 
     #[test]
     fn finds_object_within_ttl() {
         let g = path();
         let mut e = FloodEngine::new(5);
-        let out = e.flood(&g, 0, 3, &[3], None);
+        let out = flood(&mut e, &g, 0, 3, &[3], None);
         assert!(out.found);
         assert_eq!(out.found_at_hop, Some(3));
-        let out = e.flood(&g, 0, 2, &[3], None);
+        let out = flood(&mut e, &g, 0, 2, &[3], None);
         assert!(!out.found);
         assert_eq!(out.found_at_hop, None);
     }
@@ -891,7 +800,7 @@ mod tests {
     fn source_holding_object_found_at_hop_zero() {
         let g = path();
         let mut e = FloodEngine::new(5);
-        let out = e.flood(&g, 2, 0, &[2], None);
+        let out = flood(&mut e, &g, 2, 0, &[2], None);
         assert!(out.found);
         assert_eq!(out.found_at_hop, Some(0));
         assert_eq!(out.reached, 1);
@@ -904,11 +813,11 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 4)]);
         let forwarders = vec![true, false, false, false, true];
         let mut e = FloodEngine::new(5);
-        let out = e.flood(&g, 0, 3, &[4], Some(&forwarders));
+        let out = flood(&mut e, &g, 0, 3, &[4], Some(&forwarders));
         assert!(!out.found, "leaf must not forward toward node 4");
         assert_eq!(out.reached, 4);
         // Same flood with full forwarding reaches node 4.
-        let out2 = e.flood(&g, 0, 3, &[4], None);
+        let out2 = flood(&mut e, &g, 0, 3, &[4], None);
         assert!(out2.found);
     }
 
@@ -917,7 +826,7 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let forwarders = vec![false, true, true];
         let mut e = FloodEngine::new(3);
-        let out = e.flood(&g, 0, 2, &[2], Some(&forwarders));
+        let out = flood(&mut e, &g, 0, 2, &[2], Some(&forwarders));
         assert!(out.found, "a leaf source must still issue its own query");
     }
 
@@ -927,7 +836,7 @@ mod tests {
         let mut e = FloodEngine::new(5);
         // TTL 2 from node 0: hop1 sends 1 msg (0->1), hop2 sends 2 (1->0,
         // 1->2).
-        let out = e.flood(&g, 0, 2, &[], None);
+        let out = flood(&mut e, &g, 0, 2, &[], None);
         assert_eq!(out.messages, 3);
     }
 
@@ -936,7 +845,7 @@ mod tests {
         let g = path();
         let mut e = FloodEngine::new(5);
         for _ in 0..1000 {
-            let out = e.flood(&g, 0, 1, &[1], None);
+            let out = flood(&mut e, &g, 0, 1, &[1], None);
             assert!(out.found);
             assert_eq!(out.reached, 2);
         }
@@ -946,7 +855,7 @@ mod tests {
     fn cycle_graph_counts_each_node_once() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut e = FloodEngine::new(4);
-        let out = e.flood(&g, 0, 4, &[], None);
+        let out = flood(&mut e, &g, 0, 4, &[], None);
         assert_eq!(out.reached, 4);
     }
 
@@ -962,9 +871,9 @@ mod tests {
             let mut h: Vec<u32> = holders.to_vec();
             h.sort_unstable();
             h.dedup();
-            let census = a.flood_census(&g, src, 7, &h, None);
+            let census = census(&mut a, &g, src, FloodSpec::new(7), &h, None);
             for ttl in 0..=9u32 {
-                let plain = b.flood(&g, src, ttl.min(7), &h, None);
+                let plain = flood(&mut b, &g, src, ttl.min(7), &h, None);
                 if ttl <= 7 {
                     assert_eq!(census.at(ttl), plain, "src {src} ttl {ttl}");
                 }
@@ -979,10 +888,13 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 4)]);
         let forwarders = vec![true, false, false, false, true];
         let mut e = FloodEngine::new(5);
-        let census = e.flood_census(&g, 0, 3, &[4], Some(&forwarders));
+        let census = census(&mut e, &g, 0, FloodSpec::new(3), &[4], Some(&forwarders));
         let mut f = FloodEngine::new(5);
         for ttl in 0..=3 {
-            assert_eq!(census.at(ttl), f.flood(&g, 0, ttl, &[4], Some(&forwarders)));
+            assert_eq!(
+                census.at(ttl),
+                flood(&mut f, &g, 0, ttl, &[4], Some(&forwarders))
+            );
         }
         assert_eq!(census.first_hit_hop, None, "leaf must not forward");
     }
@@ -991,7 +903,7 @@ mod tests {
     fn census_vectors_are_monotone_and_hop0_is_source() {
         let g = path();
         let mut e = FloodEngine::new(5);
-        let census = e.flood_census(&g, 2, 4, &[0], None);
+        let census = census(&mut e, &g, 2, FloodSpec::new(4), &[0], None);
         assert_eq!(census.reached[0], 1);
         assert_eq!(census.messages[0], 0);
         assert!(census.reached.windows(2).all(|w| w[0] <= w[1]));
@@ -1005,8 +917,8 @@ mod tests {
         let g = crate::topology::erdos_renyi(300, 5.0, 78).graph;
         let mut e = FloodEngine::new(300);
         let holders = [150u32];
-        let full = e.flood_census(&g, 3, 8, &holders, None);
-        let pruned = e.flood_census_pruned(&g, 3, 8, &holders, None);
+        let full = census(&mut e, &g, 3, FloodSpec::new(8), &holders, None);
+        let pruned = census(&mut e, &g, 3, FloodSpec::new(8).pruned(), &holders, None);
         assert_eq!(pruned.first_hit_hop, full.first_hit_hop);
         let hit = full.first_hit_hop.expect("holder reachable");
         // The pruned census carries every level the ring driver needs:
@@ -1043,8 +955,8 @@ mod tests {
         let mut bits = FloodEngine::with_repr(500, VisitedRepr::Bitset);
         for src in [0u32, 123, 499] {
             let holders = [60u32, 200, 355];
-            let a = epoch.flood_census(&g, src, 6, &holders, Some(&fwd));
-            let b = bits.flood_census(&g, src, 6, &holders, Some(&fwd));
+            let a = census(&mut epoch, &g, src, FloodSpec::new(6), &holders, Some(&fwd));
+            let b = census(&mut bits, &g, src, FloodSpec::new(6), &holders, Some(&fwd));
             assert_eq!(a, b, "src {src}");
             assert_eq!(
                 epoch.hits_in_last_flood(&holders),
@@ -1105,7 +1017,7 @@ mod tests {
         let g = path();
         let mut e = FloodEngine::with_repr(5, VisitedRepr::EpochMarks);
         // Populate marks at a pre-wrap epoch.
-        let out = e.flood(&g, 0, 4, &[4], None);
+        let out = flood(&mut e, &g, 0, 4, &[4], None);
         assert_eq!(out.reached, 5);
         match &mut e.visited {
             Visited::Epoch(m) => m.epoch = u32::MAX - 2,
@@ -1118,7 +1030,7 @@ mod tests {
             Visited::Bits(_) => unreachable!(),
         }
         for i in 0..6u32 {
-            let out = e.flood(&g, 0, 4, &[4], None);
+            let out = flood(&mut e, &g, 0, 4, &[4], None);
             assert_eq!(out.reached, 5, "flood {i} across the epoch wrap");
             assert_eq!(out.found_at_hop, Some(4), "flood {i}");
             assert_eq!(out.messages, 7, "flood {i}");
@@ -1142,7 +1054,12 @@ mod tests {
 #[cfg(test)]
 mod faulty_tests {
     use super::*;
-    use qcp_faults::FaultConfig;
+    use qcp_faults::{FaultConfig, FaultPlan};
+    use qcp_obs::NoopRecorder;
+
+    fn faults(plan: &FaultPlan, time: u64, nonce: u64) -> Option<FloodFaults<'_>> {
+        Some(FloodFaults { plan, time, nonce })
+    }
 
     fn er(n: usize, seed: u64) -> Graph {
         crate::topology::erdos_renyi(n, 6.0, seed).graph
@@ -1160,8 +1077,9 @@ mod faulty_tests {
                 let mut h: Vec<u32> = holders.to_vec();
                 h.sort_unstable();
                 h.dedup();
-                let plain = a.flood(&g, src, ttl, &h, None);
-                let (faulty, stats) = b.flood_faulty(&g, src, ttl, &h, None, &plan, 0, 99);
+                let plain = a.flood_reference(&g, src, ttl, &h, None, None).0;
+                let (faulty, stats) =
+                    b.flood_reference(&g, src, ttl, &h, None, faults(&plan, 0, 99));
                 assert_eq!(plain, faulty, "src {src} ttl {ttl}");
                 assert_eq!(stats, FaultStats::default());
             }
@@ -1180,8 +1098,8 @@ mod faulty_tests {
             },
         );
         let mut e = FloodEngine::new(1_000);
-        let clean = e.flood(&g, 3, 4, &[], None);
-        let (faulty, stats) = e.flood_faulty(&g, 3, 4, &[], None, &lossy, 0, 5);
+        let clean = e.flood_reference(&g, 3, 4, &[], None, None).0;
+        let (faulty, stats) = e.flood_reference(&g, 3, 4, &[], None, faults(&lossy, 0, 5));
         assert!(faulty.reached < clean.reached, "loss must shrink coverage");
         assert!(stats.dropped > 0);
         assert_eq!(stats.dead_targets, 0);
@@ -1210,7 +1128,7 @@ mod faulty_tests {
             .find(|&t| !plan.alive_at(1, t) && plan.alive_at(0, t))
             .expect("churn=0.999 must take node 1 down within the horizon");
         let mut e = FloodEngine::new(3);
-        let (out, stats) = e.flood_faulty(&g, 0, 3, &[2], None, &plan, t, 1);
+        let (out, stats) = e.flood_reference(&g, 0, 3, &[2], None, faults(&plan, t, 1));
         assert!(!out.found, "flood cannot cross a dead relay");
         assert!(stats.dead_targets >= 1);
         assert_eq!(stats.dropped, 0, "loss is zero; only dead-target waste");
@@ -1234,7 +1152,7 @@ mod faulty_tests {
             .find(|&t| !plan.alive_at(0, t))
             .expect("full churn downs node 0");
         let mut e = FloodEngine::new(50);
-        let (out, stats) = e.flood_faulty(&g, 0, 5, &[1], None, &plan, t, 0);
+        let (out, stats) = e.flood_reference(&g, 0, 5, &[1], None, faults(&plan, t, 0));
         assert!(!out.found);
         assert_eq!(out.messages, 0);
         assert_eq!(out.reached, 0);
@@ -1261,12 +1179,18 @@ mod faulty_tests {
         let mut b = FloodEngine::new(500);
         for (src, time, nonce) in [(0u32, 0u64, 1u64), (13, 17, 2), (250, 40, 3), (499, 63, 4)] {
             let holders = [7u32, 123, 400];
-            let (census, level_stats) =
-                a.flood_census_faulty(&g, src, 6, &holders, None, &plan, time, nonce);
+            let (census, level_stats) = a.run(
+                &g,
+                src,
+                &holders,
+                None,
+                &FloodSpec::new(6).faulty(&plan, time, nonce),
+                &mut NoopRecorder,
+            );
             assert_eq!(level_stats.len(), census.reached.len());
             for ttl in 0..=6u32 {
                 let (plain, stats) =
-                    b.flood_faulty(&g, src, ttl, &holders, None, &plan, time, nonce);
+                    b.flood_reference(&g, src, ttl, &holders, None, faults(&plan, time, nonce));
                 assert_eq!(census.at(ttl), plain, "src {src} ttl {ttl}");
                 let level = ttl.min(census.levels()) as usize;
                 assert_eq!(level_stats[level], stats, "src {src} ttl {ttl} stats");
@@ -1276,14 +1200,24 @@ mod faulty_tests {
 
     #[test]
     fn faulty_census_under_none_plan_matches_plain_census() {
+        // `None` and `Some(FaultPlan::none)` take different monomorphized
+        // paths through the one census kernel; they must agree bitwise,
+        // pruned or not.
         let g = er(300, 6);
         let plan = FaultPlan::none(300);
         let mut e = FloodEngine::new(300);
         let holders = [42u32, 250];
-        let plain = e.flood_census(&g, 5, 5, &holders, None);
-        let (faulty, stats) = e.flood_census_faulty(&g, 5, 5, &holders, None, &plan, 0, 9);
-        assert_eq!(plain, faulty);
-        assert!(stats.iter().all(|s| *s == FaultStats::default()));
+        for spec in [FloodSpec::new(5), FloodSpec::new(5).pruned()] {
+            let plain = e.run(&g, 5, &holders, None, &spec, &mut NoopRecorder);
+            let faulty = FloodSpec {
+                plan: faults(&plan, 0, 9),
+                ..spec
+            };
+            let (census, stats) = e.run(&g, 5, &holders, None, &faulty, &mut NoopRecorder);
+            assert_eq!(plain.0, census);
+            assert_eq!(plain.1, stats);
+            assert!(stats.iter().all(|s| *s == FaultStats::default()));
+        }
     }
 
     #[test]
@@ -1303,7 +1237,14 @@ mod faulty_tests {
             .find(|&t| !plan.alive_at(0, t))
             .expect("full churn downs node 0");
         let mut e = FloodEngine::new(50);
-        let (census, stats) = e.flood_census_faulty(&g, 0, 5, &[1], None, &plan, t, 0);
+        let (census, stats) = e.run(
+            &g,
+            0,
+            &[1],
+            None,
+            &FloodSpec::new(5).faulty(&plan, t, 0),
+            &mut NoopRecorder,
+        );
         for ttl in 0..=5 {
             let out = census.at(ttl);
             assert!(!out.found);
@@ -1313,9 +1254,49 @@ mod faulty_tests {
     }
 
     #[test]
-    fn spec_dispatch_matches_every_legacy_method() {
-        // The unified entry point must be bitwise the legacy calls it
-        // replaces, for every cell of its dispatch table.
+    fn dead_source_census_clears_the_previous_query_marks() {
+        // A dead-source query must not leave the previous query's visit
+        // marks behind: `was_reached` and `hits_in_last_flood` describe
+        // the most recent flood, which reached nobody.
+        let g = er(50, 3);
+        let plan = FaultPlan::build(
+            50,
+            &FaultConfig {
+                churn: 1.0,
+                horizon: 4,
+                rejoin: false,
+                loss: 0.0,
+                ..Default::default()
+            },
+        );
+        let t = (0..4u64)
+            .find(|&t| !plan.alive_at(0, t))
+            .expect("full churn downs node 0");
+        let holders = [1u32, 2];
+        for repr in [VisitedRepr::EpochMarks, VisitedRepr::Bitset] {
+            let mut e = FloodEngine::with_repr(50, repr);
+            let clean = FloodSpec::new(5);
+            e.run(&g, 0, &holders, None, &clean, &mut NoopRecorder);
+            assert_eq!(e.hits_in_last_flood(&holders), 2, "guard: clean flood hits");
+            let dead = FloodSpec::new(5).faulty(&plan, t, 0);
+            let (census, _) = e.run(&g, 0, &holders, None, &dead, &mut NoopRecorder);
+            assert_eq!(census.reached, vec![0]);
+            assert_eq!(e.hits_in_last_flood(&holders), 0, "{repr:?}");
+            assert!((0..50).all(|v| !e.was_reached(v)), "{repr:?}");
+            // The reference oracle resets the same way.
+            e.flood_reference(&g, 0, 5, &holders, None, None);
+            let (out, _) = e.flood_reference(&g, 0, 5, &holders, None, faults(&plan, t, 0));
+            assert_eq!(out.reached, 0);
+            assert_eq!(e.hits_in_last_flood(&holders), 0, "{repr:?}");
+        }
+    }
+
+    #[test]
+    fn spec_dispatch_matches_the_reference_in_every_cell() {
+        // Every cell of the unified entry point's dispatch table — fault
+        // context absent or present, pruned or not — must reconstruct the
+        // standalone reference flood at each TTL it recorded, bitwise,
+        // fault counters included.
         let g = er(400, 7);
         let plan = FaultPlan::build(
             400,
@@ -1330,34 +1311,27 @@ mod faulty_tests {
         let mut a = FloodEngine::new(400);
         let mut b = FloodEngine::new(400);
         for src in [0u32, 33, 399] {
-            // plan=None, pruned=false ⇔ flood_census.
-            let (census, stats) = a.run(
-                &g,
-                src,
-                &holders,
-                None,
-                &FloodSpec::new(6),
-                &mut NoopRecorder,
-            );
-            assert_eq!(census, b.flood_census(&g, src, 6, &holders, None));
-            assert_eq!(stats.len(), census.reached.len());
-            assert!(stats.iter().all(|s| *s == FaultStats::default()));
-            // plan=None, pruned=true ⇔ flood_census_pruned.
-            let (census, _) = a.run(
-                &g,
-                src,
-                &holders,
-                None,
-                &FloodSpec::new(6).pruned(),
-                &mut NoopRecorder,
-            );
-            assert_eq!(census, b.flood_census_pruned(&g, src, 6, &holders, None));
-            // plan=Some, pruned=false ⇔ flood_census_faulty.
-            let spec = FloodSpec::new(6).faulty(&plan, 11, src as u64);
-            let (census, stats) = a.run(&g, src, &holders, None, &spec, &mut NoopRecorder);
-            let (census2, stats2) =
-                b.flood_census_faulty(&g, src, 6, &holders, None, &plan, 11, src as u64);
-            assert_eq!((census, stats), (census2, stats2));
+            let f = faults(&plan, 11, src as u64);
+            for (plan, pruned) in [(None, false), (None, true), (f, false), (f, true)] {
+                let spec = FloodSpec {
+                    max_ttl: 6,
+                    plan,
+                    pruned,
+                };
+                let (census, stats) = a.run(&g, src, &holders, None, &spec, &mut NoopRecorder);
+                assert_eq!(stats.len(), census.reached.len());
+                if plan.is_none() {
+                    assert!(stats.iter().all(|s| *s == FaultStats::default()));
+                }
+                // A pruned census answers every TTL up to its last level.
+                let deepest = if pruned { census.levels() } else { 6 };
+                for ttl in 0..=deepest {
+                    let (out, ref_stats) = b.flood_reference(&g, src, ttl, &holders, None, plan);
+                    assert_eq!(census.at(ttl), out, "src {src} ttl {ttl} pruned {pruned}");
+                    let level = ttl.min(census.levels()) as usize;
+                    assert_eq!(stats[level], ref_stats, "src {src} ttl {ttl} stats");
+                }
+            }
         }
     }
 
@@ -1377,7 +1351,14 @@ mod faulty_tests {
         let mut e = FloodEngine::new(300);
         let spec = FloodSpec::new(8).faulty(&plan, 3, 4).pruned();
         let (pruned, pstats) = e.run(&g, 3, &holders, None, &spec, &mut NoopRecorder);
-        let (full, fstats) = e.flood_census_faulty(&g, 3, 8, &holders, None, &plan, 3, 4);
+        let (full, fstats) = e.run(
+            &g,
+            3,
+            &holders,
+            None,
+            &FloodSpec::new(8).faulty(&plan, 3, 4),
+            &mut NoopRecorder,
+        );
         assert_eq!(pruned.first_hit_hop, full.first_hit_hop);
         for l in 0..pruned.reached.len() {
             assert_eq!(pruned.reached[l], full.reached[l], "level {l}");
@@ -1440,11 +1421,11 @@ mod faulty_tests {
             },
         );
         let mut e = FloodEngine::new(300);
-        let a = e.flood_faulty(&g, 5, 4, &[200], None, &plan, 42, 7);
-        let b = e.flood_faulty(&g, 5, 4, &[200], None, &plan, 42, 7);
+        let a = e.flood_reference(&g, 5, 4, &[200], None, faults(&plan, 42, 7));
+        let b = e.flood_reference(&g, 5, 4, &[200], None, faults(&plan, 42, 7));
         assert_eq!(a, b);
         // A different nonce sees different drops.
-        let c = e.flood_faulty(&g, 5, 4, &[200], None, &plan, 42, 8);
+        let c = e.flood_reference(&g, 5, 4, &[200], None, faults(&plan, 42, 8));
         assert!(a != c || a.0.messages == 0, "nonce must perturb drops");
     }
 
@@ -1495,8 +1476,22 @@ mod faulty_tests {
         let mut bits = FloodEngine::with_repr(400, VisitedRepr::Bitset);
         let holders = [71u32, 340];
         for (src, time, nonce) in [(0u32, 0u64, 1u64), (13, 17, 2), (399, 40, 3)] {
-            let a = epoch.flood_census_faulty(&g, src, 6, &holders, None, &plan, time, nonce);
-            let b = bits.flood_census_faulty(&g, src, 6, &holders, None, &plan, time, nonce);
+            let a = epoch.run(
+                &g,
+                src,
+                &holders,
+                None,
+                &FloodSpec::new(6).faulty(&plan, time, nonce),
+                &mut NoopRecorder,
+            );
+            let b = bits.run(
+                &g,
+                src,
+                &holders,
+                None,
+                &FloodSpec::new(6).faulty(&plan, time, nonce),
+                &mut NoopRecorder,
+            );
             assert_eq!(a, b, "src {src}");
         }
     }

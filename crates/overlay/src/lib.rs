@@ -48,10 +48,8 @@ pub mod topology;
 pub mod walk;
 
 pub use churn::{fail_highest_degree, fail_random, ChurnedOverlay};
-pub use event::{
-    event_flood, event_flood_rec, event_walk, event_walk_rec, EventFloodOutcome, EventWalkOutcome,
-};
-pub use expanding::{expanding_ring_search, expanding_ring_search_faulty, ExpandingOutcome};
+pub use event::{event_flood, event_walk, EventFloodOutcome, EventWalkOutcome};
+pub use expanding::{expanding_ring_search, ExpandingOutcome};
 pub use flood::{
     CensusBuf, CensusOutcome, FloodEngine, FloodFaults, FloodOutcome, FloodSpec, VisitedRepr,
     BITSET_THRESHOLD,
@@ -61,14 +59,12 @@ pub use metrics::{graph_metrics, GraphMetrics};
 pub use overload::{OverloadEngine, OverloadOutcome};
 pub use placement::{Placement, PlacementBuilder, PlacementModel};
 pub use repair::{
-    check_repair_invariants, repair_round, repair_round_rec, Attachment, Maintainer,
-    MaintenancePolicy, RepairStats,
+    check_repair_invariants, repair_round, Attachment, Maintainer, MaintenancePolicy, RepairStats,
 };
 pub use replicate::{Popularity, ReplicationPlan, ReplicationScheme};
 pub use sim::{
-    flood_trials, flood_trials_faulty, sweep_ttl, sweep_ttl_faulty, sweep_ttl_faulty_rec,
-    sweep_ttl_faulty_reference, sweep_ttl_rec, sweep_ttl_reference, SimConfig, SweepPoint,
-    TargetModel,
+    sweep_reference, sweep_ttl, sweep_ttl_faulty, sweep_ttl_faulty_rec, sweep_ttl_rec, SimConfig,
+    SweepPoint, TargetModel,
 };
 pub use topology::TopologyConfig;
-pub use walk::{random_walk_search, random_walk_search_faulty, WalkOutcome};
+pub use walk::{random_walk_search, WalkOutcome};

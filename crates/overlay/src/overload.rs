@@ -38,7 +38,7 @@
 //! # Bitwise equivalence when unlimited
 //!
 //! Under [`CapacityPlan::unlimited`] both entry points delegate to the
-//! PR 7 kernels verbatim — [`event_flood_rec`] / [`event_walk_rec`] —
+//! event-driven kernels verbatim — [`event_flood`] / [`event_walk`] —
 //! so an unlimited run is bitwise identical to a capacity-free run *by
 //! construction*, and the overload accounting is all zeros.
 //!
@@ -51,10 +51,10 @@
 //! ordered chain (a walker has at most one step outstanding — in the
 //! calendar *or* in a queue).
 
-use crate::event::{event_flood_rec, event_walk_rec, EventFloodOutcome, EventWalkOutcome};
+use crate::event::{event_flood, event_walk, step_tie, EventFloodOutcome, EventWalkOutcome};
 use crate::flood::FloodOutcome;
 use crate::graph::Graph;
-use crate::walk::WalkOutcome;
+use crate::walk::{pick_next, WalkOutcome};
 use qcp_faults::capacity::ShedPolicy;
 use qcp_faults::{CapacityPlan, FaultPlan, FaultStats};
 use qcp_obs::{Counter, Event, Kernel, Recorder};
@@ -151,26 +151,6 @@ struct WalkerState {
     rng: Pcg64,
     current: u32,
     previous: u32,
-}
-
-/// Mirrors [`crate::event`]'s neighbor pick (identical RNG
-/// consumption): prefer a neighbor other than where we came from, up
-/// to four re-picks.
-fn pick_next(neighbors: &[u32], previous: u32, rng: &mut Pcg64) -> u32 {
-    if neighbors.len() == 1 {
-        return neighbors[0];
-    }
-    let mut pick = neighbors[rng.index(neighbors.len())];
-    let mut tries = 0;
-    while pick == previous && tries < 4 {
-        pick = neighbors[rng.index(neighbors.len())];
-        tries += 1;
-    }
-    pick
-}
-
-fn step_tie(walker: u32, step: u32) -> u64 {
-    tie_break(((walker as u64) << 32) | step as u64)
 }
 
 /// Reusable capacity-aware flood/walk engine. Holds the calendar,
@@ -355,10 +335,10 @@ impl OverloadEngine {
     }
 
     /// Capacity-aware event flood. With an unlimited `cap` this is
-    /// [`event_flood_rec`] verbatim (bitwise, by delegation); otherwise
+    /// [`event_flood`] verbatim (bitwise, by delegation); otherwise
     /// arrivals queue at their target and are marked/forwarded at
-    /// service time. Parameters mirror [`event_flood_rec`].
-    #[allow(clippy::too_many_arguments)] // mirrors event_flood_rec + the capacity plan
+    /// service time. Parameters mirror [`event_flood`].
+    #[allow(clippy::too_many_arguments)] // mirrors event_flood + the capacity plan
     pub fn flood_rec<R: Recorder>(
         &mut self,
         graph: &Graph,
@@ -374,7 +354,7 @@ impl OverloadEngine {
         rec: &mut R,
     ) -> (EventFloodOutcome, FaultStats, OverloadOutcome) {
         if cap.is_unlimited() {
-            let (out, stats) = event_flood_rec(
+            let (out, stats) = event_flood(
                 graph, source, max_ttl, holders, forwarders, plan, time, nonce, cutoff, rec,
             );
             return (out, stats, OverloadOutcome::default());
@@ -566,13 +546,13 @@ impl OverloadEngine {
     }
 
     /// Capacity-aware event walk. With an unlimited `cap` this is
-    /// [`event_walk_rec`] verbatim (bitwise, by delegation); otherwise
+    /// [`event_walk`] verbatim (bitwise, by delegation); otherwise
     /// arriving steps queue at their target and the walker moves at
     /// service time. A shed step strands its walker for that step (the
     /// drop semantics); an *evicted* queued step resumes its walker
     /// from where it stands at eviction time. Parameters mirror
-    /// [`event_walk_rec`].
-    #[allow(clippy::too_many_arguments)] // mirrors event_walk_rec + the capacity plan
+    /// [`event_walk`].
+    #[allow(clippy::too_many_arguments)] // mirrors event_walk + the capacity plan
     pub fn walk_rec<R: Recorder>(
         &mut self,
         graph: &Graph,
@@ -589,7 +569,7 @@ impl OverloadEngine {
         rec: &mut R,
     ) -> (EventWalkOutcome, FaultStats, OverloadOutcome) {
         if cap.is_unlimited() {
-            let (out, stats) = event_walk_rec(
+            let (out, stats) = event_walk(
                 graph, source, k, ttl, holders, seed, plan, time, nonce, cutoff, rec,
             );
             return (out, stats, OverloadOutcome::default());
@@ -914,8 +894,18 @@ mod tests {
         let cap = CapacityPlan::unlimited();
         let mut eng = OverloadEngine::new();
         for ttl in 0..=5 {
-            let (a, sa) =
-                crate::event::event_flood(&g, 7, ttl, &[50, 200], None, &plan, 0, 1, None);
+            let (a, sa) = crate::event::event_flood(
+                &g,
+                7,
+                ttl,
+                &[50, 200],
+                None,
+                &plan,
+                0,
+                1,
+                None,
+                &mut NoopRecorder,
+            );
             let (b, sb, over) = eng.flood_rec(
                 &g,
                 7,
@@ -944,7 +934,8 @@ mod tests {
         let plan = FaultPlan::none(6);
         let cap = limited(0.0, ShedPolicy::DropNewest);
         let mut eng = OverloadEngine::new();
-        let (free, _) = crate::event::event_flood(&g, 0, 5, &[4], None, &plan, 0, 7, None);
+        let (free, _) =
+            crate::event::event_flood(&g, 0, 5, &[4], None, &plan, 0, 7, None, &mut NoopRecorder);
         let (out, stats, over) = eng.flood_rec(
             &g,
             0,
@@ -1041,7 +1032,19 @@ mod tests {
         let plan = FaultPlan::none(200);
         let cap = CapacityPlan::unlimited();
         let mut eng = OverloadEngine::new();
-        let (a, sa) = crate::event::event_walk(&g, 5, 4, 20, &[160], 7, &plan, 0, 9, Some(100));
+        let (a, sa) = crate::event::event_walk(
+            &g,
+            5,
+            4,
+            20,
+            &[160],
+            7,
+            &plan,
+            0,
+            9,
+            Some(100),
+            &mut NoopRecorder,
+        );
         let (b, sb, over) = eng.walk_rec(
             &g,
             5,

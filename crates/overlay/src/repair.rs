@@ -28,7 +28,6 @@
 //! across runs and thread-pool widths, like the rest of the stack.
 
 use crate::graph::Graph;
-use qcp_obs::{Counter, Kernel, Recorder};
 use qcp_util::hash::mix64;
 use qcp_util::rng::{child_seed, Pcg64};
 use qcp_util::FxHashSet;
@@ -285,33 +284,6 @@ pub fn repair_round(
     }
     stats.messages = stats.probes + 2 * stats.added;
     (Graph::from_edges(n, &edges), stats)
-}
-
-/// [`repair_round`] with an instrumentation [`Recorder`]: the round's
-/// [`RepairStats`] are mirrored into [`Kernel::Repair`] counters
-/// (`Probes`, `Rewires` = added, `Pruned`, `Messages`) *after* the round
-/// completes — repair draws are keyed by `(policy seed, node, round)`
-/// alone, so the recorder cannot perturb them even in principle.
-pub fn repair_round_rec<R: Recorder>(
-    pool: &Pool,
-    graph: &Graph,
-    alive: &[bool],
-    policy: &MaintenancePolicy,
-    round: u64,
-    rec: &mut R,
-) -> (Graph, RepairStats) {
-    let (repaired, stats) = repair_round(pool, graph, alive, policy, round);
-    rec.rec_span(Kernel::Repair);
-    rec.rec_count(Kernel::Repair, Counter::Messages, stats.messages);
-    rec.rec_count(Kernel::Repair, Counter::Probes, stats.probes);
-    rec.rec_count(Kernel::Repair, Counter::Rewires, stats.added);
-    rec.rec_count(Kernel::Repair, Counter::Pruned, stats.pruned);
-    rec.rec_hop(
-        Kernel::Repair,
-        round.min(u32::MAX as u64) as u32,
-        stats.added,
-    );
-    (repaired, stats)
 }
 
 /// Asserts the post-round maintenance invariants; panics on violation.

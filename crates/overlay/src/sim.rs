@@ -8,7 +8,7 @@
 //! # One census per trial
 //!
 //! [`sweep_ttl`]/[`sweep_ttl_faulty`] produce a whole TTL curve from
-//! **one** BFS per trial: [`FloodEngine::flood_census`] runs at
+//! **one** BFS per trial: [`FloodEngine::run_into`] censuses to
 //! `max(ttls)` and its per-level snapshots reconstruct every shorter
 //! flood exactly (the BFS prefix property — see `flood`'s module docs).
 //! Trials use *common random numbers* across TTLs: the trial RNG is
@@ -16,15 +16,16 @@
 //! `(source, object)` stream. An 8-point curve therefore costs one
 //! expanding ball instead of the sum of eight, and the per-TTL
 //! differences within a curve are purely the TTL's doing, never sampling
-//! noise.
+//! noise. The four `sweep_ttl*` entry points (fault plan or not,
+//! recorder or not) share one sweep core.
 //!
-//! [`sweep_ttl_reference`]/[`sweep_ttl_faulty_reference`] keep the
-//! pre-census path — one full flood per (trial, TTL) over the *same*
-//! trial stream — as the correctness oracle: both sweeps are pinned
-//! bitwise-equal in tests, the census one is just ≥3× cheaper on the
+//! [`sweep_reference`] keeps the pre-census path — one standalone flood
+//! ([`FloodEngine::flood_reference`]) per (trial, TTL) over the *same*
+//! trial stream — as the correctness oracle: the census sweeps are
+//! pinned bitwise-equal to it in tests, and are ≥3× cheaper on the
 //! 8-TTL Figure-8 curve (`repro bench`).
 
-use crate::flood::{CensusBuf, FloodEngine, FloodSpec};
+use crate::flood::{CensusBuf, FloodEngine, FloodFaults, FloodOutcome, FloodSpec};
 use crate::graph::Graph;
 use crate::placement::Placement;
 use qcp_faults::{FaultPlan, FaultStats};
@@ -35,7 +36,7 @@ use qcp_xpar::Pool;
 /// Stream tag XOR-ed into the base seed to derive per-trial fault nonces.
 /// Keeping the nonce on a separate `child_seed` stream means the trial RNG
 /// consumes exactly the same draws as the fault-free sweep, which is what
-/// makes the zero-fault run bit-identical to [`flood_trials`].
+/// makes the zero-fault run bit-identical to the fault-free one.
 const FAULT_NONCE_STREAM: u64 = 0xfa17_5eed_0b5e_55ed;
 
 /// How the queried object is chosen per trial.
@@ -151,225 +152,178 @@ impl<'a> TargetSampler<'a> {
     }
 }
 
-/// Per-TTL integer accumulator (reduced across chunks with plain sums,
-/// so pool width cannot perturb the result).
-#[derive(Default, Clone, Copy)]
-struct PointAcc {
-    successes: u64,
-    reached: u64,
-    messages: u64,
+/// Per-chunk (and, once reduced, per-sweep) integer accumulators —
+/// reduced across chunks with plain sums, so pool width cannot perturb
+/// the result.
+struct SweepAcc {
+    /// Per TTL: successes, peers reached, messages.
+    points: Vec<[u64; 3]>,
+    /// Per TTL: summed fault counters (all zero without a plan).
+    faults: Vec<FaultStats>,
+    trials: u64,
+    dead_sources: u64,
 }
 
-impl PointAcc {
-    fn absorb(&mut self, other: &PointAcc) {
-        self.successes += other.successes;
-        self.reached += other.reached;
-        self.messages += other.messages;
-    }
-
-    fn point(&self, ttl: u32, trials: u64, n: usize) -> SweepPoint {
-        // Loud guard: a zero-trial sweep must fail, not report 0.0 rates.
-        assert!(trials > 0, "sweep ran zero trials (SimConfig.trials == 0?)");
-        let t = trials as f64;
-        SweepPoint {
-            ttl,
-            success_rate: self.successes as f64 / t,
-            mean_reached: self.reached as f64 / t,
-            mean_reach_fraction: self.reached as f64 / t / n as f64,
-            mean_messages: self.messages as f64 / t,
-            stats: None,
+impl SweepAcc {
+    fn new(points: usize) -> Self {
+        Self {
+            points: vec![[0; 3]; points],
+            faults: vec![FaultStats::default(); points],
+            trials: 0,
             dead_sources: 0,
         }
     }
-}
 
-/// Runs `config.trials` flooded queries at a single TTL — the per-TTL
-/// *reference* path (one full flood per trial). The trial stream is keyed
-/// by `trial` alone, so [`sweep_ttl`]'s census point at the same TTL is
-/// bitwise-identical (pinned in tests).
-pub fn flood_trials(
-    pool: &Pool,
-    graph: &Graph,
-    placement: &Placement,
-    forwarders: Option<&[bool]>,
-    ttl: u32,
-    config: &SimConfig,
-) -> SweepPoint {
-    assert!(graph.num_nodes() > 0 && placement.num_objects() > 0);
-    let sampler = TargetSampler::new(placement, config.target);
-    flood_trials_with_sampler(pool, graph, &sampler, forwarders, ttl, config)
-}
+    fn add(&mut self, i: usize, out: FloodOutcome, stats: &FaultStats) {
+        let p = &mut self.points[i];
+        p[0] += out.found as u64;
+        p[1] += out.reached as u64;
+        p[2] += out.messages;
+        self.faults[i].absorb(stats);
+    }
 
-/// Reference trials with a pre-built sampler (hoisted out of the per-TTL
-/// call path by [`sweep_ttl_reference`]).
-fn flood_trials_with_sampler(
-    pool: &Pool,
-    graph: &Graph,
-    sampler: &TargetSampler<'_>,
-    forwarders: Option<&[bool]>,
-    ttl: u32,
-    config: &SimConfig,
-) -> SweepPoint {
-    let n = graph.num_nodes();
-    let chunks = (pool.threads() * 4).max(1);
-    let per_chunk = config.trials.div_ceil(chunks);
-
-    let partials: Vec<(PointAcc, u64)> = pool.par_map_indexed(chunks, |c| {
-        let mut engine = FloodEngine::new(n);
-        let mut acc = PointAcc::default();
-        let mut trials = 0u64;
-        let lo = c * per_chunk;
-        let hi = (lo + per_chunk).min(config.trials);
-        for trial in lo..hi {
-            let mut rng = Pcg64::new(child_seed(config.seed, trial as u64));
-            let source = rng.index(n) as u32;
-            let object = sampler.sample(&mut rng);
-            let out = engine.flood(
-                graph,
-                source,
-                ttl,
-                sampler.placement.holders(object),
-                forwarders,
-            );
-            trials += 1;
-            acc.successes += out.found as u64;
-            acc.reached += out.reached as u64;
-            acc.messages += out.messages;
+    fn absorb(&mut self, other: &SweepAcc) {
+        for (p, q) in self.points.iter_mut().zip(&other.points) {
+            for (a, b) in p.iter_mut().zip(q) {
+                *a += b;
+            }
         }
-        (acc, trials)
-    });
-
-    let mut total = PointAcc::default();
-    let mut trials = 0u64;
-    for (p, t) in partials {
-        total.absorb(&p);
-        trials += t;
+        for (f, g) in self.faults.iter_mut().zip(&other.faults) {
+            f.absorb(g);
+        }
+        self.trials += other.trials;
+        self.dead_sources += other.dead_sources;
     }
-    total.point(ttl, trials, n)
 }
 
-/// Runs `config.trials` flooded queries at a single TTL under `plan` —
-/// the faulty per-TTL *reference* path.
+/// The one sweep core behind every public sweep. Per trial it draws the
+/// source and object from the trial's RNG and, under `plan`, the tick
+/// `trial % horizon` and a nonce from [`FAULT_NONCE_STREAM`] — keyed by
+/// `trial` alone, never the TTL, so fault draws (keyed on `(edge, nonce,
+/// message index)`) are TTL-independent too. A trial whose sampled
+/// source is down is re-issued from the next alive node id (wrapping
+/// scan); if nobody is alive at that tick it counts as an outright
+/// failure with zero messages.
 ///
-/// Per-trial derivation is identical to [`flood_trials`]: the same
-/// `(seed, trial)` → RNG stream and the same source-then-object draw
-/// order, so under [`FaultPlan::none`] the returned [`SweepPoint`] is
-/// bit-identical to the fault-free sweep. Fault draws use a *separate*
-/// per-trial nonce derived with [`FAULT_NONCE_STREAM`], leaving the trial
-/// RNG untouched — and the nonce is keyed by `trial` alone, never the
-/// TTL, which is what lets [`sweep_ttl_faulty`] reconstruct every TTL
-/// point from one census (fault draws key on `(edge, nonce, msg index)`,
-/// all TTL-independent).
-///
-/// Each trial executes at tick `trial % horizon`, so the plan's churn
-/// schedule plays out across the workload. A trial whose sampled source
-/// is down is re-issued from the next alive node id (wrapping scan); if
-/// nobody is alive at that tick the trial counts as an outright failure
-/// with zero messages.
-pub fn flood_trials_faulty(
+/// `census` picks the evaluator: one census per trial at `max(ttls)`
+/// (recorded into a per-chunk fork of `rec`, absorbed in chunk-index
+/// order), or one standalone [`FloodEngine::flood_reference`] per
+/// (trial, TTL), unrecorded. Fault-free points carry `stats: None`.
+#[allow(clippy::too_many_arguments)] // the sweep inputs + plan, recorder, evaluator
+fn sweep_core<R: Recorder>(
     pool: &Pool,
     graph: &Graph,
     placement: &Placement,
     forwarders: Option<&[bool]>,
-    ttl: u32,
+    ttls: &[u32],
     config: &SimConfig,
-    plan: &FaultPlan,
-) -> SweepPoint {
-    assert!(graph.num_nodes() > 0 && placement.num_objects() > 0);
-    assert_eq!(
-        plan.num_nodes(),
-        graph.num_nodes(),
-        "fault plan must cover every node"
-    );
-    let sampler = TargetSampler::new(placement, config.target);
-    flood_trials_faulty_with_sampler(pool, graph, &sampler, forwarders, ttl, config, plan)
-}
-
-/// Faulty reference trials with a pre-built sampler.
-fn flood_trials_faulty_with_sampler(
-    pool: &Pool,
-    graph: &Graph,
-    sampler: &TargetSampler<'_>,
-    forwarders: Option<&[bool]>,
-    ttl: u32,
-    config: &SimConfig,
-    plan: &FaultPlan,
-) -> SweepPoint {
+    plan: Option<&FaultPlan>,
+    rec: &mut R,
+    census: bool,
+) -> Vec<SweepPoint> {
     let n = graph.num_nodes();
+    assert!(n > 0 && placement.num_objects() > 0);
+    if let Some(plan) = plan {
+        assert_eq!(plan.num_nodes(), n, "fault plan must cover every node");
+    }
+    if ttls.is_empty() {
+        return Vec::new();
+    }
+    let max_ttl = ttls.iter().copied().max().unwrap_or(0);
+    let sampler = TargetSampler::new(placement, config.target);
     let chunks = (pool.threads() * 4).max(1);
     let per_chunk = config.trials.div_ceil(chunks);
-    let horizon = plan.horizon().max(1);
+    let horizon = plan.map_or(1, |p| p.horizon().max(1));
 
-    #[derive(Default, Clone, Copy)]
-    struct Acc {
-        point: PointAcc,
-        trials: u64,
-        faults: FaultStats,
-        dead_sources: u64,
-    }
-
-    let partials: Vec<Acc> = pool.par_map_indexed(chunks, |c| {
+    let parent: &R = &*rec;
+    let partials: Vec<(SweepAcc, R)> = pool.par_map_indexed(chunks, |c| {
+        // Arena state per chunk: one engine and one census buffer serve
+        // every trial, so the steady-state trial loop allocates nothing.
         let mut engine = FloodEngine::new(n);
-        let mut acc = Acc::default();
+        let mut buf = CensusBuf::default();
+        let mut child = parent.fork();
+        let mut acc = SweepAcc::new(ttls.len());
         let lo = c * per_chunk;
         let hi = (lo + per_chunk).min(config.trials);
         for trial in lo..hi {
             let key = trial as u64;
             let mut rng = Pcg64::new(child_seed(config.seed, key));
-            let source = rng.index(n) as u32;
+            let mut source = rng.index(n) as u32;
             let object = sampler.sample(&mut rng);
-            let time = trial as u64 % horizon;
-            let nonce = child_seed(config.seed ^ FAULT_NONCE_STREAM, key);
-            let source = if plan.alive_at(source, time) {
-                source
-            } else {
-                acc.dead_sources += 1;
-                match plan.first_alive_from(source, time) {
-                    Some(s) => s,
-                    None => {
-                        // Whole network down at this tick: query fails.
-                        acc.trials += 1;
-                        continue;
+            acc.trials += 1;
+            let faults = match plan {
+                None => None,
+                Some(plan) => {
+                    let time = key % horizon;
+                    if !plan.alive_at(source, time) {
+                        acc.dead_sources += 1;
+                        match plan.first_alive_from(source, time) {
+                            Some(s) => source = s,
+                            // Whole network down at this tick: the trial
+                            // fails at every TTL with zero messages.
+                            None => continue,
+                        }
                     }
+                    let nonce = child_seed(config.seed ^ FAULT_NONCE_STREAM, key);
+                    Some(FloodFaults { plan, time, nonce })
                 }
             };
-            let (out, stats) = engine.flood_faulty(
-                graph,
-                source,
-                ttl,
-                sampler.placement.holders(object),
-                forwarders,
-                plan,
-                time,
-                nonce,
-            );
-            acc.trials += 1;
-            acc.point.successes += out.found as u64;
-            acc.point.reached += out.reached as u64;
-            acc.point.messages += out.messages;
-            acc.faults.absorb(&stats);
+            let holders = sampler.placement.holders(object);
+            if census {
+                let spec = FloodSpec {
+                    max_ttl,
+                    plan: faults,
+                    pruned: false,
+                };
+                engine.run_into(
+                    graph, source, holders, forwarders, &spec, &mut child, &mut buf,
+                );
+                let levels = buf.census.levels();
+                for (i, &ttl) in ttls.iter().enumerate() {
+                    acc.add(i, buf.census.at(ttl), &buf.stats[ttl.min(levels) as usize]);
+                }
+            } else {
+                for (i, &ttl) in ttls.iter().enumerate() {
+                    let (out, stats) =
+                        engine.flood_reference(graph, source, ttl, holders, forwarders, faults);
+                    acc.add(i, out, &stats);
+                }
+            }
         }
-        acc
+        (acc, child)
     });
 
-    let mut total = Acc::default();
-    for p in partials {
-        total.point.absorb(&p.point);
-        total.trials += p.trials;
-        total.faults.absorb(&p.faults);
-        total.dead_sources += p.dead_sources;
+    let mut total = SweepAcc::new(ttls.len());
+    for (acc, child) in partials {
+        total.absorb(&acc);
+        rec.absorb(child);
     }
-    SweepPoint {
-        stats: Some(total.faults),
-        dead_sources: total.dead_sources,
-        ..total.point.point(ttl, total.trials, n)
-    }
+    // Loud guard: a zero-trial sweep must fail, not report 0.0 rates.
+    assert!(
+        total.trials > 0,
+        "sweep ran zero trials (SimConfig.trials == 0?)"
+    );
+    let t = total.trials as f64;
+    ttls.iter()
+        .zip(&total.points)
+        .zip(&total.faults)
+        .map(|((&ttl, &[successes, reached, messages]), &f)| SweepPoint {
+            ttl,
+            success_rate: successes as f64 / t,
+            mean_reached: reached as f64 / t,
+            mean_reach_fraction: reached as f64 / t / n as f64,
+            mean_messages: messages as f64 / t,
+            stats: plan.map(|_| f),
+            dead_sources: total.dead_sources,
+        })
+        .collect()
 }
 
 /// Sweeps TTLs with **one hop-census flood per trial**: the BFS runs at
 /// `max(ttls)` and every TTL point of the curve is reconstructed from
 /// its per-level snapshots ([`CensusOutcome::at`]) — bitwise-identical
-/// to [`sweep_ttl_reference`] at a fraction of the cost.
+/// to [`sweep_reference`] at a fraction of the cost. A single-TTL point
+/// is `sweep_ttl(.., &[ttl], ..)[0]`.
 ///
 /// [`CensusOutcome::at`]: crate::flood::CensusOutcome::at
 pub fn sweep_ttl(
@@ -380,14 +334,9 @@ pub fn sweep_ttl(
     ttls: &[u32],
     config: &SimConfig,
 ) -> Vec<SweepPoint> {
-    sweep_ttl_rec(
-        pool,
-        graph,
-        placement,
-        forwarders,
-        ttls,
-        config,
-        &mut NoopRecorder,
+    let rec = &mut NoopRecorder;
+    sweep_core(
+        pool, graph, placement, forwarders, ttls, config, None, rec, true,
     )
 }
 
@@ -408,91 +357,16 @@ pub fn sweep_ttl_rec<R: Recorder>(
     config: &SimConfig,
     rec: &mut R,
 ) -> Vec<SweepPoint> {
-    let n = graph.num_nodes();
-    assert!(n > 0 && placement.num_objects() > 0);
-    if ttls.is_empty() {
-        return Vec::new();
-    }
-    let max_ttl = ttls.iter().copied().max().unwrap_or(0);
-    let sampler = TargetSampler::new(placement, config.target);
-    let chunks = (pool.threads() * 4).max(1);
-    let per_chunk = config.trials.div_ceil(chunks);
-
-    let parent: &R = &*rec;
-    let partials: Vec<(Vec<PointAcc>, u64, R)> = pool.par_map_indexed(chunks, |c| {
-        // Arena state per chunk: one engine and one census buffer serve
-        // every trial, so the steady-state trial loop allocates nothing.
-        let mut engine = FloodEngine::new(n);
-        let mut buf = CensusBuf::default();
-        let mut child = parent.fork();
-        let mut accs = vec![PointAcc::default(); ttls.len()];
-        let mut trials = 0u64;
-        let lo = c * per_chunk;
-        let hi = (lo + per_chunk).min(config.trials);
-        let spec = FloodSpec::new(max_ttl);
-        for trial in lo..hi {
-            let mut rng = Pcg64::new(child_seed(config.seed, trial as u64));
-            let source = rng.index(n) as u32;
-            let object = sampler.sample(&mut rng);
-            engine.run_into(
-                graph,
-                source,
-                sampler.placement.holders(object),
-                forwarders,
-                &spec,
-                &mut child,
-                &mut buf,
-            );
-            trials += 1;
-            for (acc, &ttl) in accs.iter_mut().zip(ttls) {
-                let out = buf.census.at(ttl);
-                acc.successes += out.found as u64;
-                acc.reached += out.reached as u64;
-                acc.messages += out.messages;
-            }
-        }
-        (accs, trials, child)
-    });
-
-    let mut totals = vec![PointAcc::default(); ttls.len()];
-    let mut trials = 0u64;
-    for (accs, t, child) in partials {
-        for (total, p) in totals.iter_mut().zip(&accs) {
-            total.absorb(p);
-        }
-        trials += t;
-        rec.absorb(child);
-    }
-    totals
-        .iter()
-        .zip(ttls)
-        .map(|(total, &ttl)| total.point(ttl, trials, n))
-        .collect()
-}
-
-/// Reference TTL sweep: one full flood per (trial, TTL) over the same
-/// trial stream as [`sweep_ttl`]. Kept as the census's correctness
-/// oracle and the baseline side of `repro bench`; the sampler is built
-/// once for the whole sweep, not per TTL point.
-pub fn sweep_ttl_reference(
-    pool: &Pool,
-    graph: &Graph,
-    placement: &Placement,
-    forwarders: Option<&[bool]>,
-    ttls: &[u32],
-    config: &SimConfig,
-) -> Vec<SweepPoint> {
-    assert!(graph.num_nodes() > 0 && placement.num_objects() > 0);
-    let sampler = TargetSampler::new(placement, config.target);
-    ttls.iter()
-        .map(|&ttl| flood_trials_with_sampler(pool, graph, &sampler, forwarders, ttl, config))
-        .collect()
+    sweep_core(
+        pool, graph, placement, forwarders, ttls, config, None, rec, true,
+    )
 }
 
 /// Sweeps TTLs under a fault plan with **one faulty census per trial**:
-/// bitwise-identical to [`sweep_ttl_faulty_reference`] (fault draws are
-/// TTL-independent — see [`flood_trials_faulty`]) at a fraction of the
-/// cost, per-level cumulative [`FaultStats`] included.
+/// bitwise-identical to [`sweep_reference`] with the same plan (fault
+/// draws are TTL-independent) at a fraction of the cost, per-point
+/// summed [`FaultStats`] and dead-source re-issues included. Under
+/// [`FaultPlan::none`] the rates equal [`sweep_ttl`]'s bit for bit.
 pub fn sweep_ttl_faulty(
     pool: &Pool,
     graph: &Graph,
@@ -502,15 +376,17 @@ pub fn sweep_ttl_faulty(
     config: &SimConfig,
     plan: &FaultPlan,
 ) -> Vec<SweepPoint> {
-    sweep_ttl_faulty_rec(
+    let rec = &mut NoopRecorder;
+    sweep_core(
         pool,
         graph,
         placement,
         forwarders,
         ttls,
         config,
-        plan,
-        &mut NoopRecorder,
+        Some(plan),
+        rec,
+        true,
     )
 }
 
@@ -527,134 +403,36 @@ pub fn sweep_ttl_faulty_rec<R: Recorder>(
     plan: &FaultPlan,
     rec: &mut R,
 ) -> Vec<SweepPoint> {
-    let n = graph.num_nodes();
-    assert!(n > 0 && placement.num_objects() > 0);
-    assert_eq!(plan.num_nodes(), n, "fault plan must cover every node");
-    if ttls.is_empty() {
-        return Vec::new();
-    }
-    let max_ttl = ttls.iter().copied().max().unwrap_or(0);
-    let sampler = TargetSampler::new(placement, config.target);
-    let chunks = (pool.threads() * 4).max(1);
-    let per_chunk = config.trials.div_ceil(chunks);
-    let horizon = plan.horizon().max(1);
-
-    #[derive(Default, Clone)]
-    struct Acc {
-        points: Vec<PointAcc>,
-        faults: Vec<FaultStats>,
-        trials: u64,
-        dead_sources: u64,
-    }
-
-    let parent: &R = &*rec;
-    let partials: Vec<(Acc, R)> = pool.par_map_indexed(chunks, |c| {
-        // Arena state per chunk, as in the fault-free sweep.
-        let mut engine = FloodEngine::new(n);
-        let mut buf = CensusBuf::default();
-        let mut child = parent.fork();
-        let mut acc = Acc {
-            points: vec![PointAcc::default(); ttls.len()],
-            faults: vec![FaultStats::default(); ttls.len()],
-            ..Default::default()
-        };
-        let lo = c * per_chunk;
-        let hi = (lo + per_chunk).min(config.trials);
-        for trial in lo..hi {
-            let key = trial as u64;
-            let mut rng = Pcg64::new(child_seed(config.seed, key));
-            let source = rng.index(n) as u32;
-            let object = sampler.sample(&mut rng);
-            let time = trial as u64 % horizon;
-            let nonce = child_seed(config.seed ^ FAULT_NONCE_STREAM, key);
-            let source = if plan.alive_at(source, time) {
-                source
-            } else {
-                acc.dead_sources += 1;
-                match plan.first_alive_from(source, time) {
-                    Some(s) => s,
-                    None => {
-                        // Whole network down at this tick: the trial
-                        // fails at every TTL with zero messages.
-                        acc.trials += 1;
-                        continue;
-                    }
-                }
-            };
-            let spec = FloodSpec::new(max_ttl).faulty(plan, time, nonce);
-            engine.run_into(
-                graph,
-                source,
-                sampler.placement.holders(object),
-                forwarders,
-                &spec,
-                &mut child,
-                &mut buf,
-            );
-            acc.trials += 1;
-            let levels = buf.census.levels();
-            for (i, &ttl) in ttls.iter().enumerate() {
-                let out = buf.census.at(ttl);
-                acc.points[i].successes += out.found as u64;
-                acc.points[i].reached += out.reached as u64;
-                acc.points[i].messages += out.messages;
-                acc.faults[i].absorb(&buf.stats[ttl.min(levels) as usize]);
-            }
-        }
-        (acc, child)
-    });
-
-    let mut totals = vec![PointAcc::default(); ttls.len()];
-    let mut faults = vec![FaultStats::default(); ttls.len()];
-    let mut trials = 0u64;
-    let mut dead_sources = 0u64;
-    for (acc, child) in partials {
-        for (total, p) in totals.iter_mut().zip(&acc.points) {
-            total.absorb(p);
-        }
-        for (total, f) in faults.iter_mut().zip(&acc.faults) {
-            total.absorb(f);
-        }
-        trials += acc.trials;
-        dead_sources += acc.dead_sources;
-        rec.absorb(child);
-    }
-    totals
-        .iter()
-        .zip(ttls)
-        .zip(faults)
-        .map(|((total, &ttl), f)| SweepPoint {
-            stats: Some(f),
-            dead_sources,
-            ..total.point(ttl, trials, n)
-        })
-        .collect()
+    sweep_core(
+        pool,
+        graph,
+        placement,
+        forwarders,
+        ttls,
+        config,
+        Some(plan),
+        rec,
+        true,
+    )
 }
 
-/// Reference faulty TTL sweep: one full faulty flood per (trial, TTL)
-/// over the same trial and nonce streams as [`sweep_ttl_faulty`]. The
-/// census sweep is pinned bitwise against this.
-pub fn sweep_ttl_faulty_reference(
+/// Reference TTL sweep: one standalone flood per (trial, TTL) over the
+/// same trial and nonce streams as the census sweeps, fault-free or
+/// under `plan`. Kept as the census's correctness oracle and the
+/// baseline side of `repro bench`.
+pub fn sweep_reference(
     pool: &Pool,
     graph: &Graph,
     placement: &Placement,
     forwarders: Option<&[bool]>,
     ttls: &[u32],
     config: &SimConfig,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
 ) -> Vec<SweepPoint> {
-    assert!(graph.num_nodes() > 0 && placement.num_objects() > 0);
-    assert_eq!(
-        plan.num_nodes(),
-        graph.num_nodes(),
-        "fault plan must cover every node"
-    );
-    let sampler = TargetSampler::new(placement, config.target);
-    ttls.iter()
-        .map(|&ttl| {
-            flood_trials_faulty_with_sampler(pool, graph, &sampler, forwarders, ttl, config, plan)
-        })
-        .collect()
+    let rec = &mut NoopRecorder;
+    sweep_core(
+        pool, graph, placement, forwarders, ttls, config, plan, rec, false,
+    )
 }
 
 #[cfg(test)]
@@ -671,17 +449,17 @@ mod tests {
     fn full_replication_always_succeeds() {
         let t = erdos_renyi(200, 6.0, 1);
         let p = Placement::generate(PlacementModel::UniformK(200), 200, 50, 2);
-        let point = flood_trials(
+        let point = sweep_ttl(
             &pool(),
             &t.graph,
             &p,
             None,
-            1,
+            &[1],
             &SimConfig {
                 trials: 500,
                 ..Default::default()
             },
-        );
+        )[0];
         assert_eq!(point.success_rate, 1.0);
     }
 
@@ -690,17 +468,17 @@ mod tests {
         // With TTL 0 only the source is checked: success ≈ k / n.
         let t = erdos_renyi(100, 6.0, 3);
         let p = Placement::generate(PlacementModel::UniformK(10), 100, 200, 4);
-        let point = flood_trials(
+        let point = sweep_ttl(
             &pool(),
             &t.graph,
             &p,
             None,
-            0,
+            &[0],
             &SimConfig {
                 trials: 4_000,
                 ..Default::default()
             },
-        );
+        )[0];
         assert!(
             (point.success_rate - 0.10).abs() < 0.03,
             "success {} vs expected 0.10",
@@ -745,7 +523,7 @@ mod tests {
         };
         let ttls = [0u32, 1, 2, 3, 4, 6];
         let census = sweep_ttl(&pool(), &t.graph, &p, None, &ttls, &cfg);
-        let reference = sweep_ttl_reference(&pool(), &t.graph, &p, None, &ttls, &cfg);
+        let reference = sweep_reference(&pool(), &t.graph, &p, None, &ttls, &cfg, None);
         assert_eq!(census.len(), reference.len());
         for (a, b) in census.iter().zip(&reference) {
             assert_eq!(a.ttl, b.ttl);
@@ -771,7 +549,7 @@ mod tests {
         };
         for ttl in [0u32, 2, 5] {
             let census = sweep_ttl(&pool(), &t.graph, &p, None, &[ttl], &cfg);
-            let reference = flood_trials(&pool(), &t.graph, &p, None, ttl, &cfg);
+            let reference = sweep_reference(&pool(), &t.graph, &p, None, &[ttl], &cfg, None)[0];
             assert_eq!(census.len(), 1);
             assert_eq!(
                 census[0].success_rate.to_bits(),
@@ -810,8 +588,7 @@ mod tests {
             ),
         ] {
             let census = sweep_ttl_faulty(&pool(), &t.graph, &p, None, &ttls, &cfg, &plan);
-            let reference =
-                sweep_ttl_faulty_reference(&pool(), &t.graph, &p, None, &ttls, &cfg, &plan);
+            let reference = sweep_reference(&pool(), &t.graph, &p, None, &ttls, &cfg, Some(&plan));
             for (a, b) in census.iter().zip(&reference) {
                 assert_eq!(a.ttl, b.ttl);
                 assert_eq!(a.success_rate.to_bits(), b.success_rate.to_bits());
@@ -832,8 +609,8 @@ mod tests {
         };
         let p1 = Placement::generate(PlacementModel::UniformK(1), 1_000, 100, 8);
         let p40 = Placement::generate(PlacementModel::UniformK(40), 1_000, 100, 8);
-        let s1 = flood_trials(&pool(), &t.graph, &p1, None, 2, &cfg).success_rate;
-        let s40 = flood_trials(&pool(), &t.graph, &p40, None, 2, &cfg).success_rate;
+        let s1 = sweep_ttl(&pool(), &t.graph, &p1, None, &[2], &cfg)[0].success_rate;
+        let s40 = sweep_ttl(&pool(), &t.graph, &p40, None, &[2], &cfg)[0].success_rate;
         assert!(s40 > s1 * 3.0, "40 replicas {s40} vs 1 replica {s1}");
     }
 
@@ -853,8 +630,9 @@ mod tests {
             5_000,
             11,
         );
-        let s_zipf = flood_trials(&pool(), &t.graph, &zipf, None, 3, &cfg).success_rate;
-        let s_uniform = flood_trials(&pool(), &t.graph, &uniform_mean, None, 3, &cfg).success_rate;
+        let s_zipf = sweep_ttl(&pool(), &t.graph, &zipf, None, &[3], &cfg)[0].success_rate;
+        let s_uniform =
+            sweep_ttl(&pool(), &t.graph, &uniform_mean, None, &[3], &cfg)[0].success_rate;
         assert!(
             s_zipf < s_uniform,
             "zipf ({s_zipf}) must underperform uniform at equal mean ({s_uniform})"
@@ -869,8 +647,8 @@ mod tests {
             trials: 500,
             ..Default::default()
         };
-        let a = flood_trials(&pool(), &t.graph, &p, None, 2, &cfg);
-        let b = flood_trials(&pool(), &t.graph, &p, None, 2, &cfg);
+        let a = sweep_ttl(&pool(), &t.graph, &p, None, &[2], &cfg)[0];
+        let b = sweep_ttl(&pool(), &t.graph, &p, None, &[2], &cfg)[0];
         assert_eq!(a, b);
         let ca = sweep_ttl(&pool(), &t.graph, &p, None, &[1, 2, 3], &cfg);
         let cb = sweep_ttl(&pool(), &t.graph, &p, None, &[1, 2, 3], &cfg);
@@ -900,16 +678,17 @@ mod tests {
     fn zero_trial_reference_fails_loudly_too() {
         let t = erdos_renyi(100, 5.0, 42);
         let p = Placement::generate(PlacementModel::UniformK(2), 100, 20, 43);
-        let _ = flood_trials(
+        let _ = sweep_reference(
             &pool(),
             &t.graph,
             &p,
             None,
-            1,
+            &[1],
             &SimConfig {
                 trials: 0,
                 ..Default::default()
             },
+            None,
         );
     }
 
@@ -956,8 +735,15 @@ mod tests {
             trials: 1_500,
             ..Default::default()
         };
-        let clean =
-            flood_trials_faulty(&pool(), &t.graph, &p, None, 3, &cfg, &FaultPlan::none(600));
+        let clean = sweep_reference(
+            &pool(),
+            &t.graph,
+            &p,
+            None,
+            &[3],
+            &cfg,
+            Some(&FaultPlan::none(600)),
+        )[0];
         let harsh = FaultPlan::build(
             600,
             &FaultConfig {
@@ -966,7 +752,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let degraded = flood_trials_faulty(&pool(), &t.graph, &p, None, 3, &cfg, &harsh);
+        let degraded = sweep_reference(&pool(), &t.graph, &p, None, &[3], &cfg, Some(&harsh))[0];
         assert!(
             degraded.success_rate < clean.success_rate,
             "40% loss + 30% churn must hurt: {} vs {}",
@@ -1001,8 +787,8 @@ mod tests {
         );
         let p1 = Pool::new(1);
         let p4 = Pool::new(4);
-        let a = flood_trials_faulty(&p1, &t.graph, &p, None, 3, &cfg, &plan);
-        let b = flood_trials_faulty(&p4, &t.graph, &p, None, 3, &cfg, &plan);
+        let a = sweep_reference(&p1, &t.graph, &p, None, &[3], &cfg, Some(&plan))[0];
+        let b = sweep_reference(&p4, &t.graph, &p, None, &[3], &cfg, Some(&plan))[0];
         assert_eq!(a, b, "fault sweep must not depend on thread count");
         let ca = sweep_ttl_faulty(&p1, &t.graph, &p, None, &[1, 2, 4], &cfg, &plan);
         let cb = sweep_ttl_faulty(&p4, &t.graph, &p, None, &[1, 2, 4], &cfg, &plan);
@@ -1092,18 +878,18 @@ mod tests {
             trials: 2_000,
             ..Default::default()
         };
-        let uni = flood_trials(&pool(), &t.graph, &p, None, 2, &base).success_rate;
-        let prop = flood_trials(
+        let uni = sweep_ttl(&pool(), &t.graph, &p, None, &[2], &base)[0].success_rate;
+        let prop = sweep_ttl(
             &pool(),
             &t.graph,
             &p,
             None,
-            2,
+            &[2],
             &SimConfig {
                 target: TargetModel::ProportionalToReplicas,
                 ..base
             },
-        )
+        )[0]
         .success_rate;
         assert!(
             prop > uni,

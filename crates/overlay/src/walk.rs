@@ -3,10 +3,16 @@
 //! Random walks are the classic low-overhead alternative to flooding:
 //! `k` walkers each take up to `ttl` steps, preferring not to backtrack.
 //! Message cost is the number of steps taken, not exponential in TTL.
+//!
+//! [`random_walk_search`] is one kernel for the fault-free and the faulty
+//! walk: it matches on its `Option<FloodFaults>` once per query and runs
+//! a body monomorphized over the fault model, so the fault-free walk
+//! performs no fault checks and records no fault counters.
 
+use crate::flood::{Faults, FloodFaults, NoFaults};
 use crate::graph::Graph;
-use qcp_faults::{FaultPlan, FaultStats};
-use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
+use qcp_faults::FaultStats;
+use qcp_obs::{Counter, Event, Kernel, Recorder};
 use qcp_util::rng::Pcg64;
 
 /// Result of one k-walker search.
@@ -22,190 +28,95 @@ pub struct WalkOutcome {
     pub visited: u32,
 }
 
+/// The walkers' neighbor pick, shared by every walk kernel (synchronous,
+/// event-driven and capacity-aware), so all of them consume the RNG
+/// identically: prefer a neighbor other than `previous`, re-drawing at
+/// most four times. `neighbors` must be non-empty.
+pub(crate) fn pick_next(neighbors: &[u32], previous: u32, rng: &mut Pcg64) -> u32 {
+    if neighbors.len() == 1 {
+        return neighbors[0];
+    }
+    let mut pick = neighbors[rng.index(neighbors.len())];
+    let mut tries = 0;
+    while pick == previous && tries < 4 {
+        pick = neighbors[rng.index(neighbors.len())];
+        tries += 1;
+    }
+    pick
+}
+
 /// Runs `k` random walkers of `ttl` steps each from `source`.
 ///
 /// Walkers avoid immediately stepping back to the node they came from
 /// (unless it is the only neighbor). All walkers run to completion or
 /// until their own success; the search succeeds if any walker found a
 /// holder. `holders` must be sorted.
-pub fn random_walk_search(
-    graph: &Graph,
-    source: u32,
-    k: usize,
-    ttl: u32,
-    holders: &[u32],
-    rng: &mut Pcg64,
-) -> WalkOutcome {
-    random_walk_search_rec(graph, source, k, ttl, holders, rng, &mut NoopRecorder)
-}
-
-/// [`random_walk_search`] with an instrumentation [`Recorder`]. The
-/// recorder is write-only — outcomes are bitwise identical for any
-/// recorder (pinned by the recorder-parity proptests).
-#[allow(clippy::too_many_arguments)] // mirrors the walk + recorder
-pub fn random_walk_search_rec<R: Recorder>(
-    graph: &Graph,
-    source: u32,
-    k: usize,
-    ttl: u32,
-    holders: &[u32],
-    rng: &mut Pcg64,
-    rec: &mut R,
-) -> WalkOutcome {
-    debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
-    rec.rec_span(Kernel::Walk);
-    let mut messages = 0u64;
-    let mut found_at_step: Option<u32> = None;
-    let mut visited: Vec<u32> = vec![source];
-
-    if holders.binary_search(&source).is_ok() {
-        rec.rec_hop(Kernel::Walk, 0, 1);
-        rec.rec_event(Kernel::Walk, Event::Hit);
-        return WalkOutcome {
-            found: true,
-            found_at_step: Some(0),
-            messages: 0,
-            visited: 1,
-        };
-    }
-
-    for _walker in 0..k {
-        let mut current = source;
-        let mut previous = u32::MAX;
-        for step in 1..=ttl {
-            let neighbors = graph.neighbors(current);
-            if neighbors.is_empty() {
-                break;
-            }
-            // Prefer a neighbor other than where we came from.
-            let next = if neighbors.len() == 1 {
-                neighbors[0]
-            } else {
-                let mut pick = neighbors[rng.index(neighbors.len())];
-                let mut tries = 0;
-                while pick == previous && tries < 4 {
-                    pick = neighbors[rng.index(neighbors.len())];
-                    tries += 1;
-                }
-                pick
-            };
-            messages += 1;
-            previous = current;
-            current = next;
-            visited.push(current);
-            if holders.binary_search(&current).is_ok() {
-                found_at_step = match found_at_step {
-                    Some(existing) => Some(existing.min(step)),
-                    None => Some(step),
-                };
-                break;
-            }
-        }
-    }
-    visited.sort_unstable();
-    visited.dedup();
-    rec.rec_count(Kernel::Walk, Counter::Messages, messages);
-    if let Some(step) = found_at_step {
-        rec.rec_hop(Kernel::Walk, step, 1);
-    }
-    rec.rec_event(
-        Kernel::Walk,
-        if found_at_step.is_some() {
-            Event::Hit
-        } else {
-            Event::Miss
-        },
-    );
-    WalkOutcome {
-        found: found_at_step.is_some(),
-        found_at_step,
-        messages,
-        visited: visited.len() as u32,
-    }
-}
-
-/// Fault-aware k-walker search: like [`random_walk_search`], but every
-/// step consults `plan`. A step toward a node that is down at tick `time`
-/// wastes the message and strands the walker in place for that step; an
-/// in-flight drop does the same. Walks are fire-and-forget: no retries.
 ///
-/// Under [`FaultPlan::none`] this consumes the same RNG stream and
-/// returns the same outcome as [`random_walk_search`] (tested below). A
-/// dead source issues nothing.
-#[allow(clippy::too_many_arguments)] // mirrors the plain walk + fault context
-pub fn random_walk_search_faulty(
+/// Under `faults`, every step consults the plan: a step toward a node
+/// that is down at the query's tick wastes the message and strands the
+/// walker in place for that step; an in-flight drop does the same. Walks
+/// are fire-and-forget: no retries. A dead source issues nothing. Fault
+/// draws never touch `rng`, so under [`qcp_faults::FaultPlan::none`]
+/// the walk is the fault-free walk, RNG stream included.
+///
+/// The recorder is write-only: outcomes are bitwise identical for any
+/// recorder (pinned by the recorder-parity proptests).
+#[allow(clippy::too_many_arguments)] // the walk + fault context + recorder
+pub fn random_walk_search<R: Recorder>(
     graph: &Graph,
     source: u32,
     k: usize,
     ttl: u32,
     holders: &[u32],
     rng: &mut Pcg64,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
+    faults: Option<FloodFaults<'_>>,
+    rec: &mut R,
 ) -> (WalkOutcome, FaultStats) {
-    random_walk_search_faulty_rec(
-        graph,
-        source,
-        k,
-        ttl,
-        holders,
-        rng,
-        plan,
-        time,
-        nonce,
-        &mut NoopRecorder,
-    )
+    match faults {
+        None => walk_core(graph, source, k, ttl, holders, rng, NoFaults, rec),
+        Some(f) => walk_core(graph, source, k, ttl, holders, rng, f, rec),
+    }
 }
 
-/// [`random_walk_search_faulty`] with an instrumentation [`Recorder`];
-/// write-only, so outcomes and stats are recorder-independent.
-#[allow(clippy::too_many_arguments)] // mirrors the faulty walk + recorder
-pub fn random_walk_search_faulty_rec<R: Recorder>(
+#[allow(clippy::too_many_arguments)] // internal core behind `random_walk_search`
+fn walk_core<F: Faults, R: Recorder>(
     graph: &Graph,
     source: u32,
     k: usize,
     ttl: u32,
     holders: &[u32],
     rng: &mut Pcg64,
-    plan: &FaultPlan,
-    time: u64,
-    nonce: u64,
+    faults: F,
     rec: &mut R,
 ) -> (WalkOutcome, FaultStats) {
     debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
     rec.rec_span(Kernel::Walk);
     let mut stats = FaultStats::default();
-    if !plan.alive_at(source, time) {
+    if !faults.source_alive(source) {
         rec.rec_event(Kernel::Walk, Event::DeadSource);
-        return (
-            WalkOutcome {
-                found: false,
-                found_at_step: None,
-                messages: 0,
-                visited: 0,
-            },
-            stats,
-        );
+        let out = WalkOutcome {
+            found: false,
+            found_at_step: None,
+            messages: 0,
+            visited: 0,
+        };
+        return (out, stats);
     }
-    let mut messages = 0u64;
-    let mut found_at_step: Option<u32> = None;
-    let mut visited: Vec<u32> = vec![source];
-
     if holders.binary_search(&source).is_ok() {
         rec.rec_hop(Kernel::Walk, 0, 1);
         rec.rec_event(Kernel::Walk, Event::Hit);
-        return (
-            WalkOutcome {
-                found: true,
-                found_at_step: Some(0),
-                messages: 0,
-                visited: 1,
-            },
-            stats,
-        );
+        let out = WalkOutcome {
+            found: true,
+            found_at_step: Some(0),
+            messages: 0,
+            visited: 1,
+        };
+        return (out, stats);
     }
 
+    let mut messages = 0u64;
+    let mut found_at_step: Option<u32> = None;
+    let mut visited: Vec<u32> = vec![source];
     for _walker in 0..k {
         let mut current = source;
         let mut previous = u32::MAX;
@@ -214,37 +125,16 @@ pub fn random_walk_search_faulty_rec<R: Recorder>(
             if neighbors.is_empty() {
                 break;
             }
-            // Prefer a neighbor other than where we came from (identical
-            // RNG consumption to the fault-free walk).
-            let next = if neighbors.len() == 1 {
-                neighbors[0]
-            } else {
-                let mut pick = neighbors[rng.index(neighbors.len())];
-                let mut tries = 0;
-                while pick == previous && tries < 4 {
-                    pick = neighbors[rng.index(neighbors.len())];
-                    tries += 1;
-                }
-                pick
-            };
+            let next = pick_next(neighbors, previous, rng);
             messages += 1;
-            if !plan.alive_at(next, time) {
-                // Message to a departed peer: wasted; walker stays put.
-                stats.dead_targets += 1;
-                continue;
-            }
-            if plan.drop_message(current, next, nonce, messages) {
-                stats.dropped += 1;
+            if !faults.deliver(current, next, messages, &mut stats) {
                 continue;
             }
             previous = current;
             current = next;
             visited.push(current);
             if holders.binary_search(&current).is_ok() {
-                found_at_step = match found_at_step {
-                    Some(existing) => Some(existing.min(step)),
-                    None => Some(step),
-                };
+                found_at_step = Some(found_at_step.map_or(step, |s| s.min(step)));
                 break;
             }
         }
@@ -252,7 +142,9 @@ pub fn random_walk_search_faulty_rec<R: Recorder>(
     visited.sort_unstable();
     visited.dedup();
     rec.rec_count(Kernel::Walk, Counter::Messages, messages);
-    rec.rec_faults(Kernel::Walk, &stats);
+    if F::ACTIVE {
+        rec.rec_faults(Kernel::Walk, &stats);
+    }
     if let Some(step) = found_at_step {
         rec.rec_hop(Kernel::Walk, step, 1);
     }
@@ -264,20 +156,45 @@ pub fn random_walk_search_faulty_rec<R: Recorder>(
             Event::Miss
         },
     );
-    (
-        WalkOutcome {
-            found: found_at_step.is_some(),
-            found_at_step,
-            messages,
-            visited: visited.len() as u32,
-        },
-        stats,
-    )
+    let out = WalkOutcome {
+        found: found_at_step.is_some(),
+        found_at_step,
+        messages,
+        visited: visited.len() as u32,
+    };
+    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcp_faults::FaultPlan;
+    use qcp_obs::NoopRecorder;
+
+    /// Fault-free, unrecorded walk.
+    fn walk(
+        g: &Graph,
+        src: u32,
+        k: usize,
+        ttl: u32,
+        holders: &[u32],
+        rng: &mut Pcg64,
+    ) -> WalkOutcome {
+        random_walk_search(g, src, k, ttl, holders, rng, None, &mut NoopRecorder).0
+    }
+
+    /// Unrecorded walk under `plan` at `time` with drop-stream `nonce`.
+    fn faulty_walk(
+        g: &Graph,
+        src: u32,
+        (k, ttl): (usize, u32),
+        holders: &[u32],
+        rng: &mut Pcg64,
+        (plan, time, nonce): (&FaultPlan, u64, u64),
+    ) -> (WalkOutcome, FaultStats) {
+        let faults = Some(FloodFaults { plan, time, nonce });
+        random_walk_search(g, src, k, ttl, holders, rng, faults, &mut NoopRecorder)
+    }
 
     fn path(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -288,7 +205,7 @@ mod tests {
     fn source_holder_is_instant() {
         let g = path(5);
         let mut rng = Pcg64::new(1);
-        let out = random_walk_search(&g, 2, 4, 10, &[2], &mut rng);
+        let out = walk(&g, 2, 4, 10, &[2], &mut rng);
         assert!(out.found);
         assert_eq!(out.found_at_step, Some(0));
         assert_eq!(out.messages, 0);
@@ -300,7 +217,7 @@ mod tests {
         // reach node 4 in exactly 4 steps.
         let g = path(5);
         let mut rng = Pcg64::new(2);
-        let out = random_walk_search(&g, 0, 1, 10, &[4], &mut rng);
+        let out = walk(&g, 0, 1, 10, &[4], &mut rng);
         assert!(out.found);
         assert_eq!(out.found_at_step, Some(4));
     }
@@ -309,7 +226,7 @@ mod tests {
     fn ttl_bounds_messages() {
         let g = path(100);
         let mut rng = Pcg64::new(3);
-        let out = random_walk_search(&g, 0, 3, 7, &[99], &mut rng);
+        let out = walk(&g, 0, 3, 7, &[99], &mut rng);
         assert!(!out.found);
         assert!(out.messages <= 3 * 7);
     }
@@ -327,10 +244,10 @@ mod tests {
             if src == 250 {
                 continue;
             }
-            if random_walk_search(&g, src, 1, 30, &holders, &mut rng).found {
+            if walk(&g, src, 1, 30, &holders, &mut rng).found {
                 hits1 += 1;
             }
-            if random_walk_search(&g, src, 16, 30, &holders, &mut rng).found {
+            if walk(&g, src, 16, 30, &holders, &mut rng).found {
                 hits16 += 1;
             }
         }
@@ -344,7 +261,7 @@ mod tests {
     fn isolated_node_walk_terminates() {
         let g = Graph::from_edges(2, &[]);
         let mut rng = Pcg64::new(6);
-        let out = random_walk_search(&g, 0, 4, 10, &[1], &mut rng);
+        let out = walk(&g, 0, 4, 10, &[1], &mut rng);
         assert!(!out.found);
         assert_eq!(out.messages, 0);
     }
@@ -353,7 +270,7 @@ mod tests {
     fn visited_counts_distinct_nodes() {
         let g = path(5);
         let mut rng = Pcg64::new(7);
-        let out = random_walk_search(&g, 0, 8, 10, &[], &mut rng);
+        let out = walk(&g, 0, 8, 10, &[], &mut rng);
         assert!(out.visited <= 5);
         assert!(out.visited >= 2);
     }
@@ -365,9 +282,9 @@ mod tests {
         for seed in 0..10u64 {
             let mut r1 = Pcg64::new(seed);
             let mut r2 = Pcg64::new(seed);
-            let plain = random_walk_search(&g, 3, 4, 25, &[111, 222], &mut r1);
+            let plain = walk(&g, 3, 4, 25, &[111, 222], &mut r1);
             let (faulty, stats) =
-                random_walk_search_faulty(&g, 3, 4, 25, &[111, 222], &mut r2, &plan, 0, seed);
+                faulty_walk(&g, 3, (4, 25), &[111, 222], &mut r2, (&plan, 0, seed));
             assert_eq!(plain, faulty, "seed {seed}");
             assert_eq!(stats, FaultStats::default());
             // RNG streams stayed in lockstep.
@@ -388,7 +305,7 @@ mod tests {
             },
         );
         let mut rng = Pcg64::new(10);
-        let (out, stats) = random_walk_search_faulty(&g, 0, 8, 30, &[], &mut rng, &plan, 0, 1);
+        let (out, stats) = faulty_walk(&g, 0, (8, 30), &[], &mut rng, (&plan, 0, 1));
         assert!(stats.dropped > 0, "50% loss must drop something");
         assert!(stats.wasted() <= out.messages);
         // Stranded walkers visit fewer distinct peers than their budget.
@@ -413,7 +330,7 @@ mod tests {
             .find(|&t| !plan.alive_at(0, t))
             .expect("full churn downs node 0");
         let mut rng = Pcg64::new(11);
-        let (out, _) = random_walk_search_faulty(&g, 0, 4, 10, &[4], &mut rng, &plan, t, 0);
+        let (out, _) = faulty_walk(&g, 0, (4, 10), &[4], &mut rng, (&plan, t, 0));
         assert!(!out.found);
         assert_eq!(out.messages, 0);
     }

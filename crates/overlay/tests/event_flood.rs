@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 use qcp_faults::{FaultConfig, FaultPlan};
-use qcp_overlay::flood::FloodEngine;
+use qcp_obs::NoopRecorder;
+use qcp_overlay::flood::{FloodEngine, FloodSpec};
 use qcp_overlay::{event_flood, event_walk, topology};
 
 /// A small Erdős–Rényi world plus sorted holders, derived from two seeds.
@@ -46,10 +47,13 @@ proptest! {
         let (g, holders) = world(seed, hseed, 200);
         let plan = FaultPlan::none(200);
         let mut e = FloodEngine::new(200);
-        let census = e.flood_census(&g, source, max_ttl, &holders, None);
+        let spec = FloodSpec::new(max_ttl);
+        let (census, _) = e.run(&g, source, &holders, None, &spec, &mut NoopRecorder);
+        let nonce = seed ^ hseed;
         for ttl in 0..=max_ttl {
-            let (out, _) =
-                event_flood(&g, source, ttl, &holders, None, &plan, 0, seed ^ hseed, None);
+            let (out, _) = event_flood(
+                &g, source, ttl, &holders, None, &plan, 0, nonce, None, &mut NoopRecorder,
+            );
             prop_assert_eq!(out.flood, census.at(ttl), "ttl {}", ttl);
             prop_assert!(!out.truncated);
             // Unit latency: a hit at hop h is a hit at tick h.
@@ -59,8 +63,9 @@ proptest! {
             );
         }
         // Holder hit counts agree with the engine's rare-query counter.
-        let (out, _) =
-            event_flood(&g, source, max_ttl, &holders, None, &plan, 0, seed ^ hseed, None);
+        let (out, _) = event_flood(
+            &g, source, max_ttl, &holders, None, &plan, 0, nonce, None, &mut NoopRecorder,
+        );
         prop_assert_eq!(out.holders_reached, e.hits_in_last_flood(&holders));
     }
 
@@ -75,9 +80,11 @@ proptest! {
             .collect();
         let plan = FaultPlan::none(150);
         let mut e = FloodEngine::new(150);
-        let census = e.flood_census(&g, source, ttl, &holders, Some(&mask));
-        let (out, _) =
-            event_flood(&g, source, ttl, &holders, Some(&mask), &plan, 0, hseed, None);
+        let spec = FloodSpec::new(ttl);
+        let (census, _) = e.run(&g, source, &holders, Some(&mask), &spec, &mut NoopRecorder);
+        let (out, _) = event_flood(
+            &g, source, ttl, &holders, Some(&mask), &plan, 0, hseed, None, &mut NoopRecorder,
+        );
         prop_assert_eq!(out.flood, census.at(ttl));
     }
 
@@ -88,7 +95,9 @@ proptest! {
     ) {
         let (g, holders) = world(seed, hseed, 150);
         let plan = lossy_latent_plan(150, seed ^ hseed.rotate_left(11));
-        let run = || event_flood(&g, source, ttl, &holders, None, &plan, time, nonce, None);
+        let run = || {
+            event_flood(&g, source, ttl, &holders, None, &plan, time, nonce, None, &mut NoopRecorder)
+        };
         let (a, stats) = run();
         prop_assert_eq!((a, stats), run());
         // Fire-and-forget: no retries, and every wasted message was sent.
@@ -104,8 +113,10 @@ proptest! {
     ) {
         let (g, holders) = world(seed, hseed, 150);
         let plan = FaultPlan::none(150);
-        let (full, _) = event_flood(&g, source, 6, &holders, None, &plan, 0, 1, None);
-        let (cut, _) = event_flood(&g, source, 6, &holders, None, &plan, 0, 1, Some(cutoff));
+        let flood = |cutoff| {
+            event_flood(&g, source, 6, &holders, None, &plan, 0, 1, cutoff, &mut NoopRecorder)
+        };
+        let ((full, _), (cut, _)) = (flood(None), flood(Some(cutoff)));
         prop_assert!(cut.flood.reached <= full.flood.reached);
         prop_assert!(cut.flood.messages <= full.flood.messages);
         prop_assert!(cut.completion_time <= full.completion_time.max(cutoff));
@@ -122,7 +133,7 @@ proptest! {
         let (g, holders) = world(seed, seed ^ 0x77, 150);
         let plan = lossy_latent_plan(150, seed ^ 0x3c);
         let run = || {
-            event_walk(&g, source, k, ttl, &holders, wseed, &plan, 0, nonce, None)
+            event_walk(&g, source, k, ttl, &holders, wseed, &plan, 0, nonce, None, &mut NoopRecorder)
         };
         let (a, stats) = run();
         prop_assert_eq!((a, stats), run());

@@ -72,7 +72,9 @@ proptest! {
         } else {
             FaultPlan::none(150)
         };
-        let (a, sa) = event_flood(&g, source, ttl, &holders, None, &plan, 3, nonce, cutoff);
+        let (a, sa) = event_flood(
+            &g, source, ttl, &holders, None, &plan, 3, nonce, cutoff, &mut NoopRecorder,
+        );
         let mut eng = OverloadEngine::new();
         let cap = CapacityPlan::unlimited();
         let (b, sb, over) = eng.flood_rec(
@@ -97,7 +99,9 @@ proptest! {
         } else {
             FaultPlan::none(150)
         };
-        let (a, sa) = event_walk(&g, source, k, ttl, &holders, wseed, &plan, 0, nonce, cutoff);
+        let (a, sa) = event_walk(
+            &g, source, k, ttl, &holders, wseed, &plan, 0, nonce, cutoff, &mut NoopRecorder,
+        );
         let mut eng = OverloadEngine::new();
         let cap = CapacityPlan::unlimited();
         let (b, sb, over) = eng.walk_rec(

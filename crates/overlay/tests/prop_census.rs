@@ -17,12 +17,10 @@
 
 use proptest::prelude::*;
 use qcp_faults::{FaultConfig, FaultPlan, FaultStats};
-use qcp_overlay::flood::FloodEngine;
+use qcp_obs::NoopRecorder;
+use qcp_overlay::flood::{CensusOutcome, FloodEngine, FloodFaults, FloodSpec};
 use qcp_overlay::placement::PlacementModel;
-use qcp_overlay::sim::{
-    sweep_ttl, sweep_ttl_faulty, sweep_ttl_faulty_reference, sweep_ttl_reference, SimConfig,
-    TargetModel,
-};
+use qcp_overlay::sim::{sweep_reference, sweep_ttl, sweep_ttl_faulty, SimConfig, TargetModel};
 use qcp_overlay::{topology, Placement};
 use qcp_xpar::Pool;
 
@@ -34,6 +32,17 @@ fn world(seed: u64, holder_seed: u64, n: usize) -> (qcp_overlay::Graph, Vec<u32>
         .filter(|&v| qcp_util::hash::mix64(holder_seed ^ v as u64).is_multiple_of(17))
         .collect();
     (g, holders)
+}
+
+/// An unrecorded census through the unified entry point.
+fn census(
+    e: &mut FloodEngine,
+    g: &qcp_overlay::Graph,
+    source: u32,
+    holders: &[u32],
+    spec: FloodSpec<'_>,
+) -> (CensusOutcome, Vec<FaultStats>) {
+    e.run(g, source, holders, None, &spec, &mut NoopRecorder)
 }
 
 /// A lossy + churny plan over `n` nodes.
@@ -57,7 +66,7 @@ proptest! {
                                    source in 0u32..200, max_ttl in 0u32..10) {
         let (g, holders) = world(seed, hseed, 200);
         let mut e = FloodEngine::new(200);
-        let census = e.flood_census(&g, source, max_ttl, &holders, None);
+        let census = census(&mut e, &g, source, &holders, FloodSpec::new(max_ttl)).0;
         prop_assert!(census.reached.windows(2).all(|w| w[0] <= w[1]));
         prop_assert!(census.messages.windows(2).all(|w| w[0] <= w[1]));
         prop_assert_eq!(census.reached[0], 1, "level 0 is the source alone");
@@ -71,8 +80,8 @@ proptest! {
         let (g, holders) = world(seed, hseed, 200);
         let plan = lossy_plan(200, seed ^ hseed.rotate_left(17));
         let mut e = FloodEngine::new(200);
-        let (census, stats) =
-            e.flood_census_faulty(&g, source, max_ttl, &holders, None, &plan, time, nonce);
+        let spec = FloodSpec::new(max_ttl).faulty(&plan, time, nonce);
+        let (census, stats) = census(&mut e, &g, source, &holders, spec);
         prop_assert!(census.reached.windows(2).all(|w| w[0] <= w[1]));
         prop_assert!(census.messages.windows(2).all(|w| w[0] <= w[1]));
         // Cumulative fault counters inherit monotonicity field by field.
@@ -91,8 +100,8 @@ proptest! {
         let ttl = ttl.min(max_ttl);
         let (g, holders) = world(seed, hseed, 150);
         let mut e = FloodEngine::new(150);
-        let census = e.flood_census(&g, source, max_ttl, &holders, None);
-        let plain = e.flood(&g, source, ttl, &holders, None);
+        let census = census(&mut e, &g, source, &holders, FloodSpec::new(max_ttl)).0;
+        let plain = e.flood_reference(&g, source, ttl, &holders, None, None).0;
         prop_assert_eq!(census.at(ttl), plain);
     }
 
@@ -105,10 +114,11 @@ proptest! {
         let (g, holders) = world(seed, hseed, 150);
         for plan in [FaultPlan::none(150), lossy_plan(150, seed ^ 0xfa)] {
             let mut e = FloodEngine::new(150);
-            let (census, level_stats) =
-                e.flood_census_faulty(&g, source, max_ttl, &holders, None, &plan, time, nonce);
+            let spec = FloodSpec::new(max_ttl).faulty(&plan, time, nonce);
+            let (census, level_stats) = census(&mut e, &g, source, &holders, spec);
+            let faults = Some(FloodFaults { plan: &plan, time, nonce });
             let (plain, plain_stats) =
-                e.flood_faulty(&g, source, ttl, &holders, None, &plan, time, nonce);
+                e.flood_reference(&g, source, ttl, &holders, None, faults);
             let level = ttl.min(census.levels()) as usize;
             prop_assert_eq!(census.at(ttl), plain);
             prop_assert_eq!(level_stats[level], plain_stats);
@@ -144,7 +154,7 @@ proptest! {
         let pool = Pool::new(2);
         let ttls = [1u32, 3, 5];
         let census = sweep_ttl(&pool, &t.graph, &p, None, &ttls, &config);
-        let reference = sweep_ttl_reference(&pool, &t.graph, &p, None, &ttls, &config);
+        let reference = sweep_reference(&pool, &t.graph, &p, None, &ttls, &config, None);
         for (c, r) in census.iter().zip(&reference) {
             prop_assert_eq!(c.ttl, r.ttl);
             prop_assert_eq!(c.success_rate.to_bits(), r.success_rate.to_bits());
@@ -163,7 +173,7 @@ proptest! {
         for plan in [FaultPlan::none(200), lossy_plan(200, seed ^ 0x53)] {
             let census = sweep_ttl_faulty(&pool, &t.graph, &p, None, &ttls, &config, &plan);
             let reference =
-                sweep_ttl_faulty_reference(&pool, &t.graph, &p, None, &ttls, &config, &plan);
+                sweep_reference(&pool, &t.graph, &p, None, &ttls, &config, Some(&plan));
             for (c, r) in census.iter().zip(&reference) {
                 prop_assert_eq!(c.ttl, r.ttl);
                 prop_assert_eq!(c.success_rate.to_bits(), r.success_rate.to_bits());
@@ -175,8 +185,9 @@ proptest! {
     }
 }
 
-/// Zero-fault faulty census must equal the fault-free census bitwise —
-/// outside `proptest!` because it needs no generated inputs beyond a loop.
+/// `None` and `Some(FaultPlan::none)` must produce the same census
+/// bitwise, pruned or not — outside `proptest!` because it needs no
+/// generated inputs beyond a loop.
 #[test]
 fn none_plan_census_equals_plain_census() {
     for seed in 0..4u64 {
@@ -184,11 +195,13 @@ fn none_plan_census_equals_plain_census() {
         let plan = FaultPlan::none(150);
         let mut e = FloodEngine::new(150);
         for source in [0u32, 50, 149] {
-            let plain = e.flood_census(&g, source, 6, &holders, None);
-            let (faulty, stats) =
-                e.flood_census_faulty(&g, source, 6, &holders, None, &plan, 0, seed);
-            assert_eq!(plain, faulty);
-            assert!(stats.iter().all(|s| *s == FaultStats::default()));
+            for plain in [FloodSpec::new(6), FloodSpec::new(6).pruned()] {
+                let faulty = plain.faulty(&plan, 0, seed);
+                let (plain, _) = census(&mut e, &g, source, &holders, plain);
+                let (faulty, stats) = census(&mut e, &g, source, &holders, faulty);
+                assert_eq!(plain, faulty);
+                assert!(stats.iter().all(|s| *s == FaultStats::default()));
+            }
         }
     }
 }

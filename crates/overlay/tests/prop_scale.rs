@@ -19,7 +19,8 @@
 
 use proptest::prelude::*;
 use qcp_faults::{FaultConfig, FaultPlan};
-use qcp_overlay::flood::{FloodEngine, VisitedRepr};
+use qcp_obs::NoopRecorder;
+use qcp_overlay::flood::{FloodEngine, FloodSpec, VisitedRepr};
 use qcp_overlay::placement::PlacementModel;
 use qcp_overlay::{topology, Graph, Placement};
 use std::collections::HashSet;
@@ -170,14 +171,15 @@ proptest! {
         prop_assert_eq!(epoch.repr(), VisitedRepr::EpochMarks);
         prop_assert_eq!(bits.repr(), VisitedRepr::Bitset);
 
-        let ce = epoch.flood_census(&g, source, max_ttl, &holders, None);
-        let cb = bits.flood_census(&g, source, max_ttl, &holders, None);
+        let spec = FloodSpec::new(max_ttl);
+        let (ce, _) = epoch.run(&g, source, &holders, None, &spec, &mut NoopRecorder);
+        let (cb, _) = bits.run(&g, source, &holders, None, &spec, &mut NoopRecorder);
         prop_assert_eq!(&ce.reached, &cb.reached);
         prop_assert_eq!(&ce.messages, &cb.messages);
         prop_assert_eq!(&ce.first_hit_hop, &cb.first_hit_hop);
 
-        let fe = epoch.flood(&g, source, max_ttl, &holders, None);
-        let fb = bits.flood(&g, source, max_ttl, &holders, None);
+        let fe = epoch.flood_reference(&g, source, max_ttl, &holders, None, None).0;
+        let fb = bits.flood_reference(&g, source, max_ttl, &holders, None, None).0;
         prop_assert_eq!(fe.reached, fb.reached);
         prop_assert_eq!(fe.messages, fb.messages);
         prop_assert_eq!(fe.found, fb.found);
@@ -205,10 +207,9 @@ proptest! {
         );
         let mut epoch = FloodEngine::with_repr(200, VisitedRepr::EpochMarks);
         let mut bits = FloodEngine::with_repr(200, VisitedRepr::Bitset);
-        let (ce, se) =
-            epoch.flood_census_faulty(&g, source, max_ttl, &holders, None, &plan, time, nonce);
-        let (cb, sb) =
-            bits.flood_census_faulty(&g, source, max_ttl, &holders, None, &plan, time, nonce);
+        let spec = FloodSpec::new(max_ttl).faulty(&plan, time, nonce);
+        let (ce, se) = epoch.run(&g, source, &holders, None, &spec, &mut NoopRecorder);
+        let (cb, sb) = bits.run(&g, source, &holders, None, &spec, &mut NoopRecorder);
         prop_assert_eq!(&ce.reached, &cb.reached);
         prop_assert_eq!(&ce.messages, &cb.messages);
         prop_assert_eq!(&ce.first_hit_hop, &cb.first_hit_hop);

@@ -21,7 +21,7 @@ use qcp_dht::{ChordNetwork, DhtIndex};
 use qcp_faults::{CapacityPlan, FaultStats};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
 use qcp_overlay::flood::{FloodEngine, FloodSpec};
-use qcp_overlay::{event_flood_rec, OverloadEngine, OverloadOutcome};
+use qcp_overlay::{event_flood, OverloadEngine, OverloadOutcome};
 use qcp_util::hash::mix64;
 use qcp_util::rng::Pcg64;
 use qcp_vtime::Deadline;
@@ -203,8 +203,8 @@ impl<R: Recorder> HybridSearch<R> {
         }
         let matching = world.matching_objects(&query.terms);
         let holders = world.holders_of(&matching);
-        // Unified flood entry: the census at `flood_ttl` reconstructs
-        // the legacy `flood_faulty` call bitwise (BFS prefix property).
+        // The census at `flood_ttl` is the standalone faulty flood at
+        // that TTL, bitwise (BFS prefix property).
         let spec = FloodSpec::new(self.flood_ttl).faulty(&ctx.plan, time, nonce);
         let (census, level_stats) = self.engine.run(
             &world.topology.graph,
@@ -324,7 +324,7 @@ impl<R: Recorder> HybridSearch<R> {
                 &mut self.recorder,
             ),
             None => {
-                let (flood, stats) = event_flood_rec(
+                let (flood, stats) = event_flood(
                     &world.topology.graph,
                     query.source,
                     self.flood_ttl,

@@ -5,11 +5,11 @@ use crate::spec::SearchSpec;
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_faults::{CapacityPlan, FaultPlan, FaultStats, RetryPolicy};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
-use qcp_overlay::expanding::{expanding_ring_search_faulty_rec, expanding_ring_search_rec};
-use qcp_overlay::flood::{FloodEngine, FloodSpec};
-use qcp_overlay::walk::{random_walk_search_faulty_rec, random_walk_search_rec};
+use qcp_overlay::expanding::expanding_ring_search;
+use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
+use qcp_overlay::walk::random_walk_search;
 use qcp_overlay::{
-    event_flood_rec, event_walk_rec, OverloadEngine, OverloadOutcome, Placement, ReplicationPlan,
+    event_flood, event_walk, OverloadEngine, OverloadOutcome, Placement, ReplicationPlan,
 };
 use qcp_util::hash::mix64;
 use qcp_util::rng::{child_seed, Pcg64};
@@ -210,6 +210,17 @@ impl FaultContext {
     }
 }
 
+/// The synchronous kernels' fault context for one query: the plan at
+/// the query's `(time, nonce)` draw, or `None` for a fault-free system.
+fn sync_faults(faults: Option<&FaultContext>, draw: Option<(u64, u64)>) -> Option<FloodFaults<'_>> {
+    let (ctx, (time, nonce)) = faults.zip(draw)?;
+    Some(FloodFaults {
+        plan: &ctx.plan,
+        time,
+        nonce,
+    })
+}
+
 /// A periodic maintenance schedule driven by the query clock.
 ///
 /// Systems that accept one (see [`HybridSearch::with_maintenance`] and
@@ -395,7 +406,7 @@ fn flood_once<R: Recorder>(
                 overload,
             };
         }
-        let (out, stats) = event_flood_rec(
+        let (out, stats) = event_flood(
             &world.topology.graph,
             query.source,
             ttl,
@@ -421,10 +432,10 @@ fn flood_once<R: Recorder>(
             overload: OverloadStats::default(),
         };
     }
-    let mut spec = FloodSpec::new(ttl);
-    if let (Some(ctx), Some((time, nonce))) = (faults, draw) {
-        spec = spec.faulty(&ctx.plan, time, nonce);
-    }
+    let spec = FloodSpec {
+        plan: sync_faults(faults, draw),
+        ..FloodSpec::new(ttl)
+    };
     let (census, stats) = engine.run(
         &world.topology.graph,
         query.source,
@@ -628,7 +639,7 @@ fn walk_once<R: Recorder>(
                 overload,
             };
         }
-        let (out, stats) = event_walk_rec(
+        let (out, stats) = event_walk(
             &world.topology.graph,
             query.source,
             walkers,
@@ -655,44 +666,22 @@ fn walk_once<R: Recorder>(
             overload: OverloadStats::default(),
         };
     }
-    if let (Some(ctx), Some((time, nonce))) = (faults, draw) {
-        let (out, stats) = random_walk_search_faulty_rec(
-            &world.topology.graph,
-            query.source,
-            walkers,
-            ttl,
-            holders,
-            rng,
-            &ctx.plan,
-            time,
-            nonce,
-            rec,
-        );
-        return SearchOutcome {
-            success: out.found,
-            messages: out.messages,
-            hops: out.found_at_step,
-            faults: stats,
-            elapsed: stats.ticks,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
-        };
-    }
-    let out = random_walk_search_rec(
+    let (out, stats) = random_walk_search(
         &world.topology.graph,
         query.source,
         walkers,
         ttl,
         holders,
         rng,
+        sync_faults(faults, draw),
         rec,
     );
     SearchOutcome {
         success: out.found,
         messages: out.messages,
         hops: out.found_at_step,
-        faults: FaultStats::default(),
-        elapsed: 0,
+        faults: stats,
+        elapsed: stats.ticks,
         deadline_exceeded: false,
         overload: OverloadStats::default(),
     }
@@ -1012,7 +1001,7 @@ fn ring_once<R: Recorder>(
                     overload_stats.absorb_outcome(&over);
                     (out, ring_stats)
                 }
-                None => event_flood_rec(
+                None => event_flood(
                     &world.topology.graph,
                     query.source,
                     ttl,
@@ -1076,39 +1065,14 @@ fn ring_once<R: Recorder>(
             rings,
         );
     }
-    if let (Some(ctx), Some((time, nonce))) = (faults, draw) {
-        let (out, stats) = expanding_ring_search_faulty_rec(
-            engine,
-            &world.topology.graph,
-            query.source,
-            max_ttl,
-            holders,
-            Some(forwarders),
-            &ctx.plan,
-            time,
-            nonce,
-            rec,
-        );
-        return (
-            SearchOutcome {
-                success: out.found,
-                messages: out.messages,
-                hops: out.found_at_ttl,
-                faults: stats,
-                elapsed: stats.ticks,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            },
-            out.rings as u64,
-        );
-    }
-    let out = expanding_ring_search_rec(
+    let (out, stats) = expanding_ring_search(
         engine,
         &world.topology.graph,
         query.source,
         max_ttl,
         holders,
         Some(forwarders),
+        sync_faults(faults, draw),
         rec,
     );
     (
@@ -1116,8 +1080,8 @@ fn ring_once<R: Recorder>(
             success: out.found,
             messages: out.messages,
             hops: out.found_at_ttl,
-            faults: FaultStats::default(),
-            elapsed: 0,
+            faults: stats,
+            elapsed: stats.ticks,
             deadline_exceeded: false,
             overload: OverloadStats::default(),
         },

@@ -3,7 +3,7 @@
 //! curves sit relative to each other.
 
 use qcp2p::overlay::topology::{gnutella_two_tier, TopologyConfig};
-use qcp2p::overlay::{flood_trials, sweep_ttl, Placement, PlacementModel, SimConfig};
+use qcp2p::overlay::{sweep_ttl, Placement, PlacementModel, SimConfig};
 use qcp2p::xpar::Pool;
 
 const N: usize = 8_000;
@@ -32,7 +32,7 @@ fn success_curves_order_by_replication() {
     let mut last = -1.0f64;
     for k in [1u32, 4, 9, 19, 39] {
         let p = Placement::generate(PlacementModel::UniformK(k), N as u32, 4_000, k as u64);
-        let point = flood_trials(pool, &t.graph, &p, Some(&fwd), 3, &sim(1_500));
+        let point = sweep_ttl(pool, &t.graph, &p, Some(&fwd), &[3], &sim(1_500))[0];
         assert!(
             point.success_rate > last,
             "success must increase with replication: k={k} rate {} <= {last}",
@@ -65,9 +65,9 @@ fn zipf_placement_tracks_lowest_uniform_curves() {
     let uniform_mean = Placement::generate(PlacementModel::UniformK(mean_k), N as u32, 4_000, 9);
 
     let cfg = sim(2_500);
-    let s_zipf = flood_trials(pool, &t.graph, &zipf, Some(&fwd), 3, &cfg).success_rate;
-    let s_uni1 = flood_trials(pool, &t.graph, &uniform1, Some(&fwd), 3, &cfg).success_rate;
-    let s_mean = flood_trials(pool, &t.graph, &uniform_mean, Some(&fwd), 3, &cfg).success_rate;
+    let s_zipf = sweep_ttl(pool, &t.graph, &zipf, Some(&fwd), &[3], &cfg)[0].success_rate;
+    let s_uni1 = sweep_ttl(pool, &t.graph, &uniform1, Some(&fwd), &[3], &cfg)[0].success_rate;
+    let s_mean = sweep_ttl(pool, &t.graph, &uniform_mean, Some(&fwd), &[3], &cfg)[0].success_rate;
 
     assert!(
         s_zipf < 0.5 * s_mean,
@@ -114,7 +114,7 @@ fn ttl3_zipf_success_falls_far_below_mean_replication_prediction() {
         4_000,
         11,
     );
-    let point = flood_trials(pool, &t.graph, &zipf, Some(&fwd), 3, &sim(3_000));
+    let point = sweep_ttl(pool, &t.graph, &zipf, Some(&fwd), &[3], &sim(3_000))[0];
     assert!(
         point.mean_reached > 150.0,
         "ttl3 reach {} too small",
@@ -136,8 +136,8 @@ fn leaves_limit_reach_compared_to_flat_forwarding() {
     let pool = Pool::global();
     let p = Placement::generate(PlacementModel::UniformK(4), N as u32, 2_000, 5);
     let cfg = sim(800);
-    let two_tier = flood_trials(pool, &t.graph, &p, Some(&fwd), 3, &cfg);
-    let flat = flood_trials(pool, &t.graph, &p, None, 3, &cfg);
+    let two_tier = sweep_ttl(pool, &t.graph, &p, Some(&fwd), &[3], &cfg)[0];
+    let flat = sweep_ttl(pool, &t.graph, &p, None, &[3], &cfg)[0];
     assert!(
         flat.mean_reached > two_tier.mean_reached,
         "flat forwarding ({}) must out-reach leaf-limited ({})",
