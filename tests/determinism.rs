@@ -1403,3 +1403,227 @@ fn profile_fingerprint_matches_golden() {
         "profile recorder contents drifted from the golden capture: {got:#018x}"
     );
 }
+
+// ---------------------------------------------------------------------
+// Figures 1–7: the smoke-scale findings, pinned against a golden
+// capture. Everything except the seven MLE tail fits is pinned bitwise.
+// The fits are pinned by their published two-decimal rendering, exactly,
+// and by |τ − golden| ≤ 1e-6: the exponent comes out of a golden-section
+// search over a flat objective, so its last bits carry no information.
+// ---------------------------------------------------------------------
+
+use qcp2p::analysis::{AnnotationAnalysis, ReplicationAnalysis};
+use qcp2p::zipf::TailFit;
+use qcp2p::Findings;
+
+fn findings_session() -> Repro {
+    Repro::new(std::env::temp_dir().join("qcp-determinism"), Scale::Test)
+}
+
+fn counts_digest(counts: &[u32]) -> u64 {
+    digest(std::iter::once(counts.len() as u64).chain(counts.iter().map(|&c| u64::from(c))))
+}
+
+fn replication_digest(a: &ReplicationAnalysis) -> u64 {
+    digest([
+        u64::from(a.num_peers),
+        a.total_copies as u64,
+        a.unique_objects as u64,
+        counts_digest(&a.counts_desc),
+    ])
+}
+
+fn annotation_digest(a: &AnnotationAnalysis) -> u64 {
+    digest([
+        a.total_records as u64,
+        a.missing_records as u64,
+        a.unique_values as u64,
+        counts_digest(&a.counts_desc),
+    ])
+}
+
+/// One named digest per bitwise-pinned part of the findings.
+fn findings_digests(f: &Findings) -> Vec<(&'static str, u64)> {
+    let c = &f.crawl;
+    let crawl = digest([
+        u64::from(c.num_peers),
+        c.total_copies as u64,
+        c.unique_objects_raw as u64,
+        c.unique_objects_sanitized as u64,
+        c.singleton_fraction_raw.to_bits(),
+        c.singleton_fraction_sanitized.to_bits(),
+        c.below_tenth_percent_raw.to_bits(),
+        c.below_tenth_percent_sanitized.to_bits(),
+        c.at_least_20_peers.to_bits(),
+        c.above_tenth_percent.to_bits(),
+        c.at_most_37_peers.to_bits(),
+        c.unique_terms as u64,
+        c.term_singleton_fraction.to_bits(),
+        c.term_below_tenth_percent.to_bits(),
+        c.mean_replicas.to_bits(),
+    ]);
+    let q = &f.query;
+    let query = digest([
+        q.total_queries,
+        u64::from(q.duration_secs),
+        u64::from(q.interval_secs),
+        q.stability_after_warmup.to_bits(),
+        q.mean_popular_mismatch.to_bits(),
+        q.max_popular_mismatch.to_bits(),
+        q.mean_transients.to_bits(),
+        q.transient_variance.to_bits(),
+    ]);
+    let mut fig5 = Vec::new();
+    for s in &f.fig5 {
+        fig5.extend([
+            u64::from(s.interval_secs),
+            s.first_evaluated as u64,
+            s.counts.len() as u64,
+        ]);
+        fig5.extend(s.counts.iter().map(|&n| u64::from(n)));
+        for flagged in &s.flagged {
+            fig5.push(flagged.len() as u64);
+            fig5.extend(flagged.iter().map(|sym| u64::from(sym.0)));
+        }
+    }
+    let fig6 = digest(
+        [u64::from(f.fig6.interval_secs)]
+            .into_iter()
+            .chain(f.fig6.jaccards.iter().map(|j| j.to_bits())),
+    );
+    let m = &f.fig7;
+    let fig7 = digest(
+        [
+            u64::from(m.interval_secs),
+            m.all_terms_vs_popular_files.len() as u64,
+        ]
+        .into_iter()
+        .chain(m.all_terms_vs_popular_files.iter().map(|j| j.to_bits()))
+        .chain(m.popular_vs_popular_files.iter().map(|j| j.to_bits())),
+    );
+    let fig4 = &f.fig4;
+    vec![
+        ("crawl", crawl),
+        ("query", query),
+        ("fig1", replication_digest(&f.fig1)),
+        ("fig2", replication_digest(&f.fig2)),
+        (
+            "fig3",
+            digest([
+                f.fig3.unique_terms as u64,
+                counts_digest(&f.fig3.counts_desc),
+            ]),
+        ),
+        ("fig4.songs", annotation_digest(&fig4.songs)),
+        ("fig4.genres", annotation_digest(&fig4.genres)),
+        ("fig4.albums", annotation_digest(&fig4.albums)),
+        ("fig4.artists", annotation_digest(&fig4.artists)),
+        (
+            "fig4.totals",
+            digest([fig4.total_songs as u64, fig4.num_clients as u64]),
+        ),
+        ("fig5", digest(fig5)),
+        ("fig6", fig6),
+        ("fig7", fig7),
+    ]
+}
+
+/// The seven tail fits, in the order of [`GOLDEN_TAIL_FITS`].
+fn tail_fits(f: &Findings) -> [(&'static str, TailFit); 7] {
+    [
+        ("fig1", f.fig1.tail),
+        ("fig2", f.fig2.tail),
+        ("fig3", f.fig3.tail),
+        ("fig4.songs", f.fig4.songs.tail),
+        ("fig4.genres", f.fig4.genres.tail),
+        ("fig4.albums", f.fig4.albums.tail),
+        ("fig4.artists", f.fig4.artists.tail),
+    ]
+}
+
+const GOLDEN_FINDINGS_DIGESTS: [(&str, u64); 13] = [
+    ("crawl", 0xbca6d850bc3762bb),
+    ("query", 0x505e210371ff0a9d),
+    ("fig1", 0x8702a2dbe6f3e70d),
+    ("fig2", 0x70e4da7c9e9c054c),
+    ("fig3", 0x2848e66e7daa2722),
+    ("fig4.songs", 0x1ada192f0fe9edfc),
+    ("fig4.genres", 0x9cb9854582936dda),
+    ("fig4.albums", 0x8b144a7aa7d74b29),
+    ("fig4.artists", 0x0ba66a827c260f9d),
+    ("fig4.totals", 0x602fbf8d31c99f4d),
+    ("fig5", 0xe369fc2f89aaa15a),
+    ("fig6", 0xb3c3ef17e5536433),
+    ("fig7", 0x38ef0f79e9d8ef8f),
+];
+
+/// Per fit: name, the published `{:.2}` exponent, the exponent's bits,
+/// the goodness's bits and `n_used`.
+const GOLDEN_TAIL_FITS: [(&str, &str, u64, u64, usize); 7] = [
+    ("fig1", "2.52", 0x40042fafc896824e, 0xbfefdb1eb89823e9, 9389),
+    ("fig2", "2.41", 0x40034592d448086c, 0xbff1992c6905f4d9, 8634),
+    ("fig3", "1.83", 0x3ffd57964f30637a, 0xbfff9865a45eb035, 8997),
+    (
+        "fig4.songs",
+        "1.81",
+        0x3ffce2fb6888ae76,
+        0xc000596e12d1f164,
+        1804,
+    ),
+    (
+        "fig4.genres",
+        "2.25",
+        0x4002086f65cd1b0e,
+        0xbff447f50d292fe4,
+        148,
+    ),
+    (
+        "fig4.albums",
+        "1.81",
+        0x3ffcfc77270b2035,
+        0xc00039e840fac6ad,
+        194,
+    ),
+    (
+        "fig4.artists",
+        "1.77",
+        0x3ffc3df046a7b192,
+        0xc0012f09e6036a69,
+        176,
+    ),
+];
+
+#[test]
+fn figures_1_to_7_findings_match_golden() {
+    let r = findings_session();
+    let f = r.findings();
+    let got = findings_digests(f);
+    assert_eq!(
+        got,
+        GOLDEN_FINDINGS_DIGESTS.to_vec(),
+        "Figures 1-7 findings drifted from the golden capture"
+    );
+    for ((name, fit), (golden_name, shown, tau_bits, goodness_bits, n_used)) in
+        tail_fits(f).into_iter().zip(GOLDEN_TAIL_FITS)
+    {
+        assert_eq!(name, golden_name);
+        assert_eq!(
+            format!("{:.2}", fit.exponent),
+            shown,
+            "{name}: published exponent moved"
+        );
+        let tau = f64::from_bits(tau_bits);
+        assert!(
+            (fit.exponent - tau).abs() <= 1e-6,
+            "{name}: tau {} vs golden {tau}",
+            fit.exponent
+        );
+        let goodness = f64::from_bits(goodness_bits);
+        assert!(
+            (fit.goodness - goodness).abs() <= 1e-9,
+            "{name}: goodness {} vs golden {goodness}",
+            fit.goodness
+        );
+        assert_eq!(fit.n_used, n_used, "{name}: n_used");
+    }
+}
