@@ -6,8 +6,9 @@
 //! for any `(client, value)` stream; empty values are the "missing
 //! annotation" convention (8.7% of songs had no genre, 8.1% no album).
 
+use crate::replication::fit_tail;
 use qcp_util::{FxHashMap, FxHashSet};
-use qcp_zipf::{fit_tail_mle, TailFit};
+use qcp_zipf::TailFit;
 
 /// Distribution of one annotation field across clients.
 #[derive(Debug, Clone)]
@@ -48,16 +49,7 @@ impl AnnotationAnalysis {
         // order cannot reach the output.
         let mut counts_desc: Vec<u32> = by_value.values().map(|s| s.len() as u32).collect();
         counts_desc.sort_unstable_by(|a, b| b.cmp(a));
-        let tail = if counts_desc.len() >= 10 {
-            let values: Vec<u64> = counts_desc.iter().map(|&c| c as u64).collect();
-            fit_tail_mle(&values, 1)
-        } else {
-            TailFit {
-                exponent: f64::NAN,
-                goodness: f64::NAN,
-                n_used: counts_desc.len(),
-            }
-        };
+        let tail = fit_tail(&counts_desc);
         Self {
             field: field.to_string(),
             total_records: total,

@@ -6,8 +6,9 @@
 //! studies of Gnutella query streams conventionally report, and useful
 //! sanity checks on any generated workload.
 
+use crate::replication::fit_tail;
 use qcp_util::FxHashMap;
-use qcp_zipf::{fit_tail_mle, TailFit};
+use qcp_zipf::TailFit;
 
 /// Summary of a query stream at string granularity.
 #[derive(Debug, Clone)]
@@ -52,16 +53,7 @@ impl QueryStringAnalysis {
         // order cannot reach the output.
         let mut counts_desc: Vec<u32> = counts.into_values().collect();
         counts_desc.sort_unstable_by(|a, b| b.cmp(a));
-        let tail = if counts_desc.len() >= 10 {
-            let values: Vec<u64> = counts_desc.iter().map(|&c| c as u64).collect();
-            fit_tail_mle(&values, 1)
-        } else {
-            TailFit {
-                exponent: f64::NAN,
-                goodness: f64::NAN,
-                n_used: counts_desc.len(),
-            }
-        };
+        let tail = fit_tail(&counts_desc);
         Self {
             total_queries: total,
             distinct_queries: distinct,

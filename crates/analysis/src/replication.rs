@@ -184,17 +184,18 @@ impl TermReplicationAnalysis {
     }
 }
 
-fn fit_tail(counts_desc: &[u32]) -> TailFit {
-    let values: Vec<u64> = counts_desc.iter().map(|&c| c as u64).collect();
-    if values.len() >= 10 {
-        fit_tail_mle(&values, 1)
-    } else {
-        TailFit {
+/// Power-law MLE fit of a count distribution (`x_min = 1`), or NaN
+/// exponent and goodness when there are fewer than 10 counts to fit.
+pub(crate) fn fit_tail(counts: &[u32]) -> TailFit {
+    if counts.len() < 10 {
+        return TailFit {
             exponent: f64::NAN,
             goodness: f64::NAN,
-            n_used: values.len(),
-        }
+            n_used: counts.len(),
+        };
     }
+    let values: Vec<u64> = counts.iter().map(|&c| u64::from(c)).collect();
+    fit_tail_mle(&values, 1)
 }
 
 #[cfg(test)]
