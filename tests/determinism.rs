@@ -1627,3 +1627,338 @@ fn figures_1_to_7_findings_match_golden() {
         assert_eq!(fit.n_used, n_used, "{name}: n_used");
     }
 }
+
+// ---------------------------------------------------------------------
+// Cross-commit goldens for the calendar (deadline) search paths: the
+// event-driven flood and k-walker, with and without capacity queues, as
+// the four unstructured-facing systems drive them. Each system runs 200
+// queries under a lossy, churning, slow-link fault context and a
+// deadline, once per capacity case: none, the unlimited plan, and a
+// limited plan under each shedding policy (which reaches eviction and
+// walker resume). The smoke-scale `repro latency` and `repro overload`
+// grids are pinned as digests too, recorder contents included. The
+// synchronous hybrid (fault-free and faulty with a maintenance
+// schedule) completes the set.
+// ---------------------------------------------------------------------
+
+use qcp2p::faults::{CapacityConfig, CapacityModel, CapacityPlan, ShedPolicy};
+use qcp2p::search::MaintenanceSchedule;
+use qcp2p::vtime::Deadline;
+use qcp_bench::latency::LatencyCell;
+use qcp_bench::overload::OverloadCell;
+
+/// The golden search world and its 200-query workload.
+fn golden_search_world() -> (SearchWorld, Vec<qcp2p::search::QuerySpec>) {
+    let world = SearchWorld::generate(&WorldConfig {
+        num_peers: 1_000,
+        num_objects: 6_000,
+        num_terms: 6_000,
+        head_size: 120,
+        seed: 0x5eed,
+        ..Default::default()
+    });
+    let queries = gen_queries(
+        &world,
+        &WorkloadConfig {
+            num_queries: 200,
+            seed: 0x5eee,
+        },
+    );
+    (world, queries)
+}
+
+/// Runs every query through `system` and digests each outcome, the next
+/// query-RNG draw, and the system's full recorder contents.
+fn outcome_digest(
+    mut system: qcp2p::search::Built<MetricsRecorder>,
+    world: &SearchWorld,
+    queries: &[qcp2p::search::QuerySpec],
+) -> u64 {
+    let mut words = Vec::new();
+    for (q, query) in queries.iter().enumerate() {
+        let mut rng = Pcg64::new(child_seed(0x5ef1, q as u64));
+        let out = system.search(world, query, &mut rng);
+        let f = out.faults;
+        let o = out.overload;
+        words.extend([
+            u64::from(out.success),
+            out.messages,
+            out.hops.map_or(u64::MAX, u64::from),
+            f.dropped,
+            f.dead_targets,
+            f.retries,
+            f.timeouts,
+            f.stale_misses,
+            f.ticks,
+            out.elapsed,
+            u64::from(out.deadline_exceeded),
+            o.enqueued,
+            o.served,
+            o.shed,
+            o.displaced,
+            o.backlog_seeded,
+            o.queue_delay,
+            o.admission_rejected,
+            u64::from(o.overloaded),
+        ]);
+        words.push(rng.next());
+    }
+    words.extend(recorder_words(system.recorder()));
+    digest(words)
+}
+
+/// Digests of 200 deadline-path outcomes plus the system's recorder, in
+/// the order flood(3), walk(8, 20), expanding_ring(4), hybrid(2, 3) —
+/// each under no capacity plan, the unlimited plan, and a limited plan
+/// shedding drop-newest, drop-oldest and TTL-priority.
+const GOLDEN_TIMED_SEARCH_DIGESTS: [u64; 20] = [
+    0xcb2b2aa68df6eaaf,
+    0xcb2b2aa68df6eaaf,
+    0xddb809667c235682,
+    0x5c6666852666b6b7,
+    0xebfa08fc9a83bc69,
+    0x67db9197fd353a24,
+    0x67db9197fd353a24,
+    0x2c64f68536b00f68,
+    0x5d0db97aa7ca1cb9,
+    0x486ecbdb55a17f8c,
+    0x225b6ae76c1977d0,
+    0x225b6ae76c1977d0,
+    0x28229d1fbe4275ae,
+    0xd34d34af15723867,
+    0x57379c80030d9b68,
+    0xfc926fb368fd16b5,
+    0xfc926fb368fd16b5,
+    0xab3eec83e940c086,
+    0xe26db129a7c98b26,
+    0x4ba72d9daf011ef5,
+];
+
+fn timed_search_digests() -> Vec<u64> {
+    let (world, queries) = golden_search_world();
+    let plan = FaultPlan::build(
+        world.num_peers(),
+        &FaultConfig {
+            loss: 0.10,
+            churn: 0.15,
+            horizon: 64,
+            rejoin: true,
+            mean_latency: 3,
+            seed: 0x7e0f,
+            ..Default::default()
+        },
+    );
+    let limited = |policy| {
+        CapacityPlan::build(&CapacityConfig {
+            offered_load: 12.0,
+            queue_bound: 3,
+            policy,
+            model: CapacityModel::GiaLadder,
+            seed: 0xca9,
+        })
+    };
+    let capacities: Vec<Option<CapacityPlan>> = std::iter::once(None)
+        .chain(std::iter::once(Some(CapacityPlan::unlimited())))
+        .chain(ShedPolicy::ALL.into_iter().map(|p| Some(limited(p))))
+        .collect();
+    let specs: [fn() -> SearchSpec; 4] = [
+        || SearchSpec::flood(3),
+        || SearchSpec::walk(8, 20),
+        || SearchSpec::expanding_ring(4),
+        || SearchSpec::hybrid(2, 3, 4),
+    ];
+    let mut digests = Vec::new();
+    let (mut shed, mut displaced, mut missed, mut rejected) = (0u64, 0u64, 0u64, 0u64);
+    let mut walk_evictions = 0u64;
+    for (i, make) in specs.into_iter().enumerate() {
+        for (c, cap) in capacities.iter().enumerate() {
+            let ctx = FaultContext::new(
+                plan.clone(),
+                qcp2p::faults::RetryPolicy::default(),
+                child_seed(0x7e10, i as u64),
+            );
+            let mut spec = make().faults(ctx).deadline(Deadline::after(60));
+            if let Some(cap) = cap {
+                spec = spec.capacity(cap.clone());
+            }
+            let system = spec.recorder(MetricsRecorder::new()).build(&world);
+            digests.push(outcome_digest(system, &world, &queries));
+            // Guard tallies (recounted through the recorder-free path so
+            // the guards do not lean on the digest itself).
+            let mut spec = make()
+                .faults(FaultContext::new(
+                    plan.clone(),
+                    qcp2p::faults::RetryPolicy::default(),
+                    child_seed(0x7e10, i as u64),
+                ))
+                .deadline(Deadline::after(60));
+            if let Some(cap) = cap {
+                spec = spec.capacity(cap.clone());
+            }
+            let mut system = spec.build(&world);
+            for (q, query) in queries.iter().enumerate() {
+                let mut rng = Pcg64::new(child_seed(0x5ef1, q as u64));
+                let out = system.search(&world, query, &mut rng);
+                shed += out.overload.shed;
+                if i == 1 && c == 3 {
+                    // Drop-oldest never sheds at the door, so every real
+                    // shed here is an evicted walker step (and a resume).
+                    walk_evictions += out.overload.shed;
+                }
+                displaced += out.overload.displaced;
+                missed += u64::from(out.deadline_exceeded);
+                rejected += out.overload.admission_rejected;
+            }
+        }
+    }
+    assert!(shed > 0, "guard: the limited plans must shed real messages");
+    assert!(
+        walk_evictions > 0,
+        "guard: queued walker steps must be evicted"
+    );
+    assert!(displaced > 0, "guard: arrivals must displace backlog");
+    assert!(missed > 0, "guard: the deadline must end some query");
+    assert!(
+        rejected > 0,
+        "guard: admission control must refuse some query"
+    );
+    digests
+}
+
+#[test]
+fn timed_search_systems_match_golden() {
+    assert_eq!(
+        timed_search_digests(),
+        GOLDEN_TIMED_SEARCH_DIGESTS.to_vec(),
+        "deadline-path flood/walk/expanding-ring/hybrid outcomes or recorder \
+         contents drifted from the golden capture"
+    );
+}
+
+/// Digests of 200 synchronous hybrid(2, 3) outcomes plus its recorder:
+/// fault-free, then under a lossy, churning fault context with a
+/// maintenance pass every 25 queries.
+const GOLDEN_SYNC_HYBRID_DIGESTS: [u64; 2] = [0xe6e6256ee9a5453a, 0x6022aadf1d8cb88f];
+
+fn sync_hybrid_digests() -> Vec<u64> {
+    let (world, queries) = golden_search_world();
+    let plan = FaultPlan::build(
+        world.num_peers(),
+        &FaultConfig {
+            loss: 0.15,
+            churn: 0.20,
+            horizon: 64,
+            rejoin: true,
+            seed: 0x5eef,
+            ..Default::default()
+        },
+    );
+    let clean = SearchSpec::hybrid(2, 3, 4)
+        .recorder(MetricsRecorder::new())
+        .build(&world);
+    let faulty = SearchSpec::hybrid(2, 3, 4)
+        .faults(FaultContext::new(
+            plan,
+            qcp2p::faults::RetryPolicy::default(),
+            0x5ef2,
+        ))
+        .maintenance(MaintenanceSchedule::every(25))
+        .recorder(MetricsRecorder::new())
+        .build(&world);
+    vec![
+        outcome_digest(clean, &world, &queries),
+        outcome_digest(faulty, &world, &queries),
+    ]
+}
+
+#[test]
+fn synchronous_hybrid_matches_golden() {
+    assert_eq!(
+        sync_hybrid_digests(),
+        GOLDEN_SYNC_HYBRID_DIGESTS.to_vec(),
+        "synchronous hybrid outcomes or recorder contents drifted from the \
+         golden capture"
+    );
+}
+
+/// The `repro latency --scale smoke` session.
+fn smoke_session() -> Repro {
+    Repro::new(std::env::temp_dir().join("qcp-determinism"), Scale::Test)
+}
+
+fn latency_grid_digest(cells: &[LatencyCell], master: &MetricsRecorder) -> u64 {
+    let mut words = Vec::new();
+    for c in cells {
+        words.extend([u64::from(c.mean_latency), c.loss.to_bits()]);
+        words.extend(c.policy.bytes().map(u64::from));
+        for s in &c.systems {
+            words.extend(s.system.bytes().map(u64::from));
+            words.extend([
+                s.queries as u64,
+                s.hits,
+                s.deadline_misses,
+                s.partial_hits,
+                s.p50.map_or(u64::MAX, |v| v),
+                s.p99.map_or(u64::MAX, |v| v),
+                s.mean_messages.to_bits(),
+            ]);
+        }
+    }
+    words.extend(recorder_words(master));
+    digest(words)
+}
+
+fn overload_grid_digest(cells: &[OverloadCell], master: &MetricsRecorder) -> u64 {
+    let mut words = Vec::new();
+    for c in cells {
+        words.push(c.offered_load.to_bits());
+        words.extend(c.policy.bytes().chain(c.model.bytes()).map(u64::from));
+        for s in &c.systems {
+            words.extend(s.system.bytes().map(u64::from));
+            words.extend([
+                s.queries as u64,
+                s.admitted,
+                s.hits,
+                s.deadline_misses,
+                s.overloaded,
+                s.enqueued,
+                s.served,
+                s.shed,
+                s.displaced,
+                s.backlog_seeded,
+                s.queue_delay,
+                s.admission_rejected,
+                s.p50.map_or(u64::MAX, |v| v),
+                s.p99.map_or(u64::MAX, |v| v),
+                s.messages,
+            ]);
+        }
+    }
+    words.extend(recorder_words(master));
+    digest(words)
+}
+
+/// Digest of the smoke-scale `repro latency` grid and its recorder.
+const GOLDEN_LATENCY_GRID_DIGEST: u64 = 0xf55be46fe2d823bb;
+/// Digest of the smoke-scale `repro overload` grid and its recorder.
+const GOLDEN_OVERLOAD_GRID_DIGEST: u64 = 0x2208ad295bc362ef;
+
+#[test]
+fn latency_and_overload_grids_match_golden() {
+    let r = smoke_session();
+    let pool = Pool::new(2);
+    let (lat, lat_rec) = latency_data_recorded(&r, &pool);
+    let (over, over_rec) = overload_data_recorded(&r, &pool);
+    let got = [
+        latency_grid_digest(&lat, &lat_rec),
+        overload_grid_digest(&over, &over_rec),
+    ];
+    assert_eq!(
+        got,
+        [GOLDEN_LATENCY_GRID_DIGEST, GOLDEN_OVERLOAD_GRID_DIGEST],
+        "smoke-scale latency/overload grids drifted from the golden capture: \
+         {:#018x} {:#018x}",
+        got[0],
+        got[1]
+    );
+}
