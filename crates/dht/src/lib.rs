@@ -1,6 +1,6 @@
 //! `qcp-dht` — a Chord-style structured overlay simulator.
 //!
-//! Hybrid P2P systems (the paper's §V and its refs [5], [20], [21]) fall
+//! Hybrid P2P systems (the paper's §V and its refs \[5\], \[20\], \[21\]) fall
 //! back to a DHT when the unstructured flood fails. To evaluate that
 //! crossover honestly the reproduction needs a real structured substrate:
 //!
@@ -9,7 +9,7 @@
 //!   tables, greedy `O(log n)` lookup with hop accounting, and node
 //!   join/leave;
 //! * [`pastry`] — Pastry-style base-16 prefix routing with leaf sets
-//!   (the paper's ref [1]), for structured-overlay comparisons;
+//!   (the paper's ref \[1\]), for structured-overlay comparisons;
 //! * [`index`] — a distributed inverted keyword index over the ring
 //!   (term → posting list at `successor(hash(term))`), with multi-term
 //!   AND queries and message-cost accounting.

@@ -1,4 +1,4 @@
-//! Pastry-style prefix routing (Rowstron & Druschel — the paper's ref [1]).
+//! Pastry-style prefix routing (Rowstron & Druschel — the paper's ref \[1\]).
 //!
 //! A second structured substrate beside Chord, with the classic Pastry
 //! geometry: 64-bit ids read as 16 hexadecimal digits (`b = 4`), a routing

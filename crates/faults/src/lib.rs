@@ -3,22 +3,22 @@
 //! The paper's §V conclusion (hybrid flood+DHT search is strictly worse
 //! than DHT-only under Zipf replica placement, Figure 8) is derived on a
 //! *perfect* network. Its companion work on fault-tolerant overlays (the
-//! paper's ref [14]) and the replication surveys in PAPERS.md treat
+//! paper's ref \[14\]) and the replication surveys in PAPERS.md treat
 //! failure-resilience as the defining property of unstructured search —
 //! so this crate supplies the machinery to stress every reproduced
 //! number:
 //!
-//! * [`plan`] — the seeded [`FaultPlan`](plan::FaultPlan): per-edge
-//!   message-drop probabilities, a per-link latency model, and a node
-//!   up/down *session schedule* that fires mid-workload;
-//! * [`capacity`] — the seeded [`CapacityPlan`](capacity::CapacityPlan):
-//!   heterogeneous per-node service rates on the Gia ladder, bounded
-//!   FIFO queues with pluggable shedding policies, and token-style
-//!   admission control — the deterministic overload model;
-//! * [`stats`] — [`FaultStats`](stats::FaultStats) degraded-mode
-//!   accounting (drops, dead targets, retries, timeouts, staleness
-//!   misses, elapsed ticks) and the [`RetryPolicy`](stats::RetryPolicy)
-//!   bounded-retry-with-exponential-backoff contract.
+//! * [`plan`] — the seeded [`FaultPlan`]: per-edge message-drop
+//!   probabilities, a per-link latency model, and a node up/down
+//!   *session schedule* that fires mid-workload;
+//! * [`capacity`] — the seeded [`CapacityPlan`]: heterogeneous per-node
+//!   service rates on the Gia ladder, bounded FIFO queues with
+//!   pluggable shedding policies, and token-style admission control —
+//!   the deterministic overload model;
+//! * [`stats`] — [`FaultStats`] degraded-mode accounting (drops, dead
+//!   targets, retries, timeouts, staleness misses, elapsed ticks) and
+//!   the [`RetryPolicy`] bounded-retry-with-exponential-backoff
+//!   contract.
 //!
 //! # Determinism contract
 //!

@@ -68,7 +68,7 @@ impl FaultStats {
 }
 
 /// Bounded-retry-with-exponential-backoff policy for request/response
-/// engines (the structured-overlay hops of [`qcp-dht`]).
+/// engines (the structured-overlay hops of `qcp-dht`).
 ///
 /// A transmission that is dropped is retried after a timeout of
 /// `base_timeout * backoff^attempt` ticks, up to `max_retries` retries;

@@ -1,6 +1,6 @@
 //! Node churn: fail-stop departures.
 //!
-//! The paper's companion work (its ref [14], "Improving search using a
+//! The paper's companion work (its ref \[14\], "Improving search using a
 //! fault-tolerant overlay") motivates asking how the Figure 8 conclusions
 //! hold up when peers leave. This module applies fail-stop churn to a
 //! topology: failed nodes lose all edges (and, at the search layer, their

@@ -152,7 +152,7 @@ impl CensusOutcome {
 }
 
 /// Result of one flooded query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FloodOutcome {
     /// Whether any reached peer held the target object.
     pub found: bool,

@@ -15,11 +15,13 @@
 //!   reusable engine (epoch-stamped visit marks, zero per-query allocation
 //!   in the hot path);
 //! * [`walk`] — k-walker random walks;
-//! * [`event`] — event-driven flood/walk on the `qcp-vtime` calendar:
-//!   per-link latencies, delivery-time fault checks, deadline cutoffs;
-//! * [`overload`] — capacity-aware event kernels: bounded per-node
-//!   queues, per-node service rates on the Gia ladder, and load
-//!   shedding (the `qcp-faults` `CapacityPlan` overload model);
+//! * [`event`] — the calendar engine: one event-driven flood and one
+//!   k-walker on the `qcp-vtime` calendar, with per-link latencies,
+//!   delivery-time fault checks and deadline cutoffs, generic over how
+//!   arrivals are delivered;
+//! * [`overload`] — the queued delivery model: bounded per-node queues,
+//!   per-node service rates on the Gia ladder, and load shedding (the
+//!   `qcp-faults` `CapacityPlan` overload model);
 //! * [`expanding`] — expanding-ring (iterative deepening) search;
 //! * [`replicate`] — pluggable replication schemes (owner-only, path,
 //!   random-walk, square-root/proportional allocation, Gia one-hop):
@@ -48,7 +50,7 @@ pub mod topology;
 pub mod walk;
 
 pub use churn::{fail_highest_degree, fail_random, ChurnedOverlay};
-pub use event::{event_flood, event_walk, EventFloodOutcome, EventWalkOutcome};
+pub use event::{EventEngine, EventFloodOutcome, EventWalkOutcome};
 pub use expanding::{expanding_ring_search, ExpandingOutcome};
 pub use flood::{
     CensusBuf, CensusOutcome, FloodEngine, FloodFaults, FloodOutcome, FloodSpec, VisitedRepr,
@@ -56,7 +58,7 @@ pub use flood::{
 };
 pub use graph::Graph;
 pub use metrics::{graph_metrics, GraphMetrics};
-pub use overload::{OverloadEngine, OverloadOutcome};
+pub use overload::OverloadOutcome;
 pub use placement::{Placement, PlacementBuilder, PlacementModel};
 pub use repair::{
     check_repair_invariants, repair_round, Attachment, Maintainer, MaintenancePolicy, RepairStats,

@@ -23,7 +23,7 @@
 //!   optimum for expected search size;
 //! * **proportional** — replicas proportional to popularity itself
 //!   (what uncoordinated caching converges to);
-//! * **gia-one-hop** — Gia (paper ref [17]): pointers pushed one hop
+//! * **gia-one-hop** — Gia (paper ref \[17\]): pointers pushed one hop
 //!   from each replica to the highest-capacity neighbor, approximated
 //!   here by highest degree.
 //!

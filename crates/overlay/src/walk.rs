@@ -1,4 +1,4 @@
-//! k-walker random walks (Lv et al. / the paper's ref [4] style).
+//! k-walker random walks (Lv et al. / the paper's ref \[4\] style).
 //!
 //! Random walks are the classic low-overhead alternative to flooding:
 //! `k` walkers each take up to `ttl` steps, preferring not to backtrack.
@@ -16,7 +16,7 @@ use qcp_obs::{Counter, Event, Kernel, Recorder};
 use qcp_util::rng::Pcg64;
 
 /// Result of one k-walker search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalkOutcome {
     /// Whether any walker hit a holder.
     pub found: bool,
@@ -28,10 +28,10 @@ pub struct WalkOutcome {
     pub visited: u32,
 }
 
-/// The walkers' neighbor pick, shared by every walk kernel (synchronous,
-/// event-driven and capacity-aware), so all of them consume the RNG
-/// identically: prefer a neighbor other than `previous`, re-drawing at
-/// most four times. `neighbors` must be non-empty.
+/// The walkers' neighbor pick, shared by the synchronous and the
+/// calendar walk, so both consume the RNG identically: prefer a
+/// neighbor other than `previous`, re-drawing at most four times.
+/// `neighbors` must be non-empty.
 pub(crate) fn pick_next(neighbors: &[u32], previous: u32, rng: &mut Pcg64) -> u32 {
     if neighbors.len() == 1 {
         return neighbors[0];

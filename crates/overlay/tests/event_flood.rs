@@ -1,5 +1,5 @@
-//! Property tests pinning the event-driven kernels to their synchronous
-//! oracles.
+//! Property tests pinning the calendar engine's direct-delivery flood
+//! and walk to their synchronous oracles.
 //!
 //! The load-bearing invariant: under a unit-latency, fault-free plan the
 //! event flood's deliveries drain in exact BFS level order, so its
@@ -10,10 +10,10 @@
 //! those the pins are determinism and the forwarder-mask contract.
 
 use proptest::prelude::*;
-use qcp_faults::{FaultConfig, FaultPlan};
+use qcp_faults::{FaultConfig, FaultPlan, FaultStats};
 use qcp_obs::NoopRecorder;
-use qcp_overlay::flood::{FloodEngine, FloodSpec};
-use qcp_overlay::{event_flood, event_walk, topology};
+use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
+use qcp_overlay::{topology, EventEngine, EventFloodOutcome, EventWalkOutcome, Graph};
 
 /// A small Erdős–Rényi world plus sorted holders, derived from two seeds.
 fn world(seed: u64, holder_seed: u64, n: usize) -> (qcp_overlay::Graph, Vec<u32>) {
@@ -22,6 +22,66 @@ fn world(seed: u64, holder_seed: u64, n: usize) -> (qcp_overlay::Graph, Vec<u32>
         .filter(|&v| qcp_util::hash::mix64(holder_seed ^ v as u64).is_multiple_of(17))
         .collect();
     (g, holders)
+}
+
+/// A direct-delivery flood on a fresh engine.
+#[allow(clippy::too_many_arguments)]
+fn event_flood(
+    g: &Graph,
+    source: u32,
+    ttl: u32,
+    holders: &[u32],
+    forwarders: Option<&[bool]>,
+    plan: &FaultPlan,
+    time: u64,
+    nonce: u64,
+    cutoff: Option<u64>,
+) -> (EventFloodOutcome, FaultStats) {
+    let faults = FloodFaults { plan, time, nonce };
+    let (out, stats, _) = EventEngine::new().flood(
+        g,
+        source,
+        ttl,
+        holders,
+        forwarders,
+        faults,
+        None,
+        cutoff,
+        &mut NoopRecorder,
+    );
+    (out, stats)
+}
+
+/// A direct-delivery walk on a fresh engine.
+#[allow(clippy::too_many_arguments)]
+fn event_walk(
+    g: &Graph,
+    source: u32,
+    k: usize,
+    ttl: u32,
+    holders: &[u32],
+    seed: u64,
+    plan: &FaultPlan,
+    nonce: u64,
+) -> (EventWalkOutcome, FaultStats) {
+    let faults = FloodFaults {
+        plan,
+        time: 0,
+        nonce,
+    };
+    let (out, stats, _) = EventEngine::new().walk(
+        g,
+        source,
+        k,
+        ttl,
+        holders,
+        seed,
+        faults,
+        None,
+        None,
+        &mut NoopRecorder,
+    );
+    (out, stats)
 }
 
 fn lossy_latent_plan(n: usize, seed: u64) -> FaultPlan {
@@ -51,9 +111,7 @@ proptest! {
         let (census, _) = e.run(&g, source, &holders, None, &spec, &mut NoopRecorder);
         let nonce = seed ^ hseed;
         for ttl in 0..=max_ttl {
-            let (out, _) = event_flood(
-                &g, source, ttl, &holders, None, &plan, 0, nonce, None, &mut NoopRecorder,
-            );
+            let (out, _) = event_flood(&g, source, ttl, &holders, None, &plan, 0, nonce, None);
             prop_assert_eq!(out.flood, census.at(ttl), "ttl {}", ttl);
             prop_assert!(!out.truncated);
             // Unit latency: a hit at hop h is a hit at tick h.
@@ -63,9 +121,7 @@ proptest! {
             );
         }
         // Holder hit counts agree with the engine's rare-query counter.
-        let (out, _) = event_flood(
-            &g, source, max_ttl, &holders, None, &plan, 0, nonce, None, &mut NoopRecorder,
-        );
+        let (out, _) = event_flood(&g, source, max_ttl, &holders, None, &plan, 0, nonce, None);
         prop_assert_eq!(out.holders_reached, e.hits_in_last_flood(&holders));
     }
 
@@ -82,9 +138,7 @@ proptest! {
         let mut e = FloodEngine::new(150);
         let spec = FloodSpec::new(ttl);
         let (census, _) = e.run(&g, source, &holders, Some(&mask), &spec, &mut NoopRecorder);
-        let (out, _) = event_flood(
-            &g, source, ttl, &holders, Some(&mask), &plan, 0, hseed, None, &mut NoopRecorder,
-        );
+        let (out, _) = event_flood(&g, source, ttl, &holders, Some(&mask), &plan, 0, hseed, None);
         prop_assert_eq!(out.flood, census.at(ttl));
     }
 
@@ -96,7 +150,7 @@ proptest! {
         let (g, holders) = world(seed, hseed, 150);
         let plan = lossy_latent_plan(150, seed ^ hseed.rotate_left(11));
         let run = || {
-            event_flood(&g, source, ttl, &holders, None, &plan, time, nonce, None, &mut NoopRecorder)
+            event_flood(&g, source, ttl, &holders, None, &plan, time, nonce, None)
         };
         let (a, stats) = run();
         prop_assert_eq!((a, stats), run());
@@ -114,7 +168,7 @@ proptest! {
         let (g, holders) = world(seed, hseed, 150);
         let plan = FaultPlan::none(150);
         let flood = |cutoff| {
-            event_flood(&g, source, 6, &holders, None, &plan, 0, 1, cutoff, &mut NoopRecorder)
+            event_flood(&g, source, 6, &holders, None, &plan, 0, 1, cutoff)
         };
         let ((full, _), (cut, _)) = (flood(None), flood(Some(cutoff)));
         prop_assert!(cut.flood.reached <= full.flood.reached);
@@ -133,7 +187,7 @@ proptest! {
         let (g, holders) = world(seed, seed ^ 0x77, 150);
         let plan = lossy_latent_plan(150, seed ^ 0x3c);
         let run = || {
-            event_walk(&g, source, k, ttl, &holders, wseed, &plan, 0, nonce, None, &mut NoopRecorder)
+            event_walk(&g, source, k, ttl, &holders, wseed, &plan, nonce)
         };
         let (a, stats) = run();
         prop_assert_eq!((a, stats), run());

@@ -2,9 +2,9 @@
 //!
 //! Two load-bearing invariants:
 //!
-//! * **Unlimited capacity is the PR 7 kernel, bitwise.** An
-//!   [`OverloadEngine`] run under [`CapacityPlan::unlimited`] must equal
-//!   `event_flood` / `event_walk` exactly — outcome, fault stats, and
+//! * **Unlimited capacity is direct delivery, bitwise.** An
+//!   [`EventEngine`] run under `Some(&CapacityPlan::unlimited())` must
+//!   equal the same run under `None` exactly — outcome, fault stats, and
 //!   all-zero overload accounting — under fault-free *and* lossy plans.
 //! * **The shedding accounting identity.** Counting only the query's
 //!   own (real) messages: `sent == served + dead_targets + dropped +
@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use qcp_faults::capacity::{CapacityConfig, CapacityModel, CapacityPlan, ShedPolicy};
 use qcp_faults::{FaultConfig, FaultPlan};
 use qcp_obs::NoopRecorder;
-use qcp_overlay::{event_flood, event_walk, topology, OverloadEngine, OverloadOutcome};
+use qcp_overlay::flood::FloodFaults;
+use qcp_overlay::{topology, EventEngine, OverloadOutcome};
 
 /// A small Erdős–Rényi world plus sorted holders, derived from two seeds.
 fn world(seed: u64, holder_seed: u64, n: usize) -> (qcp_overlay::Graph, Vec<u32>) {
@@ -72,15 +73,14 @@ proptest! {
         } else {
             FaultPlan::none(150)
         };
-        let (a, sa) = event_flood(
-            &g, source, ttl, &holders, None, &plan, 3, nonce, cutoff, &mut NoopRecorder,
-        );
-        let mut eng = OverloadEngine::new();
+        let faults = FloodFaults { plan: &plan, time: 3, nonce };
+        let mut eng = EventEngine::new();
         let cap = CapacityPlan::unlimited();
-        let (b, sb, over) = eng.flood_rec(
-            &g, source, ttl, &holders, None, &plan, &cap, 3, nonce, cutoff,
-            &mut NoopRecorder,
+        let mut run = |cap| eng.flood(
+            &g, source, ttl, &holders, None, faults, cap, cutoff, &mut NoopRecorder,
         );
+        let (a, sa, _) = run(None);
+        let (b, sb, over) = run(Some(&cap));
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
         prop_assert_eq!(over, OverloadOutcome::default());
@@ -99,15 +99,14 @@ proptest! {
         } else {
             FaultPlan::none(150)
         };
-        let (a, sa) = event_walk(
-            &g, source, k, ttl, &holders, wseed, &plan, 0, nonce, cutoff, &mut NoopRecorder,
-        );
-        let mut eng = OverloadEngine::new();
+        let faults = FloodFaults { plan: &plan, time: 0, nonce };
+        let mut eng = EventEngine::new();
         let cap = CapacityPlan::unlimited();
-        let (b, sb, over) = eng.walk_rec(
-            &g, source, k, ttl, &holders, wseed, &plan, &cap, 0, nonce, cutoff,
-            &mut NoopRecorder,
+        let mut run = |cap| eng.walk(
+            &g, source, k, ttl, &holders, wseed, faults, cap, cutoff, &mut NoopRecorder,
         );
+        let (a, sa, _) = run(None);
+        let (b, sb, over) = run(Some(&cap));
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
         prop_assert_eq!(over, OverloadOutcome::default());
@@ -127,10 +126,10 @@ proptest! {
             FaultPlan::none(150)
         };
         let cap = capacity(f64::from(load), policy_of(pol), model_of(mdl), seed ^ 0xca9);
-        let mut eng = OverloadEngine::new();
-        let run = |eng: &mut OverloadEngine| eng.flood_rec(
-            &g, source, ttl, &holders, None, &plan, &cap, 3, nonce, cutoff,
-            &mut NoopRecorder,
+        let faults = FloodFaults { plan: &plan, time: 3, nonce };
+        let mut eng = EventEngine::new();
+        let run = |eng: &mut EventEngine| eng.flood(
+            &g, source, ttl, &holders, None, faults, Some(&cap), cutoff, &mut NoopRecorder,
         );
         let (out, stats, over) = run(&mut eng);
         // Identity: every sent message meets exactly one fate.
@@ -161,10 +160,10 @@ proptest! {
             FaultPlan::none(150)
         };
         let cap = capacity(f64::from(load), policy_of(pol), model_of(mdl), seed ^ 0x0ca);
-        let mut eng = OverloadEngine::new();
-        let run = |eng: &mut OverloadEngine| eng.walk_rec(
-            &g, source, k, ttl, &holders, wseed, &plan, &cap, 0, nonce, cutoff,
-            &mut NoopRecorder,
+        let faults = FloodFaults { plan: &plan, time: 0, nonce };
+        let mut eng = EventEngine::new();
+        let run = |eng: &mut EventEngine| eng.walk(
+            &g, source, k, ttl, &holders, wseed, faults, Some(&cap), cutoff, &mut NoopRecorder,
         );
         let (out, stats, over) = run(&mut eng);
         prop_assert_eq!(

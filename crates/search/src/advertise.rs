@@ -1,5 +1,5 @@
 //! Advertisement-based search (ASAP, Cai/Gu/Wang ICPP'07 — the paper's
-//! ref [21]).
+//! ref \[21\]).
 //!
 //! Where flooding pulls at query time, ASAP pushes at publish time: every
 //! peer proactively sends a compact advertisement of its content to a
@@ -11,7 +11,7 @@
 //! term is proportional to how much content carries it, not to how often
 //! users ask for it.
 
-use crate::systems::{OverloadStats, SearchOutcome, SearchSystem};
+use crate::systems::{SearchOutcome, SearchSystem};
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_util::rng::Pcg64;
 use qcp_util::{FxHashMap, FxHashSet};
@@ -72,15 +72,7 @@ impl SearchSystem for AdvertiseSearch {
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
         let matching = world.matching_objects(&query.terms);
         if matching.is_empty() {
-            return SearchOutcome {
-                success: false,
-                messages: 0,
-                hops: None,
-                faults: Default::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
+            return SearchOutcome::default();
         }
         // Local store first, then a short random consultation walk.
         if self.check(world, query.source, &matching) {
@@ -88,10 +80,7 @@ impl SearchSystem for AdvertiseSearch {
                 success: true,
                 messages: 0,
                 hops: Some(0),
-                faults: Default::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
         let graph = &world.topology.graph;
@@ -122,10 +111,7 @@ impl SearchSystem for AdvertiseSearch {
                     success: true,
                     messages,
                     hops: Some(step),
-                    faults: Default::default(),
-                    elapsed: 0,
-                    deadline_exceeded: false,
-                    overload: OverloadStats::default(),
+                    ..SearchOutcome::default()
                 };
             }
         }
@@ -133,10 +119,7 @@ impl SearchSystem for AdvertiseSearch {
             success: false,
             messages,
             hops: None,
-            faults: Default::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 

@@ -1,4 +1,4 @@
-//! Gia baseline (Chawathe et al., SIGCOMM'03 — the paper's ref [17]).
+//! Gia baseline (Chawathe et al., SIGCOMM'03 — the paper's ref \[17\]).
 //!
 //! Gia improves Gnutella with (i) capacity-aware topology adaptation,
 //! (ii) one-hop replication of *indices* (each node can answer for its
@@ -12,7 +12,7 @@
 //! (the Gia paper's own 1x/10x/100x/1000x gnutella-like distribution),
 //! biases walks by capacity, and answers queries from one-hop indices.
 
-use crate::systems::{OverloadStats, SearchOutcome, SearchSystem};
+use crate::systems::{SearchOutcome, SearchSystem};
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_faults::capacity::{gia_tier, GIA_MULTIPLIERS};
 use qcp_util::rng::Pcg64;
@@ -69,15 +69,7 @@ impl SearchSystem for GiaSearch {
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
         let matching = world.matching_objects(&query.terms);
         if matching.is_empty() {
-            return SearchOutcome {
-                success: false,
-                messages: 0,
-                hops: None,
-                faults: Default::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
+            return SearchOutcome::default();
         }
         let graph = &world.topology.graph;
         let mut visited: FxHashSet<u32> = FxHashSet::default();
@@ -90,10 +82,7 @@ impl SearchSystem for GiaSearch {
                 success: true,
                 messages: 0,
                 hops: Some(0),
-                faults: Default::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
         for step in 1..=self.ttl {
@@ -126,10 +115,7 @@ impl SearchSystem for GiaSearch {
                     success: true,
                     messages,
                     hops: Some(step),
-                    faults: Default::default(),
-                    elapsed: 0,
-                    deadline_exceeded: false,
-                    overload: OverloadStats::default(),
+                    ..SearchOutcome::default()
                 };
             }
         }
@@ -137,10 +123,7 @@ impl SearchSystem for GiaSearch {
             success: false,
             messages,
             hops: None,
-            faults: Default::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Hybrid flood + DHT search (Loo et al., IPTPS'04 — the paper's ref [5]).
+//! Hybrid flood + DHT search (Loo et al., IPTPS'04 — the paper's ref \[5\]).
 //!
 //! The hybrid strategy: flood with a small TTL first (cheap for popular
 //! content); if the flood returns fewer than `rare_threshold` results the
@@ -14,14 +14,15 @@
 #[cfg(any(test, doc))]
 use crate::spec::SearchSpec;
 use crate::systems::{
-    reject_admission, FaultContext, MaintenanceSchedule, OverloadStats, SearchOutcome, SearchSystem,
+    query_faults, reject_admission, FaultContext, MaintenanceSchedule, OverloadStats,
+    SearchOutcome, SearchSystem,
 };
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_dht::{ChordNetwork, DhtIndex};
-use qcp_faults::{CapacityPlan, FaultStats};
+use qcp_faults::{CapacityPlan, FaultPlan};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
-use qcp_overlay::flood::{FloodEngine, FloodSpec};
-use qcp_overlay::{event_flood, OverloadEngine, OverloadOutcome};
+use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
+use qcp_overlay::EventEngine;
 use qcp_util::hash::mix64;
 use qcp_util::rng::Pcg64;
 use qcp_vtime::Deadline;
@@ -56,6 +57,34 @@ fn build_index(world: &SearchWorld, net: &ChordNetwork) -> DhtIndex {
     index
 }
 
+/// The DHT keys of a query's terms.
+fn query_keys(query: &QuerySpec) -> Vec<u64> {
+    query.terms.iter().map(|&t| term_key(t)).collect()
+}
+
+/// Runs one maintenance pass if `schedule` has one due before this
+/// query: posting lists stranded on departed owners move to their first
+/// alive successor (against the plan's alive mask at tick `time`), so
+/// later lookups stop missing stale. Records the pass under
+/// [`Kernel::Repair`] and returns its transfer messages (0 when no pass
+/// was due).
+fn maintain<R: Recorder>(
+    schedule: Option<&mut MaintenanceSchedule>,
+    index: &mut DhtIndex,
+    net: &ChordNetwork,
+    plan: &FaultPlan,
+    time: u64,
+    rec: &mut R,
+) -> u64 {
+    if !schedule.is_some_and(|s| s.due()) {
+        return 0;
+    }
+    let (_, messages) = index.re_replicate(net, &plan.alive_mask_at(time));
+    rec.rec_span(Kernel::Repair);
+    rec.rec_count(Kernel::Repair, Counter::Messages, messages);
+    messages
+}
+
 /// Records one completed structured lookup (record-after style: the
 /// lookup's own accounting is the source of truth, the recorder only
 /// mirrors it, so recording cannot perturb the lookup).
@@ -85,7 +114,7 @@ pub struct HybridSearch<R: Recorder = NoopRecorder> {
     net: ChordNetwork,
     index: DhtIndex,
     engine: FloodEngine,
-    overload: OverloadEngine,
+    events: EventEngine,
     forwarders: Vec<bool>,
     faults: Option<FaultContext>,
     maintenance: Option<MaintenanceSchedule>,
@@ -122,7 +151,7 @@ impl<R: Recorder> HybridSearch<R> {
             net,
             index,
             engine: FloodEngine::new(world.num_peers()),
-            overload: OverloadEngine::new(),
+            events: EventEngine::new(),
             forwarders: world.topology.forwarders(),
             faults,
             maintenance: None,
@@ -148,9 +177,9 @@ impl<R: Recorder> HybridSearch<R> {
     /// Attaches a maintenance schedule: before every `schedule`-th query
     /// the index re-replicates posting lists stranded on departed owners
     /// (against the plan's alive mask at that query's tick), so stale
-    /// misses decay mid-workload. Only meaningful together with
-    /// [`Self::with_faults`]; without a fault context every node is
-    /// alive and the pass is a free no-op.
+    /// misses decay mid-workload. Only meaningful together with a fault
+    /// context ([`SearchSpec::faults`]); without one there is no alive
+    /// mask and no pass runs.
     pub fn with_maintenance(mut self, schedule: MaintenanceSchedule) -> Self {
         self.maintenance = Some(schedule);
         self
@@ -169,43 +198,30 @@ impl<R: Recorder> HybridSearch<R> {
         self.fallbacks as f64 / self.queries as f64
     }
 
-    /// The faulty query path (see [`Self::with_faults`]).
-    fn search_faulty(&mut self, world: &SearchWorld, query: &QuerySpec) -> SearchOutcome {
-        // qcplint: allow(panic) — only called when `faults` is set.
-        let ctx = self.faults.as_mut().expect("faulty path requires context");
-        let (time, nonce) = ctx.next_query();
-        // The repair daemon runs on the query clock, independent of the
-        // issuer: stranded posting lists move to their first alive
-        // successor, so later lookups stop missing stale.
-        if let Some(sched) = &mut self.maintenance {
-            if sched.due() {
-                let alive = ctx.plan.alive_mask_at(time);
-                let (_, messages) = self.index.re_replicate(&self.net, &alive);
-                self.repair_messages += messages;
-                self.recorder.rec_span(Kernel::Repair);
-                self.recorder
-                    .rec_count(Kernel::Repair, Counter::Messages, messages);
-            }
-        }
-        if !ctx.plan.alive_at(query.source, time) {
+    /// The synchronous query path, fault-free or faulty: the flood phase
+    /// is one census at `flood_ttl`; rare queries fall back to the DHT,
+    /// with retry/backoff per hop under faults.
+    fn search_sync(
+        &mut self,
+        world: &SearchWorld,
+        query: &QuerySpec,
+        draw: Option<(u64, u64)>,
+    ) -> SearchOutcome {
+        let plan = query_faults(self.faults.as_ref(), draw);
+        if plan.is_some_and(|f| !f.plan.alive_at(query.source, f.time)) {
             // A departed peer issues nothing.
             self.recorder.rec_span(Kernel::Flood);
             self.recorder.rec_event(Kernel::Flood, Event::DeadSource);
-            return SearchOutcome {
-                success: false,
-                messages: 0,
-                hops: None,
-                faults: FaultStats::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
+            return SearchOutcome::default();
         }
         let matching = world.matching_objects(&query.terms);
         let holders = world.holders_of(&matching);
-        // The census at `flood_ttl` is the standalone faulty flood at
-        // that TTL, bitwise (BFS prefix property).
-        let spec = FloodSpec::new(self.flood_ttl).faulty(&ctx.plan, time, nonce);
+        // The census at `flood_ttl` is the standalone flood at that TTL,
+        // bitwise (BFS prefix property).
+        let spec = FloodSpec {
+            plan,
+            ..FloodSpec::new(self.flood_ttl)
+        };
         let (census, level_stats) = self.engine.run(
             &world.topology.graph,
             query.source,
@@ -216,46 +232,51 @@ impl<R: Recorder> HybridSearch<R> {
         );
         let flood = census.at(self.flood_ttl);
         let mut stats = level_stats[self.flood_ttl.min(census.levels()) as usize];
-        let hits = self.engine.hits_in_last_flood(&holders);
-        if hits >= self.rare_threshold {
+        if self.engine.hits_in_last_flood(&holders) >= self.rare_threshold {
             return SearchOutcome {
-                success: true,
+                success: flood.found,
                 messages: flood.messages,
                 hops: flood.found_at_hop,
                 faults: stats,
                 elapsed: stats.ticks,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
-        // Rare query: re-issue over the DHT with retry/backoff per hop.
+        // Rare query: re-issue over the DHT.
         self.fallbacks += 1;
-        let keys: Vec<u64> = query.terms.iter().map(|&t| term_key(t)).collect();
-        let (dht, dht_stats) = self.index.query_keys_faulty(
-            &self.net,
-            query.source,
-            &keys,
-            &ctx.plan,
-            &ctx.policy,
-            time,
-            mix64(nonce ^ DHT_PHASE_TAG),
-        );
-        stats.absorb(&dht_stats);
+        let keys = query_keys(query);
+        let (dht, dht_stats) = match self.faults.as_ref().zip(draw) {
+            Some((ctx, (time, nonce))) => {
+                let (dht, dht_stats) = self.index.query_keys_faulty(
+                    &self.net,
+                    query.source,
+                    &keys,
+                    &ctx.plan,
+                    &ctx.policy,
+                    time,
+                    mix64(nonce ^ DHT_PHASE_TAG),
+                );
+                stats.absorb(&dht_stats);
+                (dht, Some(dht_stats))
+            }
+            None => (self.index.query_keys(&self.net, query.source, &keys), None),
+        };
         self.recorder.rec_span(Kernel::ChordLookup);
         self.recorder
             .rec_event(Kernel::ChordLookup, Event::Fallback);
         self.recorder
             .rec_count(Kernel::ChordLookup, Counter::Messages, dht.messages);
         self.recorder.rec_hop(Kernel::ChordLookup, dht.hops, 1);
-        self.recorder.rec_faults(Kernel::ChordLookup, &dht_stats);
+        if let Some(dht_stats) = &dht_stats {
+            self.recorder.rec_faults(Kernel::ChordLookup, dht_stats);
+        }
         SearchOutcome {
             success: flood.found || !dht.results.is_empty(),
             messages: flood.messages + dht.messages,
             hops: flood.found_at_hop.or(Some(dht.hops)),
             faults: stats,
             elapsed: stats.ticks,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 
@@ -270,20 +291,10 @@ impl<R: Recorder> HybridSearch<R> {
         world: &SearchWorld,
         query: &QuerySpec,
         deadline: Deadline,
+        (time, nonce): (u64, u64),
     ) -> SearchOutcome {
         // qcplint: allow(panic) — build() rejects deadline sans faults.
-        let ctx = self.faults.as_mut().expect("deadline requires faults");
-        let (time, nonce) = ctx.next_query();
-        if let Some(sched) = &mut self.maintenance {
-            if sched.due() {
-                let alive = ctx.plan.alive_mask_at(time);
-                let (_, messages) = self.index.re_replicate(&self.net, &alive);
-                self.repair_messages += messages;
-                self.recorder.rec_span(Kernel::Repair);
-                self.recorder
-                    .rec_count(Kernel::Repair, Counter::Messages, messages);
-            }
-        }
+        let ctx = self.faults.as_ref().expect("deadline requires faults");
         if let Some(cap) = &self.capacity {
             // Ingress admission control: a refused query pays nothing
             // and skips both phases.
@@ -294,51 +305,28 @@ impl<R: Recorder> HybridSearch<R> {
         if !ctx.plan.alive_at(query.source, time) {
             self.recorder.rec_span(Kernel::Flood);
             self.recorder.rec_event(Kernel::Flood, Event::DeadSource);
-            return SearchOutcome {
-                success: false,
-                messages: 0,
-                hops: None,
-                faults: FaultStats::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
+            return SearchOutcome::default();
         }
         let matching = world.matching_objects(&query.terms);
         let holders = world.holders_of(&matching);
         // The flood phase alone is capacity-bound; the structured
         // fallback models provisioned infrastructure and keeps its
         // retry/timeout semantics.
-        let (flood, mut stats, over) = match &self.capacity {
-            Some(cap) => self.overload.flood_rec(
-                &world.topology.graph,
-                query.source,
-                self.flood_ttl,
-                &holders,
-                Some(&self.forwarders),
-                &ctx.plan,
-                cap,
+        let (flood, mut stats, over) = self.events.flood(
+            &world.topology.graph,
+            query.source,
+            self.flood_ttl,
+            &holders,
+            Some(&self.forwarders),
+            FloodFaults {
+                plan: &ctx.plan,
                 time,
                 nonce,
-                Some(deadline.ticks),
-                &mut self.recorder,
-            ),
-            None => {
-                let (flood, stats) = event_flood(
-                    &world.topology.graph,
-                    query.source,
-                    self.flood_ttl,
-                    &holders,
-                    Some(&self.forwarders),
-                    &ctx.plan,
-                    time,
-                    nonce,
-                    Some(deadline.ticks),
-                    &mut self.recorder,
-                );
-                (flood, stats, OverloadOutcome::default())
-            }
-        };
+            },
+            self.capacity.as_ref(),
+            Some(deadline.ticks),
+            &mut self.recorder,
+        );
         let overload = OverloadStats::from_outcome(&over);
         if overload.overloaded {
             self.recorder.rec_event(Kernel::Flood, Event::Overloaded);
@@ -350,7 +338,7 @@ impl<R: Recorder> HybridSearch<R> {
                     .rec_event(Kernel::Flood, Event::DeadlineExceeded);
             }
             return SearchOutcome {
-                success: true,
+                success: flood.flood.found,
                 messages: flood.flood.messages,
                 hops: flood.flood.found_at_hop,
                 faults: stats,
@@ -362,7 +350,7 @@ impl<R: Recorder> HybridSearch<R> {
         // Rare query: the timed DHT phase starts when the flood drains
         // (or is cut off) and inherits only the remaining budget.
         self.fallbacks += 1;
-        let keys: Vec<u64> = query.terms.iter().map(|&t| term_key(t)).collect();
+        let keys = query_keys(query);
         let budget = deadline.ticks.saturating_sub(flood.completion_time);
         let (dht, dht_stats) = self.index.query_keys_timed(
             &self.net,
@@ -423,54 +411,22 @@ impl<R: Recorder> SearchSystem for HybridSearch<R> {
         _rng: &mut Pcg64,
     ) -> SearchOutcome {
         self.queries += 1;
-        if let Some(deadline) = self.deadline {
-            return self.search_deadline(world, query, deadline);
+        let draw = self.faults.as_mut().map(FaultContext::next_query);
+        if let (Some(ctx), Some((time, _))) = (&self.faults, draw) {
+            // The repair daemon runs on the query clock, independent of
+            // the issuer.
+            self.repair_messages += maintain(
+                self.maintenance.as_mut(),
+                &mut self.index,
+                &self.net,
+                &ctx.plan,
+                time,
+                &mut self.recorder,
+            );
         }
-        if self.faults.is_some() {
-            return self.search_faulty(world, query);
-        }
-        let matching = world.matching_objects(&query.terms);
-        let holders = world.holders_of(&matching);
-        let spec = FloodSpec::new(self.flood_ttl);
-        let (census, _) = self.engine.run(
-            &world.topology.graph,
-            query.source,
-            &holders,
-            Some(&self.forwarders),
-            &spec,
-            &mut self.recorder,
-        );
-        let flood = census.at(self.flood_ttl);
-        let hits = self.engine.hits_in_last_flood(&holders);
-        if hits >= self.rare_threshold {
-            return SearchOutcome {
-                success: true,
-                messages: flood.messages,
-                hops: flood.found_at_hop,
-                faults: FaultStats::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
-        }
-        // Rare query: re-issue over the DHT.
-        self.fallbacks += 1;
-        let keys: Vec<u64> = query.terms.iter().map(|&t| term_key(t)).collect();
-        let dht = self.index.query_keys(&self.net, query.source, &keys);
-        self.recorder.rec_span(Kernel::ChordLookup);
-        self.recorder
-            .rec_event(Kernel::ChordLookup, Event::Fallback);
-        self.recorder
-            .rec_count(Kernel::ChordLookup, Counter::Messages, dht.messages);
-        self.recorder.rec_hop(Kernel::ChordLookup, dht.hops, 1);
-        SearchOutcome {
-            success: flood.found || !dht.results.is_empty(),
-            messages: flood.messages + dht.messages,
-            hops: flood.found_at_hop.or(Some(dht.hops)),
-            faults: FaultStats::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+        match (self.deadline, draw) {
+            (Some(deadline), Some(draw)) => self.search_deadline(world, query, deadline, draw),
+            _ => self.search_sync(world, query, draw),
         }
     }
 
@@ -556,19 +512,17 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
         _rng: &mut Pcg64,
     ) -> SearchOutcome {
         let _ = world;
-        let keys: Vec<u64> = query.terms.iter().map(|&t| term_key(t)).collect();
+        let keys = query_keys(query);
         if let Some(ctx) = &mut self.faults {
             let (time, nonce) = ctx.next_query();
-            if let Some(sched) = &mut self.maintenance {
-                if sched.due() {
-                    let alive = ctx.plan.alive_mask_at(time);
-                    let (_, messages) = self.index.re_replicate(&self.net, &alive);
-                    self.repair_messages += messages;
-                    self.recorder.rec_span(Kernel::Repair);
-                    self.recorder
-                        .rec_count(Kernel::Repair, Counter::Messages, messages);
-                }
-            }
+            self.repair_messages += maintain(
+                self.maintenance.as_mut(),
+                &mut self.index,
+                &self.net,
+                &ctx.plan,
+                time,
+                &mut self.recorder,
+            );
             if let Some(deadline) = self.deadline {
                 // The DHT is provisioned infrastructure: no queueing
                 // model, but the ingress admission gate still applies.
@@ -607,7 +561,7 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
                     faults: stats,
                     elapsed: out.elapsed,
                     deadline_exceeded: out.deadline_exceeded,
-                    overload: OverloadStats::default(),
+                    ..SearchOutcome::default()
                 };
             }
             let (out, stats) = self.index.query_keys_faulty(
@@ -628,8 +582,7 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
                 hops: Some(out.hops),
                 faults: stats,
                 elapsed: stats.ticks,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
         let out = self.index.query_keys(&self.net, query.source, &keys);
@@ -639,10 +592,7 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
             success,
             messages: out.messages,
             hops: Some(out.hops),
-            faults: FaultStats::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 
@@ -765,6 +715,40 @@ mod tests {
     }
 
     #[test]
+    fn zero_threshold_hybrid_reports_no_success_without_a_hit() {
+        // With `rare_threshold == 0` no query is rare, so the flood phase
+        // alone answers; a query matching nothing must still fail, on
+        // the fault-free, the faulty and the deadline path alike.
+        let w = world();
+        let q = QuerySpec {
+            terms: vec![4_999_999],
+            source: 0,
+        };
+        let none = || {
+            FaultContext::new(
+                qcp_faults::FaultPlan::none(500),
+                qcp_faults::RetryPolicy::default(),
+                1,
+            )
+        };
+        let systems = [
+            SearchSpec::hybrid(2, 0, 4).build(&w),
+            SearchSpec::hybrid(2, 0, 4).faults(none()).build(&w),
+            SearchSpec::hybrid(2, 0, 4)
+                .faults(none())
+                .deadline(Deadline::after(50))
+                .build(&w),
+        ];
+        let mut rng = Pcg64::new(4);
+        for mut sys in systems {
+            let out = sys.search(&w, &q, &mut rng);
+            assert!(!out.success, "{}: nothing matched", sys.name());
+            assert_eq!(out.hops, None);
+            assert_eq!(sys.into_hybrid().fallbacks, 0, "threshold 0: never rare");
+        }
+    }
+
+    #[test]
     fn maintenance_cost_reported() {
         let w = world();
         let hybrid = SearchSpec::hybrid(2, 10, 10).build(&w).into_hybrid();
@@ -776,7 +760,7 @@ mod tests {
 mod faulty_tests {
     use super::*;
     use crate::world::WorldConfig;
-    use qcp_faults::{FaultConfig, FaultPlan, RetryPolicy};
+    use qcp_faults::{FaultConfig, FaultPlan, FaultStats, RetryPolicy};
 
     fn world() -> SearchWorld {
         SearchWorld::generate(&WorldConfig {

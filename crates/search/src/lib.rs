@@ -6,18 +6,18 @@
 //! * [`world`] — the shared simulation world: topology, object placement,
 //!   per-object term sets, inverted posting lists, and a query workload
 //!   model with the planted query/file popularity mismatch;
-//! * [`systems`] — the [`SearchSystem`](systems::SearchSystem) trait and
-//!   baseline implementations: TTL flooding, k-walker random walks;
-//! * [`spec`] — the unified [`SearchSpec`](spec::SearchSpec) builder:
-//!   the sole entry point for every baseline system, with optional fault
-//!   contexts, maintenance schedules, replication plans, and
-//!   instrumentation recorders;
-//! * [`gia`] — the Gia baseline (paper ref [17]): capacity-weighted
+//! * [`systems`] — the [`SearchSystem`] trait and baseline
+//!   implementations: TTL flooding, k-walker random walks;
+//! * [`spec`] — the unified [`SearchSpec`] builder: the sole entry
+//!   point for every baseline system, with optional fault contexts,
+//!   maintenance schedules, replication plans, and instrumentation
+//!   recorders;
+//! * [`gia`] — the Gia baseline (paper ref \[17\]): capacity-weighted
 //!   topology roles, one-hop replication, biased walks;
 //! * [`hybrid`] — flood-then-DHT hybrid search with the Loo et al.
-//!   rare-query rule (paper ref [5]);
+//!   rare-query rule (paper ref \[5\]);
 //! * [`advertise`] — ASAP-style advertisement-based search (paper ref
-//!   [21]): content pushed ahead of queries, the content-centric push
+//!   \[21\]): content pushed ahead of queries, the content-centric push
 //!   counterpart to the synopsis pull;
 //! * [`qrp`] — Gnutella's deployed Query Routing Protocol: leaf keyword
 //!   tables gating flood deliveries (prunes misses; cannot create hits);

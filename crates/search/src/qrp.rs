@@ -13,7 +13,7 @@
 //! annotation/query mismatch is what limits it — pruning misses is all it
 //! can do; it cannot make under-replicated content findable.
 
-use crate::systems::{OverloadStats, SearchOutcome, SearchSystem};
+use crate::systems::{SearchOutcome, SearchSystem};
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_overlay::topology::NodeKind;
 use qcp_sketch::BloomFilter;
@@ -151,10 +151,7 @@ impl SearchSystem for QrpFloodSearch {
             success: found_at.is_some(),
             messages,
             hops: found_at,
-            faults: Default::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 

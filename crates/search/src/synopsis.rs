@@ -19,7 +19,7 @@
 //! Ablation A1 runs both at identical budgets and shows the query-centric
 //! policy resolving substantially more queries per synopsis bit.
 
-use crate::systems::{OverloadStats, SearchOutcome, SearchSystem};
+use crate::systems::{SearchOutcome, SearchSystem};
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_sketch::{SynopsisBudget, TermSynopsis};
 use qcp_util::rng::Pcg64;
@@ -130,15 +130,7 @@ impl SearchSystem for SynopsisSearch {
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
         let matching = world.matching_objects(&query.terms);
         if matching.is_empty() {
-            return SearchOutcome {
-                success: false,
-                messages: 0,
-                hops: None,
-                faults: Default::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
-            };
+            return SearchOutcome::default();
         }
         let graph = &world.topology.graph;
         let mut visited: FxHashSet<u32> = FxHashSet::default();
@@ -149,10 +141,7 @@ impl SearchSystem for SynopsisSearch {
                 success: true,
                 messages: 0,
                 hops: Some(0),
-                faults: Default::default(),
-                elapsed: 0,
-                deadline_exceeded: false,
-                overload: OverloadStats::default(),
+                ..SearchOutcome::default()
             };
         }
         let mut messages = 0u64;
@@ -197,10 +186,7 @@ impl SearchSystem for SynopsisSearch {
                     success: true,
                     messages,
                     hops: Some(step),
-                    faults: Default::default(),
-                    elapsed: 0,
-                    deadline_exceeded: false,
-                    overload: OverloadStats::default(),
+                    ..SearchOutcome::default()
                 };
             }
         }
@@ -208,10 +194,7 @@ impl SearchSystem for SynopsisSearch {
             success: false,
             messages,
             hops: None,
-            faults: Default::default(),
-            elapsed: 0,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         }
     }
 

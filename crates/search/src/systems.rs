@@ -8,9 +8,7 @@ use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
 use qcp_overlay::expanding::expanding_ring_search;
 use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
 use qcp_overlay::walk::random_walk_search;
-use qcp_overlay::{
-    event_flood, event_walk, OverloadEngine, OverloadOutcome, Placement, ReplicationPlan,
-};
+use qcp_overlay::{EventEngine, OverloadOutcome, Placement, ReplicationPlan};
 use qcp_util::hash::mix64;
 use qcp_util::rng::{child_seed, Pcg64};
 use qcp_vtime::Deadline;
@@ -60,7 +58,7 @@ fn note_copies_placed<R: Recorder>(kernel: Kernel, replication: Option<&ReplicaS
 }
 
 /// Result of one query through one system.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchOutcome {
     /// Whether a peer holding a matching object was located.
     pub success: bool,
@@ -163,14 +161,30 @@ pub(crate) fn reject_admission<R: Recorder>(kernel: Kernel, rec: &mut R) -> Sear
     rec.rec_count(kernel, Counter::AdmissionRejected, 1);
     rec.rec_event(kernel, Event::Overloaded);
     SearchOutcome {
-        success: false,
-        messages: 0,
-        hops: None,
-        faults: FaultStats::default(),
-        elapsed: 0,
-        deadline_exceeded: false,
         overload: OverloadStats::rejected(),
+        ..SearchOutcome::default()
     }
+}
+
+/// Closes a deadline-path kernel run: a `truncated` run that found
+/// nothing was ended by the clock, and a run that shed work is
+/// overloaded. Sets both flags on `out` and records them.
+fn close_timed<R: Recorder>(
+    kernel: Kernel,
+    mut out: SearchOutcome,
+    truncated: bool,
+    over: &OverloadOutcome,
+    rec: &mut R,
+) -> SearchOutcome {
+    out.deadline_exceeded = truncated && !out.success;
+    if out.deadline_exceeded {
+        rec.rec_event(kernel, Event::DeadlineExceeded);
+    }
+    out.overload = OverloadStats::from_outcome(over);
+    if out.overload.overloaded {
+        rec.rec_event(kernel, Event::Overloaded);
+    }
+    out
 }
 
 /// Per-system fault context: the shared [`FaultPlan`], the retry policy
@@ -210,9 +224,12 @@ impl FaultContext {
     }
 }
 
-/// The synchronous kernels' fault context for one query: the plan at
-/// the query's `(time, nonce)` draw, or `None` for a fault-free system.
-fn sync_faults(faults: Option<&FaultContext>, draw: Option<(u64, u64)>) -> Option<FloodFaults<'_>> {
+/// The kernels' fault context for one query: the plan at the query's
+/// `(time, nonce)` draw, or `None` for a fault-free system.
+pub(crate) fn query_faults(
+    faults: Option<&FaultContext>,
+    draw: Option<(u64, u64)>,
+) -> Option<FloodFaults<'_>> {
     let (ctx, (time, nonce)) = faults.zip(draw)?;
     Some(FloodFaults {
         plan: &ctx.plan,
@@ -297,7 +314,7 @@ pub struct FloodSearch<R: Recorder = NoopRecorder> {
     /// Flood TTL.
     pub ttl: u32,
     engine: FloodEngine,
-    overload: OverloadEngine,
+    events: EventEngine,
     forwarders: Vec<bool>,
     faults: Option<FaultContext>,
     deadline: Option<Deadline>,
@@ -321,7 +338,7 @@ impl<R: Recorder> FloodSearch<R> {
         Self {
             ttl,
             engine: FloodEngine::new(world.num_peers()),
-            overload: OverloadEngine::new(),
+            events: EventEngine::new(),
             forwarders: world.topology.forwarders(),
             faults,
             deadline,
@@ -345,13 +362,13 @@ impl<R: Recorder> FloodSearch<R> {
 /// One flood query against an explicit holder set: the engine body
 /// shared by the recorded primary run and the owner-only shadow run
 /// that [`SearchSpec::replication`] uses for copies-hit accounting.
-/// Admission control, engine selection (capacity / deadline / census)
-/// and event recording all happen here, against whichever recorder is
-/// passed.
+/// Admission control, engine selection (calendar on the deadline path,
+/// census otherwise) and event recording all happen here, against
+/// whichever recorder is passed.
 #[allow(clippy::too_many_arguments)]
 fn flood_once<R: Recorder>(
     engine: &mut FloodEngine,
-    overload: &mut OverloadEngine,
+    events: &mut EventEngine,
     forwarders: &[bool],
     faults: Option<&FaultContext>,
     deadline: Option<Deadline>,
@@ -363,77 +380,38 @@ fn flood_once<R: Recorder>(
     draw: Option<(u64, u64)>,
     rec: &mut R,
 ) -> SearchOutcome {
-    if let (Some(deadline), Some((time, nonce))) = (deadline, draw) {
-        // Deadline path: the event-driven flood on real link
-        // latencies, cut off at the deadline.
-        // qcplint: allow(panic) — build() rejects deadline sans faults.
-        let ctx = faults.expect("deadline requires faults");
-        if let Some(cap) = capacity {
-            // Capacity path: bounded queues and service rates on the
-            // overload engine (bitwise the plain event flood under an
-            // unlimited plan), gated by ingress admission control.
-            if !cap.admit(query.source, nonce) {
-                return reject_admission(Kernel::Flood, rec);
-            }
-            let (out, stats, over) = overload.flood_rec(
-                &world.topology.graph,
-                query.source,
-                ttl,
-                holders,
-                Some(forwarders),
-                &ctx.plan,
-                cap,
-                time,
-                nonce,
-                Some(deadline.ticks),
-                rec,
-            );
-            let exceeded = out.truncated && !out.flood.found;
-            if exceeded {
-                rec.rec_event(Kernel::Flood, Event::DeadlineExceeded);
-            }
-            let overload = OverloadStats::from_outcome(&over);
-            if overload.overloaded {
-                rec.rec_event(Kernel::Flood, Event::Overloaded);
-            }
-            return SearchOutcome {
-                success: out.flood.found,
-                messages: out.flood.messages,
-                hops: out.flood.found_at_hop,
-                faults: stats,
-                elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-                deadline_exceeded: exceeded,
-                overload,
-            };
+    let plan = query_faults(faults, draw);
+    if let (Some(deadline), Some(plan)) = (deadline, plan) {
+        // Deadline path: the event-driven flood on real link latencies,
+        // cut off at the deadline; a capacity plan queues arrivals
+        // (bitwise direct delivery when unlimited) behind ingress
+        // admission control.
+        if capacity.is_some_and(|cap| !cap.admit(query.source, plan.nonce)) {
+            return reject_admission(Kernel::Flood, rec);
         }
-        let (out, stats) = event_flood(
+        let (out, stats, over) = events.flood(
             &world.topology.graph,
             query.source,
             ttl,
             holders,
             Some(forwarders),
-            &ctx.plan,
-            time,
-            nonce,
+            plan,
+            capacity,
             Some(deadline.ticks),
             rec,
         );
-        let exceeded = out.truncated && !out.flood.found;
-        if exceeded {
-            rec.rec_event(Kernel::Flood, Event::DeadlineExceeded);
-        }
-        return SearchOutcome {
+        let timed = SearchOutcome {
             success: out.flood.found,
             messages: out.flood.messages,
             hops: out.flood.found_at_hop,
             faults: stats,
             elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-            deadline_exceeded: exceeded,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         };
+        return close_timed(Kernel::Flood, timed, out.truncated, &over, rec);
     }
     let spec = FloodSpec {
-        plan: sync_faults(faults, draw),
+        plan,
         ..FloodSpec::new(ttl)
     };
     let (census, stats) = engine.run(
@@ -452,8 +430,7 @@ fn flood_once<R: Recorder>(
         hops: out.found_at_hop,
         faults: stats[level],
         elapsed: stats[level].ticks,
-        deadline_exceeded: false,
-        overload: OverloadStats::default(),
+        ..SearchOutcome::default()
     }
 }
 
@@ -480,7 +457,7 @@ impl<R: Recorder> SearchSystem for FloodSearch<R> {
         let draw = self.faults.as_mut().map(FaultContext::next_query);
         let out = flood_once(
             &mut self.engine,
-            &mut self.overload,
+            &mut self.events,
             &self.forwarders,
             self.faults.as_ref(),
             self.deadline,
@@ -501,7 +478,7 @@ impl<R: Recorder> SearchSystem for FloodSearch<R> {
             let mut noop = NoopRecorder;
             let shadow = flood_once(
                 &mut self.engine,
-                &mut self.overload,
+                &mut self.events,
                 &self.forwarders,
                 self.faults.as_ref(),
                 self.deadline,
@@ -529,7 +506,7 @@ pub struct RandomWalkSearch<R: Recorder = NoopRecorder> {
     pub walkers: usize,
     /// Steps per walker.
     pub ttl: u32,
-    overload: OverloadEngine,
+    events: EventEngine,
     faults: Option<FaultContext>,
     deadline: Option<Deadline>,
     capacity: Option<CapacityPlan>,
@@ -552,7 +529,7 @@ impl<R: Recorder> RandomWalkSearch<R> {
         Self {
             walkers,
             ttl,
-            overload: OverloadEngine::new(),
+            events: EventEngine::new(),
             faults,
             deadline,
             capacity,
@@ -578,7 +555,7 @@ impl<R: Recorder> RandomWalkSearch<R> {
 /// replay the exact walker trajectories over the owner-only holders.
 #[allow(clippy::too_many_arguments)]
 fn walk_once<R: Recorder>(
-    overload: &mut OverloadEngine,
+    events: &mut EventEngine,
     walkers: usize,
     ttl: u32,
     faults: Option<&FaultContext>,
@@ -591,80 +568,39 @@ fn walk_once<R: Recorder>(
     rng: &mut Pcg64,
     rec: &mut R,
 ) -> SearchOutcome {
-    if let (Some(deadline), Some((time, nonce))) = (deadline, draw) {
+    let plan = query_faults(faults, draw);
+    if let (Some(deadline), Some(plan)) = (deadline, plan) {
         // Deadline path: walkers race over real link latencies on the
         // event calendar; each walker draws from its own seeded
         // stream, so this path's one extra `rng` draw (the walk seed)
-        // is its only RNG footprint.
-        // qcplint: allow(panic) — build() rejects deadline sans faults.
-        let ctx = faults.expect("deadline requires faults");
+        // is its only RNG footprint. The seed is drawn before the
+        // admission gate, so rejection never shifts later queries'
+        // draws.
         let walk_seed = rng.next();
-        if let Some(cap) = capacity {
-            // Capacity path: walker steps queue for service at each
-            // node (bitwise the plain event walk under an unlimited
-            // plan). The walk seed is drawn before the admission
-            // gate, so rejection never shifts later queries' draws.
-            if !cap.admit(query.source, nonce) {
-                return reject_admission(Kernel::Walk, rec);
-            }
-            let (out, stats, over) = overload.walk_rec(
-                &world.topology.graph,
-                query.source,
-                walkers,
-                ttl,
-                holders,
-                walk_seed,
-                &ctx.plan,
-                cap,
-                time,
-                nonce,
-                Some(deadline.ticks),
-                rec,
-            );
-            let exceeded = out.truncated && !out.walk.found;
-            if exceeded {
-                rec.rec_event(Kernel::Walk, Event::DeadlineExceeded);
-            }
-            let overload = OverloadStats::from_outcome(&over);
-            if overload.overloaded {
-                rec.rec_event(Kernel::Walk, Event::Overloaded);
-            }
-            return SearchOutcome {
-                success: out.walk.found,
-                messages: out.walk.messages,
-                hops: out.walk.found_at_step,
-                faults: stats,
-                elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-                deadline_exceeded: exceeded,
-                overload,
-            };
+        if capacity.is_some_and(|cap| !cap.admit(query.source, plan.nonce)) {
+            return reject_admission(Kernel::Walk, rec);
         }
-        let (out, stats) = event_walk(
+        let (out, stats, over) = events.walk(
             &world.topology.graph,
             query.source,
             walkers,
             ttl,
             holders,
             walk_seed,
-            &ctx.plan,
-            time,
-            nonce,
+            plan,
+            capacity,
             Some(deadline.ticks),
             rec,
         );
-        let exceeded = out.truncated && !out.walk.found;
-        if exceeded {
-            rec.rec_event(Kernel::Walk, Event::DeadlineExceeded);
-        }
-        return SearchOutcome {
+        let timed = SearchOutcome {
             success: out.walk.found,
             messages: out.walk.messages,
             hops: out.walk.found_at_step,
             faults: stats,
             elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-            deadline_exceeded: exceeded,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         };
+        return close_timed(Kernel::Walk, timed, out.truncated, &over, rec);
     }
     let (out, stats) = random_walk_search(
         &world.topology.graph,
@@ -673,7 +609,7 @@ fn walk_once<R: Recorder>(
         ttl,
         holders,
         rng,
-        sync_faults(faults, draw),
+        plan,
         rec,
     );
     SearchOutcome {
@@ -682,8 +618,7 @@ fn walk_once<R: Recorder>(
         hops: out.found_at_step,
         faults: stats,
         elapsed: stats.ticks,
-        deadline_exceeded: false,
-        overload: OverloadStats::default(),
+        ..SearchOutcome::default()
     }
 }
 
@@ -704,7 +639,7 @@ impl<R: Recorder> SearchSystem for RandomWalkSearch<R> {
         // unused when the query fails or replication is off).
         let mut shadow_rng = self.replication.as_ref().map(|_| rng.clone());
         let out = walk_once(
-            &mut self.overload,
+            &mut self.events,
             self.walkers,
             self.ttl,
             self.faults.as_ref(),
@@ -721,7 +656,7 @@ impl<R: Recorder> SearchSystem for RandomWalkSearch<R> {
             let base = world.holders_of(&matching);
             let mut noop = NoopRecorder;
             let shadow = walk_once(
-                &mut self.overload,
+                &mut self.events,
                 self.walkers,
                 self.ttl,
                 self.faults.as_ref(),
@@ -858,7 +793,7 @@ pub struct ExpandingRingSearch<R: Recorder = NoopRecorder> {
     /// Deepest ring to try.
     pub max_ttl: u32,
     engine: FloodEngine,
-    overload: OverloadEngine,
+    events: EventEngine,
     forwarders: Vec<bool>,
     faults: Option<FaultContext>,
     deadline: Option<Deadline>,
@@ -888,7 +823,7 @@ impl<R: Recorder> ExpandingRingSearch<R> {
         Self {
             max_ttl,
             engine: FloodEngine::new(world.num_peers()),
-            overload: OverloadEngine::new(),
+            events: EventEngine::new(),
             forwarders: world.topology.forwarders(),
             faults,
             deadline,
@@ -932,7 +867,7 @@ impl<R: Recorder> ExpandingRingSearch<R> {
 #[allow(clippy::too_many_arguments)]
 fn ring_once<R: Recorder>(
     engine: &mut FloodEngine,
-    overload: &mut OverloadEngine,
+    events: &mut EventEngine,
     forwarders: &[bool],
     faults: Option<&FaultContext>,
     deadline: Option<Deadline>,
@@ -944,126 +879,79 @@ fn ring_once<R: Recorder>(
     draw: Option<(u64, u64)>,
     rec: &mut R,
 ) -> (SearchOutcome, u64) {
-    if let (Some(deadline), Some((time, nonce))) = (deadline, draw) {
-        // qcplint: allow(panic) — build() rejects deadline sans faults.
-        let ctx = faults.expect("deadline requires faults");
-        if let Some(cap) = capacity {
-            // Admission control gates the whole deepening schedule: a
-            // rejected query never issues its first ring.
-            if !cap.admit(query.source, nonce) {
-                return (reject_admission(Kernel::ExpandingRing, rec), 0);
-            }
+    let plan = query_faults(faults, draw);
+    if let (Some(deadline), Some(plan)) = (deadline, plan) {
+        // Admission control gates the whole deepening schedule: a
+        // rejected query never issues its first ring.
+        if capacity.is_some_and(|cap| !cap.admit(query.source, plan.nonce)) {
+            return (reject_admission(Kernel::ExpandingRing, rec), 0);
         }
         rec.rec_span(Kernel::ExpandingRing);
-        if !ctx.plan.alive_at(query.source, time) {
+        if !plan.plan.alive_at(query.source, plan.time) {
             rec.rec_event(Kernel::ExpandingRing, Event::DeadSource);
-            return (
-                SearchOutcome {
-                    success: false,
-                    messages: 0,
-                    hops: None,
-                    faults: FaultStats::default(),
-                    elapsed: 0,
-                    deadline_exceeded: false,
-                    overload: OverloadStats::default(),
-                },
-                0,
-            );
+            return (SearchOutcome::default(), 0);
         }
-        let mut messages = 0u64;
-        let mut stats = FaultStats::default();
+        let mut out = SearchOutcome::default();
         let mut spent = 0u64;
         let mut rings = 0u64;
-        let mut exceeded = false;
-        let mut success = false;
-        let mut hops = None;
-        let mut elapsed = 0u64;
-        let mut overload_stats = OverloadStats::default();
         for ttl in 1..=max_ttl {
             // Each ring is an independent flood with its own drop-stream
             // position, as in the synchronous schedule's re-floods.
-            let ring_nonce = mix64(nonce ^ u64::from(ttl));
-            let (out, ring_stats) = match capacity {
-                Some(cap) => {
-                    let (out, ring_stats, over) = overload.flood_rec(
-                        &world.topology.graph,
-                        query.source,
-                        ttl,
-                        holders,
-                        Some(forwarders),
-                        &ctx.plan,
-                        cap,
-                        time,
-                        ring_nonce,
-                        Some(deadline.ticks - spent),
-                        rec,
-                    );
-                    overload_stats.absorb_outcome(&over);
-                    (out, ring_stats)
-                }
-                None => event_flood(
-                    &world.topology.graph,
-                    query.source,
-                    ttl,
-                    holders,
-                    Some(forwarders),
-                    &ctx.plan,
-                    time,
-                    ring_nonce,
-                    Some(deadline.ticks - spent),
-                    rec,
-                ),
+            let ring = FloodFaults {
+                nonce: mix64(plan.nonce ^ u64::from(ttl)),
+                ..plan
             };
+            let (flood, ring_stats, over) = events.flood(
+                &world.topology.graph,
+                query.source,
+                ttl,
+                holders,
+                Some(forwarders),
+                ring,
+                capacity,
+                Some(deadline.ticks - spent),
+                rec,
+            );
             rings += 1;
-            messages += out.flood.messages;
-            stats.absorb(&ring_stats);
-            if out.flood.found {
-                success = true;
-                hops = out.flood.found_at_hop;
-                elapsed = spent + out.first_hit_time.unwrap_or(out.completion_time);
+            out.messages += flood.flood.messages;
+            out.faults.absorb(&ring_stats);
+            out.overload.absorb_outcome(&over);
+            if flood.flood.found {
+                out.success = true;
+                out.hops = flood.flood.found_at_hop;
+                out.elapsed = spent + flood.first_hit_time.unwrap_or(flood.completion_time);
                 break;
             }
-            spent += out.completion_time;
-            elapsed = spent;
-            if out.truncated || spent >= deadline.ticks {
-                exceeded = true;
+            spent += flood.completion_time;
+            out.elapsed = spent;
+            if flood.truncated || spent >= deadline.ticks {
+                out.deadline_exceeded = true;
                 break;
             }
         }
         // Answer-time semantics: the schedule stops at the hit, so its
         // consumed time is `elapsed`, not the sum of full ring drains.
-        stats.ticks = elapsed;
-        rec.rec_count(Kernel::ExpandingRing, Counter::Messages, messages);
+        out.faults.ticks = out.elapsed;
+        rec.rec_count(Kernel::ExpandingRing, Counter::Messages, out.messages);
         rec.rec_count(Kernel::ExpandingRing, Counter::Rings, rings);
-        rec.rec_faults(Kernel::ExpandingRing, &stats);
-        if let Some(h) = hops {
+        rec.rec_faults(Kernel::ExpandingRing, &out.faults);
+        if let Some(h) = out.hops {
             rec.rec_hop(Kernel::ExpandingRing, h, 1);
         }
-        if success {
-            rec.rec_time(Kernel::ExpandingRing, elapsed, 1);
+        if out.success {
+            rec.rec_time(Kernel::ExpandingRing, out.elapsed, 1);
         }
         rec.rec_event(
             Kernel::ExpandingRing,
-            if success { Event::Hit } else { Event::Miss },
+            if out.success { Event::Hit } else { Event::Miss },
         );
-        if exceeded {
+        if out.deadline_exceeded {
             rec.rec_event(Kernel::ExpandingRing, Event::DeadlineExceeded);
         }
-        if overload_stats.overloaded {
+        if out.overload.overloaded {
             rec.rec_event(Kernel::ExpandingRing, Event::Overloaded);
         }
-        return (
-            SearchOutcome {
-                success,
-                messages,
-                hops,
-                faults: stats,
-                elapsed,
-                deadline_exceeded: exceeded,
-                overload: overload_stats,
-            },
-            rings,
-        );
+        return (out, rings);
     }
     let (out, stats) = expanding_ring_search(
         engine,
@@ -1072,7 +960,7 @@ fn ring_once<R: Recorder>(
         max_ttl,
         holders,
         Some(forwarders),
-        sync_faults(faults, draw),
+        plan,
         rec,
     );
     (
@@ -1082,8 +970,7 @@ fn ring_once<R: Recorder>(
             hops: out.found_at_ttl,
             faults: stats,
             elapsed: stats.ticks,
-            deadline_exceeded: false,
-            overload: OverloadStats::default(),
+            ..SearchOutcome::default()
         },
         out.rings as u64,
     )
@@ -1109,7 +996,7 @@ impl<R: Recorder> SearchSystem for ExpandingRingSearch<R> {
         let draw = self.faults.as_mut().map(FaultContext::next_query);
         let (out, rings) = ring_once(
             &mut self.engine,
-            &mut self.overload,
+            &mut self.events,
             &self.forwarders,
             self.faults.as_ref(),
             self.deadline,
@@ -1130,7 +1017,7 @@ impl<R: Recorder> SearchSystem for ExpandingRingSearch<R> {
             let mut noop = NoopRecorder;
             let (shadow, _) = ring_once(
                 &mut self.engine,
-                &mut self.overload,
+                &mut self.events,
                 &self.forwarders,
                 self.faults.as_ref(),
                 self.deadline,

@@ -1,7 +1,7 @@
 //! `qcp-sketch` — probabilistic set sketches.
 //!
 //! The paper's position (Section VII and the authors' follow-up work, their
-//! ref [9]) is that unstructured overlays should carry per-peer *synopses*
+//! ref \[9\]) is that unstructured overlays should carry per-peer *synopses*
 //! of content, adapted to observed query-term popularity. This crate
 //! provides the synopsis machinery:
 //!

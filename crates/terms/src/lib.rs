@@ -6,7 +6,7 @@
 //! characters (Figure 2), and queries match objects when every query term
 //! appears in the object's name (Gnutella AND semantics).
 //!
-//! * [`tokenize`] — the protocol tokenizer (UTF-8 aware, splits on
+//! * [`tokenize`](mod@tokenize) — the protocol tokenizer (UTF-8 aware, splits on
 //!   non-alphanumeric separators, drops extensions-like noise only via the
 //!   configurable minimum length);
 //! * [`sanitize`] — the Figure-2 name sanitizer;

@@ -2,7 +2,7 @@
 //!
 //! Real Gnutella replicas of one song rarely share byte-identical names:
 //! the paper lists five spellings of "Aaron Neville – I Don't Know Much"
-//! alone, and Zaharia et al. (the paper's ref [13]) measured ~20% of file
+//! alone, and Zaharia et al. (the paper's ref \[13\]) measured ~20% of file
 //! descriptions misspelt. The crawl generator applies three independent
 //! noise channels per shared *copy*:
 //!

@@ -63,7 +63,7 @@ pub fn fit_rank_frequency(counts: &[u64]) -> TailFit {
 /// `cutoff = max(4 · max(values), 10_000)`, so the fitted law lives on a
 /// bounded support that comfortably covers the data (all of ours is
 /// bounded by the peer count). The truncated sum is evaluated by
-/// [`truncated_zeta`] in `O(1)` per step rather than term by term; its
+/// `truncated_zeta` in `O(1)` per step rather than term by term; its
 /// relative error is a few ulps, far below the golden-section
 /// resolution of `τ`.
 pub fn fit_tail_mle(values: &[u64], x_min: u64) -> TailFit {

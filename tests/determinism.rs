@@ -762,8 +762,8 @@ fn profile_thread_width_does_not_leak() {
 // ---------------------------------------------------------------------
 
 use qcp2p::obs::Event;
-use qcp2p::overlay::event_flood;
-use qcp2p::overlay::flood::{FloodEngine, FloodSpec};
+use qcp2p::overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
+use qcp2p::overlay::EventEngine;
 use qcp_bench::latency::{latency_data, latency_data_recorded};
 
 #[test]
@@ -781,7 +781,14 @@ fn event_flood_at_forty_thousand_nodes_is_bitwise_the_census() {
         "guard: the holder set must be nontrivial"
     );
     let plan = FaultPlan::none(n);
+    let faults = FloodFaults {
+        plan: &plan,
+        time: 0,
+        nonce: 0x40aa,
+    };
     let max_ttl = 6;
+    // One engine across every run: its arena reset must leave no trace.
+    let mut events = EventEngine::new();
     for source in [0u32, 17_321] {
         let mut engine = FloodEngine::new(n);
         let census = engine
@@ -795,15 +802,14 @@ fn event_flood_at_forty_thousand_nodes_is_bitwise_the_census() {
             )
             .0;
         for ttl in 0..=max_ttl {
-            let (out, stats) = event_flood(
+            let (out, stats, _) = events.flood(
                 &topo.graph,
                 source,
                 ttl,
                 &holders,
                 Some(&fwd),
-                &plan,
-                0,
-                0x40aa,
+                faults,
+                None,
                 None,
                 &mut NoopRecorder,
             );
@@ -821,15 +827,14 @@ fn event_flood_at_forty_thousand_nodes_is_bitwise_the_census() {
             assert_eq!(stats.dropped, 0, "the none-plan must not fire");
         }
         // The rare-query hit counter agrees with the synchronous engine.
-        let (out, _) = event_flood(
+        let (out, _, _) = events.flood(
             &topo.graph,
             source,
             max_ttl,
             &holders,
             Some(&fwd),
-            &plan,
-            0,
-            0x40aa,
+            faults,
+            None,
             None,
             &mut NoopRecorder,
         );
@@ -1745,7 +1750,6 @@ fn timed_search_digests() -> Vec<u64> {
             rejoin: true,
             mean_latency: 3,
             seed: 0x7e0f,
-            ..Default::default()
         },
     );
     let limited = |policy| {
