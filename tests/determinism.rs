@@ -1966,3 +1966,132 @@ fn latency_and_overload_grids_match_golden() {
         got[1]
     );
 }
+
+// ---------------------------------------------------------------------
+// Cross-commit goldens for the TTL sweep grids and the sweep recorders.
+// The same-seed and thread-width pins above compare one build against
+// itself; these digests were captured from the scalar (one BFS per
+// trial) census, so any other evaluator of a sweep — a batched one
+// included — must reproduce the smoke-scale fig8-repl, fig8-churn and
+// soak grids and the full recorder state bit for bit.
+// ---------------------------------------------------------------------
+
+/// Digests of the smoke-scale `fig8-repl`, `fig8-churn` and `soak` grids
+/// (their `*_fingerprint` word streams).
+const GOLDEN_SWEEP_GRID_DIGESTS: [(&str, u64); 3] = [
+    ("fig8-repl", 0x181538bcaf53f0c5),
+    ("fig8-churn", 0x887300245df996dd),
+    ("soak", 0xa047b2aa5f7cb13b),
+];
+
+#[test]
+fn sweep_grids_match_golden() {
+    let pool = Pool::new(2);
+    let got = [
+        (
+            "fig8-repl",
+            digest(repl_fingerprint(&fig8_repl_data(&repl_session(), &pool))),
+        ),
+        (
+            "fig8-churn",
+            digest(churn_fingerprint(&fig8_churn_data(&churn_session(), &pool))),
+        ),
+        (
+            "soak",
+            digest(soak_fingerprint(&soak_data(&churn_session(), &pool))),
+        ),
+    ];
+    assert_eq!(
+        got, GOLDEN_SWEEP_GRID_DIGESTS,
+        "smoke-scale sweep grids drifted from the golden capture: {got:#018x?}"
+    );
+}
+
+/// Digest of the 40k golden sweep's full recorder state.
+const GOLDEN_40K_RECORDER_DIGEST: u64 = 0x74959f98fa97cff9;
+/// Digest of the frozen, loss-free 2k sweep: its curve plus its full
+/// recorder state.
+const GOLDEN_2K_FROZEN_DIGEST: u64 = 0x67fb04ee5fb35d8f;
+
+#[test]
+fn forty_thousand_node_recorder_matches_golden() {
+    for threads in [1usize, 4] {
+        let mut metrics = MetricsRecorder::new();
+        golden_40k_curve(&Pool::new(threads), &mut metrics);
+        let got = digest(recorder_words(&metrics));
+        assert_eq!(
+            got, GOLDEN_40K_RECORDER_DIGEST,
+            "{threads}-thread 40k sweep recorder drifted from the golden capture: {got:#018x}"
+        );
+    }
+}
+
+/// The recorded 2k sweep under the soak measurement plan: the faulty
+/// golden's plan frozen mid-horizon with its loss silenced.
+fn frozen_2k_digest(pool: &Pool) -> u64 {
+    let t = topo();
+    let fwd = t.forwarders();
+    let zipf = Placement::generate(
+        PlacementModel::ZipfReplicas { tau: 2.05 },
+        N as u32,
+        1_000,
+        7,
+    );
+    let cfg = SimConfig {
+        trials: 400,
+        seed: 0xf18,
+        ..Default::default()
+    };
+    let plan = FaultPlan::build(
+        N,
+        &FaultConfig {
+            loss: 0.10,
+            churn: 0.20,
+            seed: 0xabc,
+            ..Default::default()
+        },
+    )
+    .frozen_at(500)
+    .silence_loss();
+    let mut rec = MetricsRecorder::new();
+    let curve = sweep_ttl_faulty_rec(
+        pool,
+        &t.graph,
+        &zipf,
+        Some(&fwd),
+        &TTLS,
+        &cfg,
+        &plan,
+        &mut rec,
+    );
+    assert!(
+        rec.total(Kernel::Flood, Counter::DeadTargets) > 0,
+        "guard: the frozen plan must hold some nodes down"
+    );
+    let mut words = Vec::new();
+    for pt in &curve {
+        let f = pt.faults();
+        words.extend([
+            u64::from(pt.ttl),
+            pt.success_rate.to_bits(),
+            pt.mean_messages.to_bits(),
+            pt.mean_reached.to_bits(),
+            f.dropped,
+            f.dead_targets,
+            pt.dead_sources,
+        ]);
+    }
+    words.extend(recorder_words(&rec));
+    digest(words)
+}
+
+#[test]
+fn frozen_2k_recorded_sweep_matches_golden() {
+    for threads in [1usize, 4] {
+        let got = frozen_2k_digest(&Pool::new(threads));
+        assert_eq!(
+            got, GOLDEN_2K_FROZEN_DIGEST,
+            "{threads}-thread frozen sweep drifted from the golden capture: {got:#018x}"
+        );
+    }
+}
