@@ -169,43 +169,43 @@ impl Artifact {
 pub const ARTIFACTS: &[Artifact] = &[
     Artifact {
         name: "fig1",
-        description: "client session lengths (rank-frequency)",
+        description: "replication of raw object names (clients per object)",
         in_all: true,
         run: figures::fig1,
     },
     Artifact {
         name: "fig2",
-        description: "queries per client (rank-frequency)",
+        description: "replication of sanitized object names (clients per object)",
         in_all: true,
         run: figures::fig2,
     },
     Artifact {
         name: "fig3",
-        description: "query popularity distribution",
+        description: "replication of name terms (clients per term)",
         in_all: true,
         run: figures::fig3,
     },
     Artifact {
         name: "fig4",
-        description: "song/artist popularity distributions",
+        description: "iTunes annotation fields: song, genre, album, artist",
         in_all: true,
         run: figures::fig4,
     },
     Artifact {
         name: "fig5",
-        description: "query/file popularity mismatch scatter",
+        description: "transiently popular query terms per interval",
         in_all: true,
         run: figures::fig5,
     },
     Artifact {
         name: "fig6",
-        description: "query-stream self-similarity over time",
+        description: "stability of the popular query-term set (Jaccard)",
         in_all: true,
         run: figures::fig6,
     },
     Artifact {
         name: "fig7",
-        description: "query/file keyword-set similarity",
+        description: "query/file term mismatch (Jaccard vs popular file terms)",
         in_all: true,
         run: figures::fig7,
     },

@@ -149,6 +149,21 @@ impl FaultPlan {
         self.loss == 0.0 && self.down_start.iter().all(|&s| s == u64::MAX)
     }
 
+    /// True when the plan drops nothing and no node's liveness depends
+    /// on the tick: every node is up for good or down for good. The
+    /// soak measurement plan `frozen_at(t).silence_loss()` and any
+    /// zero-loss, zero-churn plan qualify. Under such a plan a flood's
+    /// outcome is independent of traversal order, which is what lets
+    /// the overlay sweeps census many trials in one traversal.
+    pub fn is_frozen_lossless(&self) -> bool {
+        self.loss == 0.0
+            && self
+                .down_start
+                .iter()
+                .zip(&self.down_end)
+                .all(|(&start, &end)| start >= end || (start == 0 && end == u64::MAX))
+    }
+
     /// Whether `node` is up at workload tick `t`.
     #[inline]
     pub fn alive_at(&self, node: u32, t: u64) -> bool {
@@ -502,6 +517,20 @@ mod tests {
             }
         }
         assert_eq!(p.latency(4, 9), s.latency(4, 9));
+    }
+
+    #[test]
+    fn frozen_lossless_needs_zero_loss_and_tick_free_sessions() {
+        assert!(FaultPlan::none(20).is_frozen_lossless());
+        assert!(FaultPlan::build(20, &cfg(0.0, 0.0)).is_frozen_lossless());
+        let churny = FaultPlan::build(200, &cfg(0.0, 0.3));
+        assert!(!churny.is_frozen_lossless(), "sessions move with the tick");
+        let frozen = churny.frozen_at(500);
+        assert!(frozen.dead_count_at(500) > 0);
+        assert!(frozen.is_frozen_lossless());
+        let lossy = FaultPlan::build(200, &cfg(0.05, 0.3)).frozen_at(500);
+        assert!(!lossy.is_frozen_lossless(), "loss draws depend on order");
+        assert!(lossy.silence_loss().is_frozen_lossless());
     }
 
     #[test]

@@ -401,7 +401,7 @@ impl Arena {
     ) -> (EventFloodOutcome, FaultStats, OverloadOutcome) {
         debug_assert!(q.holders.windows(2).all(|w| w[0] < w[1]));
         rec.rec_span(Kernel::Flood);
-        if !q.faults.source_alive(q.source) {
+        if !q.faults.alive(q.source) {
             rec.rec_event(Kernel::Flood, Event::DeadSource);
             return Default::default();
         }
@@ -515,7 +515,7 @@ impl Arena {
     ) -> (EventWalkOutcome, FaultStats, OverloadOutcome) {
         debug_assert!(q.holders.windows(2).all(|w| w[0] < w[1]));
         rec.rec_span(Kernel::Walk);
-        if !q.faults.source_alive(q.source) {
+        if !q.faults.alive(q.source) {
             rec.rec_event(Kernel::Walk, Event::DeadSource);
             return Default::default();
         }

@@ -39,6 +39,13 @@
 //! expanding ball instead of the sum of eight.
 //! [`FloodEngine::flood_reference`] floods a single TTL and is the oracle
 //! the prefix property is pinned against.
+//!
+//! The census here is scalar: one BFS per query. Loss-free sweeps run
+//! up to 64 queries per traversal instead, through the bit-parallel
+//! [`BatchCensus`](crate::batch::BatchCensus), whose per-level sums are
+//! pinned equal to those of this census lane by lane. The scalar census
+//! remains the path for lossy and churning plans, for the expanding ring
+//! and for the search systems.
 
 use crate::graph::Graph;
 use qcp_faults::{FaultPlan, FaultStats};
@@ -130,23 +137,25 @@ pub struct CensusOutcome {
 
 impl CensusOutcome {
     /// Deepest recorded level (the BFS ran `levels()` hops before the
-    /// TTL cap or frontier exhaustion stopped it).
+    /// TTL cap or frontier exhaustion stopped it); 0 for an empty census
+    /// that never ran.
     pub fn levels(&self) -> u32 {
         debug_assert_eq!(self.reached.len(), self.messages.len());
-        self.reached.len() as u32 - 1
+        (self.reached.len() as u32).saturating_sub(1)
     }
 
     /// Reconstructs the outcome of a standalone TTL-`ttl` flood from the
     /// census. For `ttl` beyond the recorded levels the flood had already
-    /// exhausted its frontier, so the last level's numbers stand.
+    /// exhausted its frontier, so the last level's numbers stand. An
+    /// empty census (one that never ran) reaches nobody and sends nothing.
     pub fn at(&self, ttl: u32) -> FloodOutcome {
         let level = ttl.min(self.levels()) as usize;
         let found_at_hop = self.first_hit_hop.filter(|&h| h <= ttl);
         FloodOutcome {
             found: found_at_hop.is_some(),
             found_at_hop,
-            reached: self.reached[level],
-            messages: self.messages[level],
+            reached: self.reached.get(level).copied().unwrap_or(0),
+            messages: self.messages.get(level).copied().unwrap_or(0),
         }
     }
 }
@@ -307,8 +316,8 @@ pub(crate) trait Faults: Copy {
     /// Whether transmissions can fail; `false` also compiles away the
     /// kernels' `rec_faults` calls.
     const ACTIVE: bool;
-    /// Whether `source` is up when the query is issued.
-    fn source_alive(&self, source: u32) -> bool;
+    /// Whether `node` is up when the query is issued.
+    fn alive(&self, node: u32) -> bool;
     /// Whether message number `msg` (1-based, the drop-stream index) from
     /// `u` reaches `v`; a lost message is counted in `stats` as a dead
     /// target or a drop.
@@ -323,7 +332,7 @@ impl Faults for NoFaults {
     const ACTIVE: bool = false;
 
     #[inline(always)]
-    fn source_alive(&self, _source: u32) -> bool {
+    fn alive(&self, _node: u32) -> bool {
         true
     }
 
@@ -340,8 +349,9 @@ impl Faults for NoFaults {
 impl Faults for FloodFaults<'_> {
     const ACTIVE: bool = true;
 
-    fn source_alive(&self, source: u32) -> bool {
-        self.plan.alive_at(source, self.time)
+    #[inline]
+    fn alive(&self, node: u32) -> bool {
+        self.plan.alive_at(node, self.time)
     }
 
     #[inline]
@@ -474,13 +484,7 @@ fn flood_core<V: VisitMarks, F: Faults>(
     forwarders: Option<&[bool]>,
     faults: F,
 ) -> (FloodOutcome, FaultStats) {
-    let mut bfs = Bfs::start(
-        visited,
-        frontier,
-        source,
-        holders,
-        faults.source_alive(source),
-    );
+    let mut bfs = Bfs::start(visited, frontier, source, holders, faults.alive(source));
     let mut total = FaultStats::default();
     let mut hop = 0u32;
     while hop < ttl && !frontier.is_empty() {
@@ -510,7 +514,7 @@ fn census_core<V: VisitMarks, F: Faults, R: Recorder>(
 ) {
     rec.rec_span(Kernel::Flood);
     let (out, level_stats) = (&mut buf.census, &mut buf.stats);
-    let alive = faults.source_alive(source);
+    let alive = faults.alive(source);
     let mut bfs = Bfs::start(visited, frontier, source, holders, alive);
     out.reached.clear();
     out.messages.clear();
@@ -881,6 +885,18 @@ mod tests {
             // Beyond max_ttl the census clamps to its last level.
             assert_eq!(census.at(99), census.at(census.levels()));
         }
+    }
+
+    #[test]
+    fn empty_census_is_total() {
+        let empty = CensusOutcome::default();
+        assert_eq!(empty.levels(), 0);
+        for ttl in [0, 1, 7, u32::MAX] {
+            assert_eq!(empty.at(ttl), FloodOutcome::default());
+        }
+        let fresh = CensusBuf::default();
+        assert_eq!(fresh.census.levels(), 0);
+        assert_eq!(fresh.census.at(3), FloodOutcome::default());
     }
 
     #[test]

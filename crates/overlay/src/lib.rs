@@ -14,6 +14,8 @@
 //! * [`flood`] — TTL-limited BFS flooding with message accounting and a
 //!   reusable engine (epoch-stamped visit marks, zero per-query allocation
 //!   in the hot path);
+//! * [`batch`] — the bit-parallel batch census: up to 64 loss-free
+//!   floods in one level-synchronous traversal, one bit per trial;
 //! * [`walk`] — k-walker random walks;
 //! * [`event`] — the calendar engine: one event-driven flood and one
 //!   k-walker on the `qcp-vtime` calendar, with per-link latencies,
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod churn;
 pub mod event;
 pub mod expanding;
@@ -49,6 +52,7 @@ pub mod sim;
 pub mod topology;
 pub mod walk;
 
+pub use batch::{BatchCensus, BatchLane, BatchOutcome, BATCH_LANES};
 pub use churn::{fail_highest_degree, fail_random, ChurnedOverlay};
 pub use event::{EventEngine, EventFloodOutcome, EventWalkOutcome};
 pub use expanding::{expanding_ring_search, ExpandingOutcome};

@@ -3,7 +3,8 @@
 //! For each trial, pick a source peer and a target object, flood, and
 //! record success/reach/messages. Trials are deterministic functions of
 //! `(seed, trial_index)` and run across the `qcp-xpar` pool in chunks,
-//! each chunk owning one reusable [`FloodEngine`].
+//! each chunk owning one reusable [`FloodEngine`] or one
+//! [`BatchCensus`].
 //!
 //! # One census per trial
 //!
@@ -19,13 +20,30 @@
 //! noise. The four `sweep_ttl*` entry points (fault plan or not,
 //! recorder or not) share one sweep core.
 //!
+//! # One traversal per 64 trials
+//!
+//! When a sweep's outcomes cannot depend on traversal order — no fault
+//! plan, or a [`FaultPlan::is_frozen_lossless`] one — and the graph is
+//! below [`BITSET_THRESHOLD`] nodes, the core hands each chunk of up to
+//! [`BATCH_LANES`] consecutive trials to one [`BatchCensus`]: a single
+//! bit-parallel traversal whose per-level sums (reached, messages, dead
+//! targets, hits per TTL) are exactly the sums of the trials' scalar
+//! censuses. There is one chunk per pool thread, or more when a thread
+//! would need more than 64 lanes. The layout cannot leak into the output
+//! because everything kept is an integer sum. Lossy and churning sweeps
+//! stay on the scalar census: their drop draws key on each query's
+//! message index, and their liveness on each trial's tick.
+//!
 //! [`sweep_reference`] keeps the pre-census path — one standalone flood
 //! ([`FloodEngine::flood_reference`]) per (trial, TTL) over the *same*
 //! trial stream — as the correctness oracle: the census sweeps are
 //! pinned bitwise-equal to it in tests, and are ≥3× cheaper on the
 //! 8-TTL Figure-8 curve (`repro bench`).
 
-use crate::flood::{CensusBuf, FloodEngine, FloodFaults, FloodOutcome, FloodSpec};
+use crate::batch::{BatchCensus, BatchLane, BatchOutcome, BATCH_LANES};
+use crate::flood::{
+    CensusBuf, FloodEngine, FloodFaults, FloodOutcome, FloodSpec, BITSET_THRESHOLD,
+};
 use crate::graph::Graph;
 use crate::placement::Placement;
 use qcp_faults::{FaultPlan, FaultStats};
@@ -174,25 +192,61 @@ impl SweepAcc {
         }
     }
 
-    fn add(&mut self, i: usize, out: FloodOutcome, stats: &FaultStats) {
-        let p = &mut self.points[i];
-        p[0] += out.found as u64;
-        p[1] += out.reached as u64;
-        p[2] += out.messages;
+    /// Adds `[successes, reached, messages]` and fault counters to TTL
+    /// point `i`.
+    fn add(&mut self, i: usize, point: [u64; 3], stats: &FaultStats) {
+        for (a, b) in self.points[i].iter_mut().zip(point) {
+            *a += b;
+        }
         self.faults[i].absorb(stats);
     }
 
     fn absorb(&mut self, other: &SweepAcc) {
-        for (p, q) in self.points.iter_mut().zip(&other.points) {
-            for (a, b) in p.iter_mut().zip(q) {
-                *a += b;
-            }
-        }
-        for (f, g) in self.faults.iter_mut().zip(&other.faults) {
-            f.absorb(g);
+        for (i, &point) in other.points.iter().enumerate() {
+            self.add(i, point, &other.faults[i]);
         }
         self.trials += other.trials;
         self.dead_sources += other.dead_sources;
+    }
+}
+
+/// How a sweep evaluates its trials.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Evaluator {
+    /// One standalone [`FloodEngine::flood_reference`] per (trial, TTL).
+    Reference,
+    /// One scalar census per trial.
+    Census,
+    /// One [`BatchCensus`] per chunk of at most [`BATCH_LANES`] trials.
+    Batch,
+}
+
+impl Evaluator {
+    /// The reference when `census` is false. Otherwise the batch census
+    /// whenever every trial's outcome is independent of traversal order
+    /// (no plan, or a frozen loss-free one) and the graph is below
+    /// [`BITSET_THRESHOLD`] nodes, where a batch's per-node words stay
+    /// small next to the graph; the scalar census otherwise.
+    fn pick(census: bool, n: usize, plan: Option<&FaultPlan>) -> Self {
+        if !census {
+            Self::Reference
+        } else if n < BITSET_THRESHOLD && plan.is_none_or(FaultPlan::is_frozen_lossless) {
+            Self::Batch
+        } else {
+            Self::Census
+        }
+    }
+
+    /// Chunks a sweep of `trials` runs in: one batch per pool thread,
+    /// each of at most [`BATCH_LANES`] lanes, or four scalar chunks per
+    /// thread. Outputs are integer sums, so the layout cannot leak into
+    /// them.
+    fn chunks(self, pool: &Pool, trials: usize) -> usize {
+        let threads = pool.threads().max(1);
+        match self {
+            Self::Batch => trials.div_ceil(BATCH_LANES).max(threads),
+            Self::Census | Self::Reference => threads * 4,
+        }
     }
 }
 
@@ -205,10 +259,11 @@ impl SweepAcc {
 /// scan); if nobody is alive at that tick it counts as an outright
 /// failure with zero messages.
 ///
-/// `census` picks the evaluator: one census per trial at `max(ttls)`
-/// (recorded into a per-chunk fork of `rec`, absorbed in chunk-index
-/// order), or one standalone [`FloodEngine::flood_reference`] per
-/// (trial, TTL), unrecorded. Fault-free points carry `stats: None`.
+/// `census` picks the evaluator: a census (batched where eligible, see
+/// [`Evaluator::pick`]) recorded into a per-chunk fork of `rec`,
+/// absorbed in chunk-index order, or one standalone
+/// [`FloodEngine::flood_reference`] per (trial, TTL), unrecorded.
+/// Fault-free points carry `stats: None`.
 #[allow(clippy::too_many_arguments)] // the sweep inputs + plan, recorder, evaluator
 fn sweep_core<R: Recorder>(
     pool: &Pool,
@@ -231,45 +286,69 @@ fn sweep_core<R: Recorder>(
     }
     let max_ttl = ttls.iter().copied().max().unwrap_or(0);
     let sampler = TargetSampler::new(placement, config.target);
-    let chunks = (pool.threads() * 4).max(1);
+    let eval = Evaluator::pick(census, n, plan);
+    let chunks = eval.chunks(pool, config.trials);
     let per_chunk = config.trials.div_ceil(chunks);
     let horizon = plan.map_or(1, |p| p.horizon().max(1));
 
+    // One trial's query: its (possibly re-issued) source, the holders of
+    // its object, and its fault context; `None` when the whole network
+    // is down at the trial's tick (an outright failure).
+    let draw = |trial: usize, acc: &mut SweepAcc| {
+        let key = trial as u64;
+        let mut rng = Pcg64::new(child_seed(config.seed, key));
+        let mut source = rng.index(n) as u32;
+        let object = sampler.sample(&mut rng);
+        acc.trials += 1;
+        let faults = match plan {
+            None => None,
+            Some(plan) => {
+                let time = key % horizon;
+                if !plan.alive_at(source, time) {
+                    acc.dead_sources += 1;
+                    source = plan.first_alive_from(source, time)?;
+                }
+                let nonce = child_seed(config.seed ^ FAULT_NONCE_STREAM, key);
+                Some(FloodFaults { plan, time, nonce })
+            }
+        };
+        Some((source, sampler.placement.holders(object), faults))
+    };
+
     let parent: &R = &*rec;
     let partials: Vec<(SweepAcc, R)> = pool.par_map_indexed(chunks, |c| {
-        // Arena state per chunk: one engine and one census buffer serve
-        // every trial, so the steady-state trial loop allocates nothing.
-        let mut engine = FloodEngine::new(n);
-        let mut buf = CensusBuf::default();
         let mut child = parent.fork();
         let mut acc = SweepAcc::new(ttls.len());
         let lo = c * per_chunk;
         let hi = (lo + per_chunk).min(config.trials);
-        for trial in lo..hi {
-            let key = trial as u64;
-            let mut rng = Pcg64::new(child_seed(config.seed, key));
-            let mut source = rng.index(n) as u32;
-            let object = sampler.sample(&mut rng);
-            acc.trials += 1;
-            let faults = match plan {
-                None => None,
-                Some(plan) => {
-                    let time = key % horizon;
-                    if !plan.alive_at(source, time) {
-                        acc.dead_sources += 1;
-                        match plan.first_alive_from(source, time) {
-                            Some(s) => source = s,
-                            // Whole network down at this tick: the trial
-                            // fails at every TTL with zero messages.
-                            None => continue,
-                        }
-                    }
-                    let nonce = child_seed(config.seed ^ FAULT_NONCE_STREAM, key);
-                    Some(FloodFaults { plan, time, nonce })
+        if eval == Evaluator::Batch {
+            let lanes: Vec<BatchLane<'_>> = (lo..hi)
+                .filter_map(|trial| draw(trial, &mut acc))
+                .map(|(source, holders, _)| BatchLane { source, holders })
+                .collect();
+            if !lanes.is_empty() {
+                let mut out = BatchOutcome::default();
+                BatchCensus::new(n).run(
+                    graph, &lanes, forwarders, max_ttl, plan, &mut child, &mut out,
+                );
+                for (i, &ttl) in ttls.iter().enumerate() {
+                    let (point, stats) = out.at(ttl);
+                    acc.add(i, point, &stats);
                 }
+            }
+            return (acc, child);
+        }
+        // Arena state per chunk: one engine and one census buffer serve
+        // every trial, so the steady-state trial loop allocates nothing.
+        let mut engine = FloodEngine::new(n);
+        let mut buf = CensusBuf::default();
+        let point =
+            |out: FloodOutcome| [u64::from(out.found), u64::from(out.reached), out.messages];
+        for trial in lo..hi {
+            let Some((source, holders, faults)) = draw(trial, &mut acc) else {
+                continue;
             };
-            let holders = sampler.placement.holders(object);
-            if census {
+            if eval == Evaluator::Census {
                 let spec = FloodSpec {
                     max_ttl,
                     plan: faults,
@@ -280,13 +359,17 @@ fn sweep_core<R: Recorder>(
                 );
                 let levels = buf.census.levels();
                 for (i, &ttl) in ttls.iter().enumerate() {
-                    acc.add(i, buf.census.at(ttl), &buf.stats[ttl.min(levels) as usize]);
+                    acc.add(
+                        i,
+                        point(buf.census.at(ttl)),
+                        &buf.stats[ttl.min(levels) as usize],
+                    );
                 }
             } else {
                 for (i, &ttl) in ttls.iter().enumerate() {
                     let (out, stats) =
                         engine.flood_reference(graph, source, ttl, holders, forwarders, faults);
-                    acc.add(i, out, &stats);
+                    acc.add(i, point(out), &stats);
                 }
             }
         }

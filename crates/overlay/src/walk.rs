@@ -92,7 +92,7 @@ fn walk_core<F: Faults, R: Recorder>(
     debug_assert!(holders.windows(2).all(|w| w[0] < w[1]));
     rec.rec_span(Kernel::Walk);
     let mut stats = FaultStats::default();
-    if !faults.source_alive(source) {
+    if !faults.alive(source) {
         rec.rec_event(Kernel::Walk, Event::DeadSource);
         let out = WalkOutcome {
             found: false,

@@ -2,7 +2,7 @@
 //! test scale, writes parseable CSV, and reports the anchors its figure is
 //! responsible for.
 
-use qcp_bench::{Repro, Scale};
+use qcp_bench::{Artifact, Repro, Scale};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("qcp-repro-artifacts-{tag}"));
@@ -50,6 +50,77 @@ fn figures_1_to_7_write_csvs_with_consistent_shapes() {
             let j: f64 = row[col].parse().unwrap();
             assert!((0.0..=1.0).contains(&j), "{name}: jaccard {j}");
         }
+    }
+}
+
+#[test]
+fn figure_descriptions_name_what_their_csvs_hold() {
+    // Each Figure 1-7 entry of `repro list`, tied to a CSV it writes:
+    // that CSV's header and the phrase its description must carry.
+    let expected = [
+        (
+            "fig1",
+            "fig1.csv",
+            "rank,clients_with_object",
+            "raw object names",
+        ),
+        (
+            "fig2",
+            "fig2.csv",
+            "rank,clients_with_object",
+            "sanitized object names",
+        ),
+        ("fig3", "fig3.csv", "rank,clients_with_term", "name terms"),
+        ("fig4", "fig4a_songs.csv", "rank,clients_with_value", "song"),
+        (
+            "fig4",
+            "fig4b_genres.csv",
+            "rank,clients_with_value",
+            "genre",
+        ),
+        (
+            "fig4",
+            "fig4c_albums.csv",
+            "rank,clients_with_value",
+            "album",
+        ),
+        (
+            "fig4",
+            "fig4d_artists.csv",
+            "rank,clients_with_value",
+            "artist",
+        ),
+        (
+            "fig5",
+            "fig5.csv",
+            "interval_secs,interval_index,transient_terms",
+            "transiently popular query terms",
+        ),
+        (
+            "fig6",
+            "fig6.csv",
+            "interval_index,jaccard",
+            "stability of the popular query-term set",
+        ),
+        (
+            "fig7",
+            "fig7.csv",
+            "interval_index,all_terms_vs_popular_files,popular_vs_popular_files",
+            "query/file term mismatch",
+        ),
+    ];
+    let dir = temp_dir("registry");
+    let session = Repro::new(&dir, Scale::Test);
+    for (name, csv, header, phrase) in expected {
+        let artifact = Artifact::find(name).unwrap_or_else(|| panic!("{name} is not registered"));
+        assert!(
+            artifact.description.contains(phrase),
+            "{name}: description {:?} must mention {phrase:?}",
+            artifact.description
+        );
+        session.run(name);
+        let rows = read_csv(&dir, csv);
+        assert_eq!(rows[0].join(","), header, "{name}: {csv} header");
     }
 }
 
