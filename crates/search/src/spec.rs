@@ -169,7 +169,7 @@ impl<R: Recorder> SearchSpec<R> {
     /// Attaches a virtual-time deadline: the system answers with
     /// whatever it has by `deadline.ticks` ticks into each query and
     /// reports `deadline_exceeded` when the clock — not the search —
-    /// ended it. Deadline queries run on the event-driven engines, so a
+    /// ended it. Deadline queries run on the calendar engine, so a
     /// fault context is required ([`Self::build`] rejects a deadline
     /// without one); attach `FaultPlan::none` for a pure-latency run.
     ///
@@ -184,7 +184,7 @@ impl<R: Recorder> SearchSpec<R> {
     /// the plan's policy, and query ingress passes token-style admission
     /// control. Outcomes gain [`OverloadStats`] and compose with
     /// [`Self::deadline`] best-so-far answers. Capacity runs on the
-    /// event engines, so it requires both a fault context and a deadline
+    /// calendar engine, so it requires both a fault context and a deadline
     /// ([`Self::build`] rejects anything less); an
     /// [`unlimited`](CapacityPlan::unlimited) plan is bitwise the plain
     /// deadline path.
@@ -262,7 +262,7 @@ impl<R: Recorder> SearchSpec<R> {
         );
         assert!(
             capacity.is_none() || (faults.is_some() && deadline.is_some()),
-            "a capacity plan runs on the event engines: attach a fault \
+            "a capacity plan runs on the calendar engine: attach a fault \
              context and a deadline first"
         );
         let replicas = replication.map(|plan| ReplicaSet::build(world, &plan));
@@ -1223,7 +1223,7 @@ mod capacity_tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity plan runs on the event engines")]
+    #[should_panic(expected = "capacity plan runs on the calendar engine")]
     fn capacity_without_faults_rejected() {
         let w = world();
         let _ = SearchSpec::flood(3)
@@ -1232,7 +1232,7 @@ mod capacity_tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity plan runs on the event engines")]
+    #[should_panic(expected = "capacity plan runs on the calendar engine")]
     fn capacity_without_deadline_rejected() {
         let w = world();
         let _ = SearchSpec::flood(3)
