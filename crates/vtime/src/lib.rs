@@ -19,8 +19,36 @@
 //!   parallelism in this workspace is across trials/cells, and each
 //!   trial's calendar is single-threaded and fully ordered.
 //! * **Strict total order.** A monotone insertion sequence number breaks
-//!   residual `(time, tie)` collisions FIFO, so even a degenerate tie
-//!   hash cannot make `pop` order depend on heap internals.
+//!   residual `(time, tie)` collisions FIFO, so the pop order is a pure
+//!   function of the scheduled keys, never of the queue's layout.
+//!
+//! # The bucket ring
+//!
+//! The calendar is a calendar queue in the sense of Brown (CACM 1988)
+//! with one tick per bucket. Events due less than 64 ticks after `now`
+//! are appended, unsorted, to their tick's bucket; a 64-bit occupancy
+//! word finds the next non-empty tick in one rotate and one
+//! trailing-zeros count. When the clock reaches a tick, its bucket is
+//! sorted once by `(tie, seq)` and drained in order. Events due further
+//! out wait in an overflow min-heap and join their tick's bucket before
+//! it is sorted, so any `u64` time works, including the
+//! `u64::MAX` that [`Calendar::schedule_after`] saturates to.
+//!
+//! Sorting a tick once reproduces the heap's `(time, tie, seq)` order
+//! exactly because a tick's set of events is complete when its sort
+//! runs: `schedule_at` rejects times before `now`, so every event for a
+//! tick `t > now` is scheduled while the clock is still short of `t`.
+//! The one exception is a zero-delay event, scheduled at `now` while
+//! tick `now` drains; it is binary-inserted at its `(tie, seq)` place
+//! in the draining bucket.
+//!
+//! Bucket vectors live in one pool and are recycled: a drained bucket
+//! returns to a free list, and the next tick that needs one takes it, so
+//! retained memory follows the peak number of pending events, as a
+//! heap's would, rather than every ring slot's own peak.
+//! [`Calendar::reset`] lays the free list out in pool order, so a replay
+//! of the same schedule reuses the same vector for the same bucket and
+//! allocates nothing.
 //!
 //! [`Deadline`] is the virtual-time budget the search layer attaches to
 //! a query ([`SearchSpec::deadline`]); kernels treat it as an event-time
@@ -33,7 +61,15 @@
 
 use qcp_util::hash::mix64;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
+/// Ticks the bucket ring spans: an event due less than `RING` ticks
+/// after `now` goes to its tick's bucket, a later one to the overflow
+/// heap. One bit per tick in the `u64` occupancy word.
+const RING: u64 = 64;
+
+/// The pool index of no bucket.
+const NONE: u32 = u32::MAX;
 
 /// Derives a tie-break key from an event's identity.
 ///
@@ -62,7 +98,7 @@ impl Deadline {
     }
 }
 
-/// One scheduled entry. Ordered by `(time, tie, seq)` — strict total
+/// One overflow entry. Ordered by `(time, tie, seq)` — strict total
 /// order, compared field-by-field.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry<E> {
@@ -72,13 +108,37 @@ struct Entry<E> {
     event: E,
 }
 
-/// The calendar queue: a min-heap of events in virtual time.
+/// One bucketed event; its tick is the bucket's.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    tie: u64,
+    seq: u64,
+    event: E,
+}
+
+/// The calendar queue: events in virtual time, popped in
+/// `(time, tie, seq)` order. See the crate docs for the bucket ring.
 ///
 /// `pop` advances [`Calendar::now`] to the popped event's timestamp;
 /// scheduling into the past is a logic error and panics in debug builds.
 #[derive(Debug, Clone)]
 pub struct Calendar<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// The bucket pool. A bucket is owned by one ring slot, by the
+    /// draining tick, or by the free list.
+    buckets: Vec<Vec<Slot<E>>>,
+    /// Pool index of the bucket for each tick in `[now, now + RING)`,
+    /// at slot `tick % RING`; valid where `occupied` has the bit set.
+    ring: [u32; RING as usize],
+    occupied: u64,
+    /// Pool index of tick `now`'s bucket, sorted by descending
+    /// `(tie, seq)` and popped from the back; `NONE` before the first
+    /// pop and after `clear`/`reset`.
+    draining: u32,
+    /// Free list of pool indices.
+    spare: Vec<u32>,
+    /// Events due `RING` or more ticks after `now` at scheduling time.
+    overflow: BinaryHeap<Reverse<Entry<E>>>,
+    len: usize,
     now: u64,
     seq: u64,
 }
@@ -90,10 +150,16 @@ impl<E: Ord> Default for Calendar<E> {
 }
 
 impl<E: Ord> Calendar<E> {
-    /// An empty calendar at virtual time 0.
+    /// An empty calendar at virtual time 0. Allocates nothing.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            buckets: Vec::new(),
+            ring: [NONE; RING as usize],
+            occupied: 0,
+            draining: NONE,
+            spare: Vec::new(),
+            overflow: BinaryHeap::new(),
+            len: 0,
             now: 0,
             seq: 0,
         }
@@ -109,19 +175,33 @@ impl<E: Ord> Calendar<E> {
     /// Pending event count.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// The timestamp of the next event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        if !self.draining_bucket().is_empty() {
+            return Some(self.now);
+        }
+        let ring = (self.occupied != 0).then(|| {
+            let ahead = self
+                .occupied
+                .rotate_right((self.now % RING) as u32)
+                .trailing_zeros();
+            self.now + u64::from(ahead)
+        });
+        let over = self.overflow.peek().map(|Reverse(e)| e.time);
+        match (ring, over) {
+            (Some(r), Some(o)) => Some(r.min(o)),
+            (r, o) => r.or(o),
+        }
     }
 
     /// Schedules `event` at absolute virtual time `time` with tie-break
@@ -131,12 +211,30 @@ impl<E: Ord> Calendar<E> {
         debug_assert!(time >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            time,
-            tie,
-            seq,
-            event,
-        }));
+        self.len += 1;
+        let ahead = time - self.now;
+        if ahead == 0 && self.draining != NONE {
+            // Zero delay into the draining tick: the newest `seq` pops
+            // after every equal tie, so it goes just below the entries
+            // with a greater tie.
+            let bucket = &mut self.buckets[self.draining as usize];
+            let at = bucket.partition_point(|s| s.tie > tie);
+            bucket.insert(at, Slot { tie, seq, event });
+        } else if ahead < RING {
+            let i = (time % RING) as usize;
+            if self.occupied & (1 << i) == 0 {
+                self.occupied |= 1 << i;
+                self.ring[i] = self.take_bucket();
+            }
+            self.buckets[self.ring[i] as usize].push(Slot { tie, seq, event });
+        } else {
+            self.overflow.push(Reverse(Entry {
+                time,
+                tie,
+                seq,
+                event,
+            }));
+        }
     }
 
     /// Schedules `event` `delay` ticks after `now`.
@@ -149,35 +247,112 @@ impl<E: Ord> Calendar<E> {
     /// Virtual time never moves backwards.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        debug_assert!(e.time >= self.now, "calendar time went backwards");
-        self.now = e.time;
-        Some((e.time, e.event))
+        if self.draining_bucket().is_empty() {
+            let t = self.peek_time()?;
+            self.open(t);
+        }
+        let slot = self.buckets[self.draining as usize].pop()?;
+        self.len -= 1;
+        Some((self.now, slot.event))
+    }
+
+    /// Advances the clock to tick `t`, the earliest pending one: its
+    /// ring bucket and any overflow entries for it become the draining
+    /// bucket, sorted once.
+    fn open(&mut self, t: u64) {
+        debug_assert!(t >= self.now, "calendar time went backwards");
+        if self.draining != NONE {
+            self.spare.push(self.draining);
+        }
+        // `t` is the earliest pending tick, so a set bit at its slot is
+        // its own bucket: every ring tick lies in `[now, now + RING)`.
+        let bit = 1u64 << (t % RING);
+        self.draining = if self.occupied & bit != 0 {
+            self.occupied &= !bit;
+            std::mem::replace(&mut self.ring[(t % RING) as usize], NONE)
+        } else {
+            self.take_bucket()
+        };
+        let bucket = &mut self.buckets[self.draining as usize];
+        while let Some(top) = self.overflow.peek_mut() {
+            if top.0.time != t {
+                break;
+            }
+            let Reverse(e) = PeekMut::pop(top);
+            bucket.push(Slot {
+                tie: e.tie,
+                seq: e.seq,
+                event: e.event,
+            });
+        }
+        bucket.sort_unstable_by_key(|s| Reverse((s.tie, s.seq)));
+        self.now = t;
+    }
+
+    /// What is left of tick `now`'s bucket (nothing when no tick is open).
+    #[inline]
+    fn draining_bucket(&self) -> &[Slot<E>] {
+        self.buckets
+            .get(self.draining as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// A bucket from the free list, or a new one at the end of the pool.
+    fn take_bucket(&mut self) -> u32 {
+        self.spare.pop().unwrap_or_else(|| {
+            self.buckets.push(Vec::new());
+            (self.buckets.len() - 1) as u32
+        })
     }
 
     /// Drops every pending event without advancing `now`. Used by the
     /// timed DHT lookup to abandon a late reply once its timer fires.
+    /// Every bucket returns to the free list.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        let mut occupied = std::mem::take(&mut self.occupied);
+        while occupied != 0 {
+            let i = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            let b = std::mem::replace(&mut self.ring[i], NONE);
+            self.buckets[b as usize].clear();
+            self.spare.push(b);
+        }
+        if self.draining != NONE {
+            self.buckets[self.draining as usize].clear();
+            self.spare.push(self.draining);
+            self.draining = NONE;
+        }
+        self.overflow.clear();
+        self.len = 0;
     }
 
     /// Rewinds the calendar to virtual time 0 for reuse across trials:
     /// drops every pending event, resets `now` and the insertion
-    /// sequence, and **retains the heap's allocation**. Per-trial event
-    /// loops that keep one calendar around therefore allocate nothing
-    /// in steady state (the PR 8 arena discipline).
+    /// sequence, and **retains every bucket's allocation**. The free
+    /// list is laid out in pool order, so a run that replays the
+    /// schedule of the run before hands each bucket the same vector and
+    /// allocates nothing (the engines' arena discipline).
     pub fn reset(&mut self) {
-        self.heap.clear();
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.spare.clear();
+        self.spare.extend((0..self.buckets.len() as u32).rev());
+        self.ring = [NONE; RING as usize];
+        self.occupied = 0;
+        self.draining = NONE;
+        self.overflow.clear();
+        self.len = 0;
         self.now = 0;
         self.seq = 0;
     }
 
-    /// The heap's retained capacity, in entries. Exposed so reuse tests
-    /// (and curious drivers) can verify that [`Calendar::reset`] keeps
-    /// the allocation instead of shrinking it.
-    #[inline]
+    /// The retained capacity, in entries, over every bucket and the
+    /// overflow heap. Exposed so reuse tests (and curious callers) can
+    /// verify that [`Calendar::reset`] keeps the allocation instead of
+    /// shrinking it.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.overflow.capacity() + self.buckets.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -297,5 +472,164 @@ mod tests {
         c.schedule_at(10, 0, ());
         let _ = c.pop();
         c.schedule_at(3, 0, ());
+    }
+
+    #[test]
+    fn new_allocates_nothing() {
+        let c: Calendar<u64> = Calendar::new();
+        assert_eq!(c.capacity(), 0);
+        assert_eq!(Calendar::<u64>::default().capacity(), 0);
+    }
+
+    #[test]
+    fn zero_delay_joins_the_draining_tick_in_tie_order() {
+        let mut c = Calendar::new();
+        c.schedule_at(3, 5, "a");
+        c.schedule_at(3, 9, "c");
+        assert_eq!(c.pop(), Some((3, "a")));
+        // Scheduled at `now` while tick 3 drains: pops before the later
+        // tie, and after an equal tie scheduled earlier.
+        c.schedule_after(0, 7, "b");
+        c.schedule_after(0, 9, "d");
+        let order: Vec<_> = std::iter::from_fn(|| c.pop()).collect();
+        assert_eq!(order, vec![(3, "b"), (3, "c"), (3, "d")]);
+    }
+
+    #[test]
+    fn far_and_saturated_times_pop_from_the_overflow() {
+        let mut c = Calendar::new();
+        c.schedule_at(RING * 3, 1, 'b');
+        c.schedule_at(u64::MAX, 0, 'd');
+        c.schedule_at(RING * 3, 0, 'a');
+        c.schedule_at(RING * 3 - 1, 0, 'x');
+        assert_eq!(c.pop(), Some((RING * 3 - 1, 'x')));
+        // Now inside the ring's span: the tick's bucket merges with the
+        // overflow entries scheduled for it earlier.
+        c.schedule_at(RING * 3, 2, 'c');
+        let order: Vec<_> = std::iter::from_fn(|| c.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (RING * 3, 'a'),
+                (RING * 3, 'b'),
+                (RING * 3, 'c'),
+                (u64::MAX, 'd')
+            ]
+        );
+        c.schedule_after(5, 0, 'e');
+        assert_eq!(c.pop(), Some((u64::MAX, 'e')), "schedule_after saturates");
+    }
+
+    /// The binary-heap calendar the bucket ring replaced: the reference
+    /// model for the oracle property below.
+    struct HeapCalendar {
+        heap: BinaryHeap<Reverse<Entry<u32>>>,
+        now: u64,
+        seq: u64,
+    }
+
+    impl HeapCalendar {
+        fn new() -> Self {
+            Self {
+                heap: BinaryHeap::new(),
+                now: 0,
+                seq: 0,
+            }
+        }
+
+        fn schedule_at(&mut self, time: u64, tie: u64, event: u32) {
+            self.heap.push(Reverse(Entry {
+                time,
+                tie,
+                seq: self.seq,
+                event,
+            }));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(u64, u32)> {
+            let Reverse(e) = self.heap.pop()?;
+            self.now = e.time;
+            Some((e.time, e.event))
+        }
+
+        fn peek_time(&self) -> Option<u64> {
+            self.heap.peek().map(|Reverse(e)| e.time)
+        }
+    }
+
+    /// Decodes a delay class: zero, one to three ticks, around and past
+    /// the ring's span, near `u64::MAX`, or anything.
+    fn delay(class: u8, r: u64) -> u64 {
+        match class {
+            0 => 0,
+            1 | 2 => 1 + r % 3,
+            3 => RING - 2 + r % (3 * RING),
+            4 => u64::MAX - r % 4,
+            _ => r,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Any interleaving of schedules, bursts into one tick, pops,
+        /// peeks, mid-run clears and resets matches the binary-heap model
+        /// op by op.
+        #[test]
+        fn matches_the_heap_model(
+            ops in proptest::collection::vec((0u8..21, 0u8..6, proptest::prelude::any::<u64>()), 0..400)
+        ) {
+            let mut c = Calendar::new();
+            let mut model = HeapCalendar::new();
+            let mut next_id = 0u32;
+            for (kind, class, r) in ops {
+                match kind {
+                    0..=9 => {
+                        // Half the ties come from {0, 1, 2}: runs of
+                        // equal ties exercise the FIFO `seq`.
+                        let tie = if r & 1 == 0 { (r >> 8) % 3 } else { mix64(r) };
+                        let time = model.now.saturating_add(delay(class, r >> 16));
+                        if kind < 5 {
+                            c.schedule_at(time, tie, next_id);
+                        } else {
+                            c.schedule_after(time - model.now, tie, next_id);
+                        }
+                        model.schedule_at(time, tie, next_id);
+                        next_id += 1;
+                    }
+                    10..=15 => proptest::prop_assert_eq!(c.pop(), model.pop()),
+                    16 | 17 => {}
+                    18 => {
+                        c.clear();
+                        model.heap.clear();
+                    }
+                    19 => {
+                        c.reset();
+                        model = HeapCalendar::new();
+                    }
+                    _ => {
+                        // A burst of 64 to 319 events into one tick,
+                        // with ties that repeat.
+                        let time = model.now.saturating_add(delay(class, r >> 16));
+                        for i in 0..64 + r % 256 {
+                            let h = mix64(r ^ i);
+                            let tie = if h & 1 == 0 { i % 3 } else { h };
+                            c.schedule_at(time, tie, next_id);
+                            model.schedule_at(time, tie, next_id);
+                            next_id += 1;
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(c.peek_time(), model.peek_time());
+                proptest::prop_assert_eq!(c.now(), model.now);
+                proptest::prop_assert_eq!(c.len(), model.heap.len());
+                proptest::prop_assert_eq!(c.is_empty(), model.heap.is_empty());
+            }
+            while let Some(popped) = model.pop() {
+                proptest::prop_assert_eq!(c.pop(), Some(popped));
+            }
+            proptest::prop_assert_eq!(c.pop(), None);
+        }
     }
 }
