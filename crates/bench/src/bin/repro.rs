@@ -3,14 +3,13 @@
 //! ```text
 //! repro [--scale test|smoke|default|paper] [--out DIR] [--trials N] [--seed S] [--huge] ARTIFACT...
 //! repro all
-//! repro bench --scale smoke   # census-vs-reference perf gate + BENCH_fig8.json
 //! repro scale --scale smoke   # scale ladder + scale.{csv,json} + BENCH_scale.json
 //! repro list
 //! ```
 //!
 //! The artifact set (ids, descriptions, `all` membership) comes from the
 //! declarative registry in `qcp_bench::ARTIFACTS`; `repro list` prints it.
-//! `bench` and `scale` are registered but opt out of `all`.
+//! `scale` is registered but opts out of `all`.
 
 #![forbid(unsafe_code)]
 

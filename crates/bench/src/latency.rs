@@ -14,16 +14,15 @@
 //! successful queries plus the **deadline-miss rate** — the first result
 //! family the message-count methodology cannot produce.
 //!
-//! Everything is a pure function of `(scale, seed)`. The artifact runs
-//! the grid on a 1-thread and a 4-thread pool, asserts the two are
-//! bitwise identical *before* reporting wall-times (a timing between
-//! different answers would be meaningless), and self-checks the headline
-//! claim: the hybrid's deadline-miss count is monotone non-decreasing in
-//! mean link latency for every `(loss, policy)` column.
+//! Everything is a pure function of `(scale, seed)`, independent of the
+//! pool width (pinned by `latency_grid_thread_width_does_not_leak` in
+//! `tests/determinism.rs`). The artifact runs the grid once on the global
+//! pool and self-checks the headline claim: the hybrid's deadline-miss
+//! count is monotone non-decreasing in mean link latency for every
+//! `(loss, policy)` column.
 //!
-//! Output: `latency.csv` + `latency.json` (deterministic, byte-compared
-//! by the CI double-run gate) and `BENCH_latency.json` (wall-clock
-//! trajectory of the event engine, excluded from the byte gate).
+//! Output: `latency.csv` + `latency.json`, pinned by the smoke digest
+//! manifest `tests/golden/smoke.sha256`.
 
 use crate::rows::jf;
 use crate::{Repro, Scale};
@@ -40,7 +39,6 @@ use qcp_core::util::Table;
 use qcp_core::vtime::Deadline;
 use qcp_core::xpar::Pool;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Mean per-link latencies swept, in ticks (per-link draws land in
 /// `[1, 2m - 1]`, mean-preserving).
@@ -460,52 +458,10 @@ fn grid_table(grid: &[LatencyCell]) -> Table {
     t
 }
 
-/// `BENCH_latency.json`: the event engine's wall-clock trajectory —
-/// grid seconds at 1 and 4 threads. Deliberately *not* byte-compared by
-/// CI (wall-clock varies); the deterministic outputs are `latency.*`.
-fn bench_json(r: &Repro, queries: usize, cells: usize, timings: &[(usize, f64)]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\n  \"bench\": \"latency\",\n  \"kernel\": \"virtual-time event engine (deadline grid)\",\n  \
-         \"seed\": {},\n  \"cells\": {cells},\n  \"queries_per_cell\": {queries},\n  \"entries\": [",
-        r.seed
-    );
-    for (i, &(threads, secs)) in timings.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let total = (cells * queries * 5) as f64;
-        let _ = write!(
-            s,
-            "{sep}\n    {{\"threads\": {threads}, \"secs\": {}, \"queries_per_sec\": {}}}",
-            jf(secs),
-            jf(if secs > 0.0 {
-                total / secs
-            } else {
-                f64::INFINITY
-            }),
-        );
-    }
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// The `repro latency` artifact: runs the grid on 1- and 4-thread pools,
-/// asserts them bitwise-identical, writes `latency.csv` + `latency.json`
-/// + `BENCH_latency.json`, and renders the report.
+/// The `repro latency` artifact: runs the grid on the global pool,
+/// writes `latency.csv` + `latency.json`, and renders the report.
 pub fn latency(r: &Repro) -> String {
-    // qcplint: allow(nondet) — wall-clock is the bench's measurand; it
-    // times seeded grids and never feeds back into simulation results.
-    let t0 = Instant::now();
-    let one = latency_data(r, &Pool::new(1));
-    let one_secs = t0.elapsed().as_secs_f64();
-    // qcplint: allow(nondet) — wall-clock timing only, see above.
-    let t0 = Instant::now();
-    let four = latency_data(r, &Pool::new(4));
-    let four_secs = t0.elapsed().as_secs_f64();
-    // A wall-time between different answers would be meaningless — and
-    // pool-width independence is this artifact's acceptance criterion.
-    assert_eq!(one, four, "latency grid must not depend on pool width");
-    let grid = four;
+    let grid = latency_data(r, Pool::global());
 
     r.write_csv("latency", &grid_table(&grid));
     let json = grid_json(r, &grid);
@@ -513,12 +469,6 @@ pub fn latency(r: &Repro) -> String {
     std::fs::write(&path, &json)
         // qcplint: allow(panic) — artifact write failure is fatal by design.
         .unwrap_or_else(|e| panic!("failed writing {}: {e}", path.display()));
-    let queries = grid[0].systems[0].queries;
-    let bench = bench_json(r, queries, grid.len(), &[(1, one_secs), (4, four_secs)]);
-    let bench_path = r.out_dir.join("BENCH_latency.json");
-    std::fs::write(&bench_path, &bench)
-        // qcplint: allow(panic) — artifact write failure is fatal by design.
-        .unwrap_or_else(|e| panic!("failed writing {}: {e}", bench_path.display()));
 
     // Report: the headline curve (hybrid miss rate vs mean latency, one
     // series per loss x policy), then a per-system p50/p99 table for the
@@ -586,8 +536,7 @@ pub fn latency(r: &Repro) -> String {
     );
     let _ = writeln!(
         out,
-        "grids at 1 and 4 threads bitwise-identical ({one_secs:.3}s vs {four_secs:.3}s); \
-         wrote {} cells to latency.csv, latency.json, BENCH_latency.json",
+        "wrote {} cells to latency.csv, latency.json",
         grid.len()
     );
     out
@@ -681,9 +630,6 @@ mod tests {
         let t = grid_table(&[cell]);
         assert_eq!(t.len(), 2);
         assert!(t.to_csv().starts_with("mean_latency,loss,policy,system"));
-        let bench = bench_json(&r, 300, 16, &[(1, 2.0), (4, 0.5)]);
-        assert!(bench.contains("\"bench\": \"latency\""));
-        assert!(bench.contains("\"queries_per_sec\": 12000"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! `qcp-bench` — figure/table regeneration and benchmark harness.
+//! `qcp-bench` — figure/table regeneration.
 //!
 //! The [`Repro`] session regenerates every figure and (virtual) table of
-//! the paper into CSV files plus terminal-rendered ASCII plots; the
-//! Criterion benches in `benches/` time the kernels behind each one.
+//! the paper into CSV files plus terminal-rendered ASCII plots. Layer-by-
+//! layer timing lives in the standalone `perfbench/` package.
 //!
 //! ```text
 //! cargo run --release -p qcp-bench --bin repro -- all
@@ -22,7 +22,6 @@ pub mod profile;
 pub mod rows;
 pub mod scale;
 pub mod soak;
-pub mod timing;
 
 /// Domain tag for per-cell fault-plan seeds. `fig8churn` and `soak`
 /// share it *deliberately*: the soak experiment's per-cell flood
@@ -47,7 +46,7 @@ pub enum Scale {
 
 impl Scale {
     /// Parses a `--scale` argument (`smoke` is an alias of `test`,
-    /// matching the `repro bench` CI gate's vocabulary).
+    /// matching the CI smoke gates' vocabulary).
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
             "test" | "smoke" => Some(Scale::Test),
@@ -130,7 +129,7 @@ impl Repro {
     }
 
     /// Every `repro all` artifact id, in report order (the registry
-    /// entries that opt in; `bench` and `scale` stay manual-only).
+    /// entries that opt in; `scale` stays manual-only).
     pub fn all_artifacts() -> Vec<&'static str> {
         ARTIFACTS
             .iter()
@@ -151,8 +150,8 @@ pub struct Artifact {
     pub name: &'static str,
     /// One-line description shown by `repro list`.
     pub description: &'static str,
-    /// Whether `repro all` runs it (`bench`/`scale` opt out: they are
-    /// perf/scale harnesses, not figure regenerations).
+    /// Whether `repro all` runs it (`scale` opts out: it is a memory
+    /// ladder, not a figure regeneration).
     pub in_all: bool,
     /// Runs the artifact against a session; returns the rendered report.
     pub run: fn(&Repro) -> String,
@@ -318,12 +317,6 @@ pub const ARTIFACTS: &[Artifact] = &[
         run: overload::overload,
     },
     Artifact {
-        name: "bench",
-        description: "Figure-8 perf-trajectory harness (BENCH_fig8.json)",
-        in_all: false,
-        run: timing::bench,
-    },
-    Artifact {
         name: "scale",
         description: "million-node scale ladder (--huge adds 10M)",
         in_all: false,
@@ -375,13 +368,9 @@ mod tests {
             assert!(seen.insert(a.name), "duplicate artifact id {}", a.name);
             assert!(!a.description.is_empty(), "{} needs a description", a.name);
         }
-        // The perf/scale harnesses stay out of `repro all`.
-        for manual in ["bench", "scale"] {
-            let a = Artifact::find(manual).unwrap();
-            assert!(!a.in_all, "{manual} must not run under `repro all`");
-        }
+        // The scale ladder stays out of `repro all`.
+        assert!(!Artifact::find("scale").unwrap().in_all);
         assert!(Repro::all_artifacts().contains(&"fig8-repl"));
-        assert!(!Repro::all_artifacts().contains(&"bench"));
         assert!(Artifact::find("no-such-artifact").is_none());
     }
 }

@@ -23,15 +23,16 @@
 //! byte-identical to `repro latency` cell 0, proving the overload layer
 //! adds nothing when capacity is unbounded.
 //!
-//! Self-checks before anything is emitted: the grid is bitwise
-//! identical at 1 and 4 pool threads, the baseline cell's overload
-//! accounting is all-zero, the shed rate is monotone non-decreasing in
-//! offered load for every `(policy, model)` column, and at least one
-//! cell sits past the saturation knee (shed rate ≥ 0.5).
+//! The grid is independent of the pool width (pinned by
+//! `overload_grid_thread_width_does_not_leak` in `tests/determinism.rs`)
+//! and runs once on the global pool. Self-checks before anything is
+//! emitted: the baseline cell's overload accounting is all-zero, the
+//! shed rate is monotone non-decreasing in offered load for every
+//! `(policy, model)` column, and at least one cell sits past the
+//! saturation knee (shed rate ≥ 0.5).
 //!
-//! Output: `overload.csv` + `overload.json` (deterministic,
-//! byte-compared by the CI double-run gate) and `BENCH_overload.json`
-//! (wall-clock trajectory, excluded from the byte gate).
+//! Output: `overload.csv` + `overload.json`, pinned by the smoke digest
+//! manifest `tests/golden/smoke.sha256`.
 
 use crate::latency::{CTX_TAG, PLAN_TAG, QUERY_TAG, RUN_TAG, WORLD_TAG};
 use crate::rows::jf;
@@ -51,7 +52,6 @@ use qcp_core::util::Table;
 use qcp_core::vtime::Deadline;
 use qcp_core::xpar::Pool;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Offered background loads swept (mean synthetic arrivals per service
 /// interval), outermost axis. The ladder starts *past* the backlog
@@ -639,52 +639,10 @@ fn grid_table(cells: &[OverloadCell]) -> Table {
     t
 }
 
-/// `BENCH_overload.json`: wall-clock trajectory of the capacity-bound
-/// event engine — grid seconds at 1 and 4 threads. Deliberately *not*
-/// byte-compared by CI; the deterministic outputs are `overload.*`.
-fn bench_json(r: &Repro, queries: usize, cells: usize, timings: &[(usize, f64)]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\n  \"bench\": \"overload\",\n  \"kernel\": \"capacity-bounded event engine (overload grid)\",\n  \
-         \"seed\": {},\n  \"cells\": {cells},\n  \"queries_per_cell\": {queries},\n  \"entries\": [",
-        r.seed
-    );
-    for (i, &(threads, secs)) in timings.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let total = (cells * queries * 5) as f64;
-        let _ = write!(
-            s,
-            "{sep}\n    {{\"threads\": {threads}, \"secs\": {}, \"queries_per_sec\": {}}}",
-            jf(secs),
-            jf(if secs > 0.0 {
-                total / secs
-            } else {
-                f64::INFINITY
-            }),
-        );
-    }
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
-/// The `repro overload` artifact: runs the grid on 1- and 4-thread
-/// pools, asserts them bitwise-identical, writes `overload.csv` +
-/// `overload.json` + `BENCH_overload.json`, and renders the report.
+/// The `repro overload` artifact: runs the grid on the global pool,
+/// writes `overload.csv` + `overload.json`, and renders the report.
 pub fn overload(r: &Repro) -> String {
-    // qcplint: allow(nondet) — wall-clock is the bench's measurand; it
-    // times seeded grids and never feeds back into simulation results.
-    let t0 = Instant::now();
-    let one = overload_data(r, &Pool::new(1));
-    let one_secs = t0.elapsed().as_secs_f64();
-    // qcplint: allow(nondet) — wall-clock timing only, see above.
-    let t0 = Instant::now();
-    let four = overload_data(r, &Pool::new(4));
-    let four_secs = t0.elapsed().as_secs_f64();
-    // A wall-time between different answers would be meaningless — and
-    // pool-width independence is this artifact's acceptance criterion.
-    assert_eq!(one, four, "overload grid must not depend on pool width");
-    let cells = four;
+    let cells = overload_data(r, Pool::global());
 
     r.write_csv("overload", &grid_table(&cells));
     let (grid, baseline) = (&cells[..BASELINE], &cells[BASELINE]);
@@ -693,12 +651,6 @@ pub fn overload(r: &Repro) -> String {
     std::fs::write(&path, &json)
         // qcplint: allow(panic) — artifact write failure is fatal by design.
         .unwrap_or_else(|e| panic!("failed writing {}: {e}", path.display()));
-    let queries = cells[0].systems[0].queries;
-    let bench = bench_json(r, queries, cells.len(), &[(1, one_secs), (4, four_secs)]);
-    let bench_path = r.out_dir.join("BENCH_overload.json");
-    std::fs::write(&bench_path, &bench)
-        // qcplint: allow(panic) — artifact write failure is fatal by design.
-        .unwrap_or_else(|e| panic!("failed writing {}: {e}", bench_path.display()));
 
     // Report: the headline curve (cell shed rate vs offered load, one
     // series per policy x model), then a policy comparison at the top
@@ -761,8 +713,7 @@ pub fn overload(r: &Repro) -> String {
     );
     let _ = writeln!(
         out,
-        "grids at 1 and 4 threads bitwise-identical ({one_secs:.3}s vs {four_secs:.3}s); \
-         wrote {} cells to overload.csv, overload.json, BENCH_overload.json",
+        "wrote {} cells to overload.csv, overload.json",
         cells.len()
     );
     out
@@ -897,8 +848,6 @@ mod tests {
         let t = grid_table(&[grid[0].clone(), baseline]);
         assert_eq!(t.len(), 2);
         assert!(t.to_csv().starts_with("offered_load,policy,model,system"));
-        let bench = bench_json(&r, 300, 25, &[(1, 2.0), (4, 0.5)]);
-        assert!(bench.contains("\"bench\": \"overload\""));
     }
 
     #[test]

@@ -107,13 +107,6 @@ impl BloomFilter {
         self.items += other.items;
     }
 
-    /// Sets one bit by raw position (crate-internal: used to convert a
-    /// counting filter's occupancy pattern; probe functions are identical
-    /// across the two types by construction).
-    pub(crate) fn set_bit_raw(&mut self, bit: usize) {
-        self.bits[bit / 64] |= 1u64 << (bit % 64);
-    }
-
     /// Clears all bits.
     pub fn clear(&mut self) {
         self.bits.fill(0);

@@ -6,8 +6,6 @@
 //! provides the synopsis machinery:
 //!
 //! * [`bloom`] — plain Bloom filters with double hashing;
-//! * [`counting`] — counting Bloom filters supporting removal (needed when
-//!   synopses are rebuilt incrementally as content churns);
 //! * [`attenuated`] — attenuated (multi-level) Bloom filters summarizing
 //!   content at increasing hop distances, the classic unstructured-routing
 //!   hint structure;
@@ -21,17 +19,14 @@
 
 pub mod attenuated;
 pub mod bloom;
-pub mod counting;
 pub mod synopsis;
 
-/// Domain tag for the second probe hash of the double-hashed Bloom
-/// variants (the splitmix64 golden gamma). `BloomFilter` and
-/// `CountingBloom` share it *deliberately*: a counting filter sized
-/// like a plain filter must probe the same cells for the same key, so
-/// membership answers agree between the two representations.
+/// Domain tag for the second probe hash of [`BloomFilter`]'s double
+/// hashing (the splitmix64 golden gamma). Every Bloom filter in the
+/// crate, attenuated levels included, probes through it, so changing it
+/// moves every synopsis and QRP answer.
 pub(crate) const PROBE_H2_TAG: u64 = 0x9e37_79b9_7f4a_7c15;
 
 pub use attenuated::AttenuatedBloom;
 pub use bloom::BloomFilter;
-pub use counting::CountingBloom;
 pub use synopsis::{SynopsisBudget, TermSynopsis};

@@ -1,42 +1,11 @@
 //! Property tests for the sketch substrate.
 
 use proptest::prelude::*;
-use qcp_sketch::{AttenuatedBloom, BloomFilter, CountingBloom, SynopsisBudget, TermSynopsis};
+use qcp_sketch::{AttenuatedBloom, BloomFilter, SynopsisBudget, TermSynopsis};
 use qcp_util::Symbol;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// After inserting a multiset and removing a sub-multiset, every key
-    /// still present in the multiset must still be reported (no false
-    /// negatives), as long as no cell saturated (generously sized filter).
-    #[test]
-    fn counting_bloom_multiset_round_trip(
-        keys in proptest::collection::vec(0u64..50, 1..120),
-        remove_prefix in 0usize..60,
-    ) {
-        let mut filter = CountingBloom::new(8192, 4);
-        for &k in &keys {
-            filter.insert(k);
-        }
-        let removed = &keys[..remove_prefix.min(keys.len())];
-        for &k in removed {
-            filter.remove(k);
-        }
-        // Remaining multiset.
-        let mut counts: std::collections::HashMap<u64, i64> = Default::default();
-        for &k in &keys {
-            *counts.entry(k).or_insert(0) += 1;
-        }
-        for &k in removed {
-            *counts.entry(k).or_insert(0) -= 1;
-        }
-        for (&k, &c) in &counts {
-            if c > 0 {
-                prop_assert!(filter.contains(k), "lost key {k} with count {c}");
-            }
-        }
-    }
 
     /// Synopsis admission: every admitted term is advertised, admissions
     /// never exceed the budget, and weights are non-increasing.

@@ -7,9 +7,9 @@
 //!   aliases; keys in the measurement pipeline are small integers and short
 //!   interned strings, for which SipHash is needlessly slow (see the Rust
 //!   Performance Book, "Hashing").
-//! * [`rng`] — deterministic `SplitMix64` and `Pcg64` generators implementing
-//!   [`rand::RngCore`], so every experiment is reproducible from a single
-//!   `u64` seed and can derive independent child streams.
+//! * [`rng`] — deterministic `SplitMix64` and `Pcg64` generators, so every
+//!   experiment is reproducible from a single `u64` seed and can derive
+//!   independent child streams.
 //! * [`stats`] — descriptive statistics, percentiles and ordinary
 //!   least-squares regression (used for log-log Zipf fits).
 //! * [`hist`] — histograms, rank-frequency series and CCDFs, the raw

@@ -7,11 +7,6 @@
 //! cross-trial correlation. [`Pcg64`] (PCG-XSH-RR variant on 128-bit state)
 //! is the workhorse generator: fast, small, and statistically solid for
 //! simulation purposes.
-//!
-//! Both implement [`rand::RngCore`] so they compose with `rand`'s
-//! distribution and shuffling machinery.
-
-use rand::{Error, RngCore, SeedableRng};
 
 /// SplitMix64: a tiny splittable generator.
 ///
@@ -49,39 +44,6 @@ impl SplitMix64 {
 pub fn child_seed(seed: u64, index: u64) -> u64 {
     let mut sm = SplitMix64::new(seed ^ index.wrapping_mul(0xa076_1d64_78bd_642f));
     sm.next()
-}
-
-impl RngCore for SplitMix64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_via_u64(self, dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SplitMix64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
-    }
 }
 
 /// PCG-64 (XSL-RR 128/64): the main simulation generator.
@@ -197,51 +159,6 @@ impl Pcg64 {
             }
         }
         out
-    }
-}
-
-impl RngCore for Pcg64 {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_via_u64(self, dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for Pcg64 {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
-    }
-}
-
-fn fill_bytes_via_u64<R: RngCore>(rng: &mut R, dest: &mut [u8]) {
-    let mut chunks = dest.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-    }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        let bytes = rng.next_u64().to_le_bytes();
-        rem.copy_from_slice(&bytes[..rem.len()]);
     }
 }
 

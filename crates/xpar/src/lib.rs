@@ -4,14 +4,16 @@
 //! scans over week-long query traces, per-object replica placement — are
 //! embarrassingly parallel over an index range. This crate provides exactly
 //! that shape, in the spirit of Rayon's `par_iter` (see the repo's coding
-//! guides) but implemented from scratch on the allowed substrate
-//! (`crossbeam` channels for job dispatch, `parking_lot` for completion
-//! signalling, atomics for index stealing).
+//! guides) but implemented from scratch on `std` alone: an
+//! [`mpsc`](std::sync::mpsc) channel for job dispatch, a
+//! [`Mutex`]/[`Condvar`] pair for completion signalling, and atomics for
+//! index stealing.
 //!
 //! Design:
 //!
-//! * A [`Pool`] owns N worker threads that block on an unbounded channel of
-//!   *batch* handles.
+//! * A [`Pool`] owns N worker threads that take turns receiving *batch*
+//!   handles from one channel, whose receiver they share behind a mutex.
+//!   A worker holds that mutex only while it waits for the next handle.
 //! * Executing `pool.run(n, f)` publishes one batch; the calling thread and
 //!   every worker repeatedly claim task indices from a shared
 //!   `AtomicUsize` until the range is drained (grain-free dynamic
@@ -20,7 +22,9 @@
 //! * The caller participates in execution, so the pool cannot deadlock even
 //!   under nested `run` calls: the inner call's caller drains its own batch.
 //! * Worker panics are caught, recorded, and re-raised on the calling
-//!   thread after the batch drains.
+//!   thread after the batch drains. No task runs while a lock is held, so
+//!   the locks cannot be poisoned by a task; the pool still recovers a
+//!   poisoned guard with [`PoisonError::into_inner`] rather than panic.
 //!
 //! ```
 //! let pool = qcp_xpar::Pool::new(4);
@@ -30,11 +34,10 @@
 
 #![warn(missing_docs)]
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 /// Type-erased batch of `n` indexed tasks.
@@ -80,17 +83,23 @@ impl Batch {
 
     fn exit(&self) {
         if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done_lock.lock();
+            let _guard = lock(&self.done_lock);
             self.done_cv.notify_all();
         }
     }
 
     fn wait(&self) {
-        let mut guard = self.done_lock.lock();
-        while self.active.load(Ordering::Acquire) != 0 {
-            self.done_cv.wait(&mut guard);
-        }
+        let guard = lock(&self.done_lock);
+        let _guard = self
+            .done_cv
+            .wait_while(guard, |_| self.active.load(Ordering::Acquire) != 0)
+            .unwrap_or_else(PoisonError::into_inner);
     }
+}
+
+/// Locks `mutex`, recovering the guard if a previous holder panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A fork-join thread pool.
@@ -110,9 +119,14 @@ impl std::fmt::Debug for Pool {
     }
 }
 
-fn worker_loop(rx: Receiver<Arc<Batch>>) {
-    // Receiving fails only when the pool (all senders) is dropped.
-    while let Ok(batch) = rx.recv() {
+fn worker_loop(rx: Arc<Mutex<Receiver<Arc<Batch>>>>) {
+    loop {
+        // A `let` statement drops the receiver's guard before the batch
+        // runs; in a `while let` scrutinee it would live through the body
+        // and serialize the workers.
+        let next = lock(&rx).recv();
+        // Receiving fails only when the pool (the sender) is dropped.
+        let Ok(batch) = next else { break };
         batch.enter();
         batch.drain();
         batch.exit();
@@ -125,10 +139,11 @@ impl Pool {
     /// up to two threads of compute during `run`).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (sender, receiver) = unbounded::<Arc<Batch>>();
+        let (sender, receiver) = channel::<Arc<Batch>>();
+        let receiver = Arc::new(Mutex::new(receiver));
         let workers = (0..threads)
             .map(|i| {
-                let rx = receiver.clone();
+                let rx = Arc::clone(&receiver);
                 std::thread::Builder::new()
                     .name(format!("qcp-xpar-{i}"))
                     .spawn(move || worker_loop(rx))
@@ -328,7 +343,7 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         // Closing the channel wakes all workers with Err.
-        let (dead_tx, _) = unbounded();
+        let (dead_tx, _) = channel();
         self.sender = dead_tx;
         for handle in self.workers.drain(..) {
             let _ = handle.join();

@@ -9,6 +9,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use qcp_xpar::Pool;
 
@@ -52,6 +53,33 @@ fn zero_and_one_task_edges() {
 
     assert!(pool.par_map_indexed(0, |i| i).is_empty());
     assert_eq!(pool.par_map_indexed(1, |i| i + 7), vec![7]);
+}
+
+#[test]
+fn caller_and_every_worker_run_tasks_at_once() {
+    // Each of the three tasks waits until all three have started, so
+    // they can all finish only if the caller and both workers run one
+    // at the same time. A worker that kept the shared receiver locked
+    // while draining its batch would hold the other worker back until
+    // the deadline.
+    let pool = Pool::new(2);
+    let started = AtomicUsize::new(0);
+    let met = AtomicUsize::new(0);
+    pool.run(3, |_| {
+        started.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while started.load(Ordering::SeqCst) < 3 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        if started.load(Ordering::SeqCst) == 3 {
+            met.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    assert_eq!(
+        met.load(Ordering::SeqCst),
+        3,
+        "tasks did not run concurrently"
+    );
 }
 
 #[test]
