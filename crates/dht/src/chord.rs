@@ -80,7 +80,7 @@ const REPLY_TIE: u64 = 0;
 const TIMER_TIE: u64 = 1;
 
 /// One in-flight race entry of [`ChordNetwork::lookup_timed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wire {
     /// The candidate's response to a delivered transmission.
     Reply,

@@ -5,10 +5,9 @@
 //! [`walk`](crate::walk) advance the whole network one hop at a time —
 //! correct for message accounting, blind to *when* messages arrive. The
 //! [`EventEngine`] re-expresses the same searches on a [`Calendar`]:
-//! every transmission is an arrival event scheduled at
-//! `now + plan.latency(u, v)`, and fault checks (churn liveness,
-//! Bernoulli drops) run when the message *arrives*, not when it is sent.
-//! Both kernels take their [`Recorder`] directly (pass
+//! every transmission arrives at `now + plan.latency(u, v)`, and its
+//! fault checks (churn liveness, Bernoulli drops) decide its *arrival*,
+//! not its send. Both kernels take their [`Recorder`] directly (pass
 //! [`qcp_obs::NoopRecorder`] for an unrecorded run); the recorder is
 //! write-only, so outcomes never depend on it.
 //!
@@ -21,14 +20,47 @@
 //!
 //! * **`Direct`** (no plan, or [`CapacityPlan::is_unlimited`]) — the
 //!   message is processed on arrival: nodes have infinite capacity. This
-//!   model is zero-sized and records no queue counters.
+//!   model is zero-sized and records no queue counters, and a flood
+//!   under it settles each message when it is sent (below).
 //! * **`Queued`** (a limited plan; see [`overload`](crate::overload)) —
 //!   arrivals join their target's bounded queue, and the same `process`
 //!   step (mark and forward, or move the walker) runs when the node
-//!   serves the entry.
+//!   serves the entry. Every message is a calendar event here, because
+//!   a duplicate still takes a queue slot.
 //!
 //! The loop is generic over the model, so each model is its own
 //! monomorphized kernel and the direct path carries no queueing code.
+//!
+//! # Settling a direct flood message at send
+//!
+//! A direct flood decides each message's fate when it is sent, and only
+//! a possible first arrival at a forwarder enters the calendar. On a
+//! two-tier overlay, where most peers are leaves that only receive, that
+//! keeps nearly every message out of the calendar. The outcome is the
+//! arrival-time loop's bit for bit, because
+//!
+//! * the fault draws are stateless in `(u, v, msg)` and the query tick,
+//!   so drawing them early draws the same values;
+//! * churn is frozen within a query and visit marks only grow, so a
+//!   message to a node already marked when it is sent arrives as a
+//!   duplicate;
+//! * latencies are at least one tick and `tie_break = mix64` is a
+//!   bijection on distinct message indices, so `(time, tie)` is a strict
+//!   order over one flood's messages, and the calendar pops in it.
+//!
+//! A send arriving at `t` past the cutoff only sets `truncated`: the
+//! arrival loop would stop on it undelivered. Otherwise `t` raises the
+//! completion time and the fault checks run, counting dead targets and
+//! drops as they would at pop; a lost message or a marked target ends
+//! it. Each node keeps its best pending key `(t, tie)`, and a send no
+//! better than it ends there. A forwarder with a better key is
+//! scheduled; its stale events pop later and find it marked. A node
+//! that does not forward never sends, so it is resolved on the spot:
+//! its first key counts it as reached (and as a holder reached), and a
+//! holder's key competes for the earliest leaf hit. The flood's hit is
+//! the smaller `(time, tie)` of the calendar's first hit and that leaf
+//! hit. A test-only delivery model with every default (the arrival-time
+//! loop) is the oracle the module's proptest pins this against.
 //!
 //! # Accounting contract
 //!
@@ -36,13 +68,15 @@
 //!   as the message index in the plan's drop stream (exactly as the
 //!   synchronous kernels use it), and a send scheduled before a deadline
 //!   cutoff is paid for even if the cutoff lands before its delivery.
+//! * **Fault checks are counted once per message that arrives by the
+//!   cutoff**, at send under direct flood delivery and at pop otherwise.
 //! * **Churn is frozen within a query.** `plan.alive_at(node, time)`
 //!   keys on the workload tick `time`, which does not advance during a
 //!   single query; checking liveness at delivery therefore matches the
 //!   synchronous kernels' send-time check node for node.
 //! * **`FaultStats::ticks` carries the completion time** (the last
-//!   delivery processed, or the cutoff when truncated) — the virtual
-//!   elapsed time of the query.
+//!   arrival, or the cutoff when truncated) — the virtual elapsed time
+//!   of the query.
 //!
 //! # Bitwise equivalence with the hop census
 //!
@@ -107,10 +141,7 @@ pub struct EventWalkOutcome {
 }
 
 /// One query message in flight: a flood delivery or a walker step.
-/// Ordered fields are never consulted by the calendar (the
-/// `(time, tie, seq)` key is a strict total order); the derive only
-/// satisfies the `E: Ord` bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Msg {
     pub(crate) from: u32,
     pub(crate) to: u32,
@@ -123,7 +154,7 @@ pub(crate) struct Msg {
 }
 
 /// Calendar events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Ev {
     /// A message arriving at its target.
     Arrive(Msg),
@@ -150,6 +181,11 @@ pub(crate) enum Admit {
 /// `process` step. See the module docs. The provided methods are direct
 /// delivery.
 pub(crate) trait Delivery {
+    /// Whether a flood settles each message when it is sent rather than
+    /// when it arrives (see the module docs). Only a model that processes
+    /// every arrival on the spot may: a queue spends a slot on each
+    /// duplicate, so it needs every arrival in the calendar.
+    const SETTLE_AT_SEND: bool = false;
     /// Ledger hook: one message entered the calendar.
     fn sent(&mut self) {}
     /// Ledger hook: one message left the calendar.
@@ -180,9 +216,12 @@ pub(crate) trait Delivery {
 
 /// Infinite capacity: every arrival is processed on the spot, no
 /// `Serve` event is ever scheduled, and nothing is queued or recorded.
+/// A flood settles its messages at send.
 struct Direct;
 
-impl Delivery for Direct {}
+impl Delivery for Direct {
+    const SETTLE_AT_SEND: bool = true;
+}
 
 /// The parameters both calendar kernels share for one query.
 struct Query<'q> {
@@ -251,6 +290,31 @@ fn step_tie(walker: u32, step: u32) -> u64 {
     tie_break(((walker as u64) << 32) | step as u64)
 }
 
+/// A flood's running totals beyond the shared [`Tally`].
+#[derive(Default)]
+struct FloodRun<'f> {
+    tally: Tally,
+    /// Leaf mask (`None`: every node forwards).
+    forwarders: Option<&'f [bool]>,
+    reached: u32,
+    holders_reached: u32,
+    /// `(time, tie, hop)` of the first holder marked off the calendar.
+    /// The source's own hit is `(0, 0, 0)`, ahead of every message:
+    /// latencies are at least one tick.
+    hit: Option<(u64, u64, u32)>,
+    /// Settled at send: `(time, tie, hop)` of the earliest arrival at a
+    /// holder that does not forward.
+    leaf_hit: Option<(u64, u64, u32)>,
+    /// Settled at send: the latest arrival at or before the cutoff.
+    last: u64,
+}
+
+impl FloodRun<'_> {
+    fn forwards(&self, node: u32) -> bool {
+        self.forwarders.is_none_or(|f| f[node as usize])
+    }
+}
+
 /// The per-run state every delivery model shares: calendar, visit marks,
 /// walkers and the walk's visit log.
 #[derive(Debug, Default)]
@@ -258,6 +322,10 @@ struct Arena {
     cal: Calendar<Ev>,
     marked: Vec<bool>,
     marked_list: Vec<u32>,
+    /// Settled at send: each node's best pending arrival key
+    /// `(time, tie)`, and the nodes that hold one.
+    best: Vec<Option<(u64, u64)>>,
+    best_list: Vec<u32>,
     walkers: Vec<Walker>,
     visited: Vec<u32>,
 }
@@ -374,11 +442,16 @@ impl Arena {
         self.cal.reset();
         if self.marked.len() < n {
             self.marked.resize(n, false);
+            self.best.resize(n, None);
         }
         for &node in &self.marked_list {
             self.marked[node as usize] = false;
         }
         self.marked_list.clear();
+        for &node in &self.best_list {
+            self.best[node as usize] = None;
+        }
+        self.best_list.clear();
     }
 
     /// Marks `node`; returns whether it was unmarked.
@@ -406,20 +479,23 @@ impl Arena {
             return Default::default();
         }
         self.reset(q.graph.num_nodes());
-        let mut tally = Tally::default();
-        let mut reached = 1u32;
-        let mut holders_reached = 0u32;
+        let mut run = FloodRun {
+            forwarders,
+            reached: 1,
+            ..Default::default()
+        };
         self.mark(q.source);
         if q.holds(q.source) {
-            tally.hit = Some((0, 0));
-            holders_reached = 1;
+            run.hit = Some((0, 0, 0));
+            run.holders_reached = 1;
         }
         // The querying node's send round is instant: sends are counted,
         // not queued at the sender.
-        self.send_round(q, d, q.source, 0, &mut tally.messages);
+        self.send_round(q, d, &mut run, q.source, 0);
         while let Some(t) = self.cal.peek_time() {
+            // Settled sends never schedule past the cutoff.
             if q.cutoff.is_some_and(|c| t > c) {
-                tally.truncated = true;
+                run.tally.truncated = true;
                 break;
             }
             // qcplint: allow(panic) — peek_time returned Some on this
@@ -428,7 +504,10 @@ impl Arena {
             let m = match ev {
                 Ev::Arrive(m) => {
                     d.landed();
-                    if !q.faults.deliver(m.from, m.to, m.msg, &mut tally.stats) {
+                    // A settled message passed its fault checks at send.
+                    if !D::SETTLE_AT_SEND
+                        && !q.faults.deliver(m.from, m.to, m.msg, &mut run.tally.stats)
+                    {
                         continue;
                     }
                     match d.arrive(&mut self.cal, t, m, q.ttl, Kernel::Flood, rec) {
@@ -443,34 +522,45 @@ impl Arena {
                     None => continue,
                 },
             };
-            // Process: a duplicate consumed its delivery, nothing more.
+            // Process: a duplicate (or a settled arrival a better one
+            // beat) consumed its delivery, nothing more.
             if !self.mark(m.to) {
                 continue;
             }
-            reached += 1;
+            run.reached += 1;
             if q.holds(m.to) {
-                holders_reached += 1;
-                tally.hit.get_or_insert((m.hop, t));
+                run.holders_reached += 1;
+                run.hit.get_or_insert((t, tie_break(m.msg), m.hop));
             }
             // Only forwarders expand (the source never re-arrives fresh).
-            if forwarders.is_none_or(|f| f[m.to as usize]) {
-                self.send_round(q, d, m.to, m.hop, &mut tally.messages);
+            if run.forwards(m.to) {
+                self.send_round(q, d, &mut run, m.to, m.hop);
             }
         }
-        let (completion_time, over) = tally.finish(q, self.cal.now(), Kernel::Flood, d, rec);
+        let hit = match (run.hit, run.leaf_hit) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        run.tally.hit = hit.map(|(time, _, hop)| (hop, time));
+        let end = if D::SETTLE_AT_SEND {
+            run.last
+        } else {
+            self.cal.now()
+        };
+        let (completion_time, over) = run.tally.finish(q, end, Kernel::Flood, d, rec);
         let out = EventFloodOutcome {
             flood: FloodOutcome {
-                found: tally.hit.is_some(),
-                found_at_hop: tally.hit.map(|(hop, _)| hop),
-                reached,
-                messages: tally.messages,
+                found: hit.is_some(),
+                found_at_hop: hit.map(|(_, _, hop)| hop),
+                reached: run.reached,
+                messages: run.tally.messages,
             },
-            first_hit_time: tally.hit.map(|(_, time)| time),
+            first_hit_time: hit.map(|(time, _, _)| time),
             completion_time,
-            truncated: tally.truncated,
-            holders_reached,
+            truncated: run.tally.truncated,
+            holders_reached: run.holders_reached,
         };
-        (out, tally.stats, over)
+        (out, run.tally.stats, over)
     }
 
     /// `u`, marked at hop `hop`, forwards to every neighbor if the TTL
@@ -479,28 +569,71 @@ impl Arena {
         &mut self,
         q: &Query<'_>,
         d: &mut D,
+        run: &mut FloodRun<'_>,
         u: u32,
         hop: u32,
-        messages: &mut u64,
     ) {
         if hop >= q.ttl {
             return;
         }
+        let now = self.cal.now();
         for &v in q.graph.neighbors(u) {
-            *messages += 1;
+            run.tally.messages += 1;
             d.sent();
-            let msg = *messages;
-            self.cal.schedule_after(
-                q.faults.plan.latency(u, v),
-                tie_break(msg),
-                Ev::Arrive(Msg {
-                    from: u,
-                    to: v,
-                    hop: hop + 1,
-                    walker: 0,
-                    msg,
-                }),
-            );
+            let msg = run.tally.messages;
+            let m = Msg {
+                from: u,
+                to: v,
+                hop: hop + 1,
+                walker: 0,
+                msg,
+            };
+            let t = now.saturating_add(q.faults.plan.latency(u, v));
+            if D::SETTLE_AT_SEND {
+                self.settle(q, run, t, m);
+            } else {
+                self.cal.schedule_at(t, tie_break(msg), Ev::Arrive(m));
+            }
+        }
+    }
+
+    /// Settles `m`, sent now to arrive at `t`, exactly as the arrival
+    /// loop would at its pop (see the module docs): only a possible
+    /// first arrival at a forwarder enters the calendar, and a node
+    /// that does not forward is resolved on the spot.
+    fn settle(&mut self, q: &Query<'_>, run: &mut FloodRun<'_>, t: u64, m: Msg) {
+        if q.cutoff.is_some_and(|c| t > c) {
+            run.tally.truncated = true;
+            return;
+        }
+        run.last = run.last.max(t);
+        if !q.faults.deliver(m.from, m.to, m.msg, &mut run.tally.stats)
+            || self.marked[m.to as usize]
+        {
+            return;
+        }
+        let key = (t, tie_break(m.msg));
+        let best = &mut self.best[m.to as usize];
+        let first = best.is_none();
+        if best.is_some_and(|b| b <= key) {
+            return;
+        }
+        *best = Some(key);
+        if first {
+            self.best_list.push(m.to);
+        }
+        if run.forwards(m.to) {
+            self.cal.schedule_at(t, key.1, Ev::Arrive(m));
+            return;
+        }
+        let holds = q.holds(m.to);
+        if first {
+            run.reached += 1;
+            run.holders_reached += u32::from(holds);
+        }
+        if holds {
+            let hit = (t, key.1, m.hop);
+            run.leaf_hit = Some(run.leaf_hit.map_or(hit, |h| h.min(hit)));
         }
     }
 
@@ -656,7 +789,7 @@ mod tests {
     use super::*;
     use crate::flood::{FloodEngine, FloodSpec};
     use qcp_faults::{FaultConfig, FaultPlan};
-    use qcp_obs::NoopRecorder;
+    use qcp_obs::{MetricsRecorder, NoopRecorder};
 
     fn path(n: usize) -> Graph {
         let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
@@ -950,5 +1083,191 @@ mod tests {
         let (out, _) = walk(&g, 0, 4, 10, &[4], 0, &plan, t, None);
         assert!(!out.walk.found);
         assert_eq!(out.walk.messages, 0);
+    }
+
+    /// The arrival-time flood: all `Delivery` defaults, so each message
+    /// enters the calendar and its fault checks run at pop. The oracle
+    /// for [`Direct`]'s send-time settlement.
+    struct ArrivalTime;
+
+    impl Delivery for ArrivalTime {}
+
+    /// One flood's outcome, fault stats and recorder state.
+    type Pair = (EventFloodOutcome, FaultStats, MetricsRecorder);
+
+    /// Runs one query on `engine` down both paths:
+    /// `(direct, arrival-time)`.
+    #[allow(clippy::too_many_arguments)]
+    fn both_paths(
+        engine: &mut EventEngine,
+        g: &Graph,
+        source: u32,
+        ttl: u32,
+        holders: &[u32],
+        forwarders: Option<&[bool]>,
+        faults: FloodFaults<'_>,
+        cutoff: Option<u64>,
+    ) -> (Pair, Pair) {
+        let mut rec = MetricsRecorder::new();
+        let (out, stats, over) = engine.flood(
+            g, source, ttl, holders, forwarders, faults, None, cutoff, &mut rec,
+        );
+        assert_eq!(over, OverloadOutcome::default());
+        let q = Query {
+            graph: g,
+            source,
+            ttl,
+            holders,
+            faults,
+            cutoff,
+        };
+        let mut oracle_rec = MetricsRecorder::new();
+        let (o_out, o_stats, o_over) =
+            engine
+                .arena
+                .flood(&q, forwarders, &mut ArrivalTime, &mut oracle_rec);
+        assert_eq!(o_over, OverloadOutcome::default());
+        ((out, stats, rec), (o_out, o_stats, oracle_rec))
+    }
+
+    /// A leaf holder and a forwarding holder first reached on the same
+    /// tick: the hit is the arrival with the smaller `(time, tie)`, in
+    /// either role. Node 0 sends message 1 to node 1 and message 2 to
+    /// node 2, which sends message 3 back to 0 and message 4 to node 3;
+    /// latencies are chosen so messages 1 and 4 land on one tick.
+    #[test]
+    fn same_tick_leaf_and_forwarder_holders_merge_on_time_then_tie() {
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (2, 3)]);
+        let plan = (0u64..)
+            .map(|seed| {
+                FaultPlan::build(
+                    4,
+                    &FaultConfig {
+                        loss: 0.0,
+                        churn: 0.0,
+                        mean_latency: 4,
+                        seed,
+                        ..Default::default()
+                    },
+                )
+            })
+            .find(|p| p.latency(0, 1) == p.latency(0, 2) + p.latency(2, 3))
+            .expect("some seed lines the two holders up on one tick");
+        let tick = plan.latency(0, 1);
+        let hop = if tie_break(1) < tie_break(4) { 1 } else { 2 };
+        let mut engine = EventEngine::new();
+        // Node 1 forwards and node 3 is a leaf, then the other way round:
+        // one of the two runs has the leaf win and the other the
+        // forwarder.
+        for mask in [[true, true, true, false], [true, false, true, true]] {
+            let ((out, stats, rec), oracle) = both_paths(
+                &mut engine,
+                &g,
+                0,
+                3,
+                &[1, 3],
+                Some(&mask),
+                at(&plan, 0, 0),
+                None,
+            );
+            assert_eq!(out.first_hit_time, Some(tick), "mask {mask:?}");
+            assert_eq!(out.flood.found_at_hop, Some(hop), "mask {mask:?}");
+            assert_eq!(out.holders_reached, 2);
+            assert_eq!((out, stats, rec), oracle, "mask {mask:?}");
+        }
+    }
+
+    std::thread_local! {
+        /// The proptest's one engine, reused across every case.
+        static ORACLE_ENGINE: std::cell::RefCell<EventEngine> =
+            std::cell::RefCell::new(EventEngine::new());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Send-time settlement is bitwise the arrival-time flood: every
+        /// outcome field, the fault stats and the recorder state, over
+        /// two-tier and ER graphs with and without a forwarder mask,
+        /// lossy and churned plans, cutoffs and holder sets.
+        #[test]
+        fn settling_at_send_matches_the_arrival_time_flood(
+            graph_kind in 0u8..4,
+            n in 12usize..160,
+            loss_pct in 0u32..40,
+            churn_pct in 0u32..40,
+            mean_latency in 1u32..=8,
+            cutoff_kind in 0u8..3,
+            ttl in 0u32..=6,
+            holder_kind in 0u8..4,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let (g, mask) = match graph_kind {
+                0 | 1 => {
+                    let topo = crate::topology::gnutella_two_tier(
+                        &crate::topology::TopologyConfig {
+                            num_nodes: n,
+                            ultrapeer_fraction: 0.15,
+                            ultra_mesh_degree: 3 + (seed % 6) as usize,
+                            leaf_degree: 1 + (seed % 3) as usize,
+                            seed,
+                        },
+                    );
+                    let mask = topo.forwarders();
+                    (topo.graph, (graph_kind == 0).then_some(mask))
+                }
+                _ => {
+                    let g = crate::topology::erdos_renyi(n, 2.0 + (seed % 5) as f64, seed).graph;
+                    let mask = (0..n as u64).map(|v| !qcp_util::hash::mix64(seed ^ v).is_multiple_of(3));
+                    (g, (graph_kind == 3).then(|| mask.collect::<Vec<bool>>()))
+                }
+            };
+            let plan = FaultPlan::build(
+                n,
+                &FaultConfig {
+                    loss: f64::from(loss_pct) / 100.0,
+                    churn: f64::from(churn_pct) / 100.0,
+                    horizon: 16,
+                    mean_latency,
+                    rejoin: true,
+                    seed: seed.rotate_left(17),
+                },
+            );
+            let m = u64::from(mean_latency);
+            let leaf = |v: u32| mask.as_ref().is_some_and(|f| !f[v as usize]);
+            // Sixteen queries per world, each with its own source, tick,
+            // nonce, cutoff and holders.
+            for i in 0..16 {
+                let r = qcp_util::hash::mix64(seed ^ i);
+                let source = (r % n as u64) as u32;
+                let cutoff = match cutoff_kind {
+                    0 => None,
+                    1 => Some(1 + r % (2 * m)),
+                    _ => Some(m * u64::from(ttl.max(1)) + r % (2 * m)),
+                };
+                // Holder density 1, 1/2, 1/4 or 1/8.
+                let sparsity = 1 << ((r >> 8) % 4);
+                let pick = |v: u32| qcp_util::hash::mix64(r ^ u64::from(v)).is_multiple_of(sparsity);
+                let holders: Vec<u32> = match holder_kind {
+                    0 => Vec::new(),
+                    1 => vec![source],
+                    2 => (0..n as u32).filter(|&v| leaf(v) && pick(v)).collect(),
+                    _ => (0..n as u32).filter(|&v| pick(v)).collect(),
+                };
+                let (direct, oracle) = ORACLE_ENGINE.with_borrow_mut(|engine| {
+                    both_paths(
+                        engine,
+                        &g,
+                        source,
+                        ttl,
+                        &holders,
+                        mask.as_deref(),
+                        at(&plan, r % 16, r >> 32),
+                        cutoff,
+                    )
+                });
+                proptest::prop_assert_eq!(direct, oracle, "query {}", i);
+            }
+        }
     }
 }

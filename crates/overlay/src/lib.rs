@@ -19,7 +19,7 @@
 //! * [`walk`] — k-walker random walks;
 //! * [`event`] — the calendar engine: one event-driven flood and one
 //!   k-walker on the `qcp-vtime` calendar, with per-link latencies,
-//!   delivery-time fault checks and deadline cutoffs, generic over how
+//!   per-message fault checks and deadline cutoffs, generic over how
 //!   arrivals are delivered;
 //! * [`overload`] — the queued delivery model: bounded per-node queues,
 //!   per-node service rates on the Gia ladder, and load shedding (the

@@ -98,14 +98,40 @@ impl Deadline {
     }
 }
 
-/// One overflow entry. Ordered by `(time, tie, seq)` — strict total
-/// order, compared field-by-field.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// One overflow entry. Ordered by `(time, tie, seq)` alone — a strict
+/// total order, since `seq` is unique — so the payload needs no `Ord`.
+#[derive(Debug, Clone)]
 struct Entry<E> {
     time: u64,
     tie: u64,
     seq: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (u64, u64, u64) {
+        (self.time, self.tie, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// One bucketed event; its tick is the bucket's.
@@ -117,7 +143,8 @@ struct Slot<E> {
 }
 
 /// The calendar queue: events in virtual time, popped in
-/// `(time, tie, seq)` order. See the crate docs for the bucket ring.
+/// `(time, tie, seq)` order; the payload `E` is never compared. See the
+/// crate docs for the bucket ring.
 ///
 /// `pop` advances [`Calendar::now`] to the popped event's timestamp;
 /// scheduling into the past is a logic error and panics in debug builds.
@@ -143,13 +170,13 @@ pub struct Calendar<E> {
     seq: u64,
 }
 
-impl<E: Ord> Default for Calendar<E> {
+impl<E> Default for Calendar<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E: Ord> Calendar<E> {
+impl<E> Calendar<E> {
     /// An empty calendar at virtual time 0. Allocates nothing.
     pub fn new() -> Self {
         Self {
