@@ -18,8 +18,9 @@
 //! the outcome streams' messages, DHT `dropped = retries + timeouts`,
 //! repair `messages = probes + 2·added` — so a profile that disagrees
 //! with the simulation accounting can never be emitted. Everything is
-//! a pure function of `(scale, seed)`: the CI gate runs the artifact
-//! twice and `cmp`s the JSON byte-for-byte.
+//! a pure function of `(scale, seed)`: CI runs `repro --scale smoke
+//! all` twice and checks both `profile.json`s against the sha256
+//! manifest in `tests/golden/smoke.sha256`.
 
 use crate::{Repro, Scale};
 use qcp_core::dht::ChordNetwork;

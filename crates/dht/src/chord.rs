@@ -880,11 +880,15 @@ impl ChordNetwork {
                     }
                 }
             };
+            // Rebuild v's list in its own buffer, reading s's list in
+            // place: lists never hold their owner and the rescue skips v,
+            // so s != v and the two lists are distinct.
+            debug_assert_ne!(s, v);
             messages += 1; // fetch s's successor list
-            let mut list = Vec::with_capacity(self.succ_len);
+            let mut list = std::mem::take(&mut self.succ_lists[v as usize]);
+            list.clear();
             list.push(s);
-            let src = self.succ_lists[s as usize].clone();
-            for w in src {
+            for &w in &self.succ_lists[s as usize] {
                 if list.len() >= self.succ_len {
                     break;
                 }
@@ -1536,6 +1540,114 @@ mod faulty_tests {
         }
         assert_eq!(total.retries, 0, "fail-fast policy never retries");
         assert_eq!(total.dropped, total.timeouts);
+    }
+
+    /// [`ChordNetwork::stabilize`] as it was before it rebuilt lists in
+    /// place: a fresh `Vec` per node and a clone of the successor's list.
+    fn stabilize_allocating(net: &mut ChordNetwork) -> u64 {
+        let n = net.len();
+        let mut messages = 0u64;
+        for v in 0..n as u32 {
+            if net.departed[v as usize] {
+                continue;
+            }
+            let mut found: Option<u32> = None;
+            for &w in &net.succ_lists[v as usize] {
+                messages += 1;
+                if !net.departed[w as usize] {
+                    found = Some(w);
+                    break;
+                }
+            }
+            let s = match found {
+                Some(s) => s,
+                None => {
+                    messages += 1;
+                    match net.first_live_clockwise_after(v) {
+                        Some(s) => s,
+                        None => continue,
+                    }
+                }
+            };
+            messages += 1;
+            let mut list = Vec::with_capacity(net.succ_len);
+            list.push(s);
+            let src = net.succ_lists[s as usize].clone();
+            for w in src {
+                if list.len() >= net.succ_len {
+                    break;
+                }
+                if w != v && !list.contains(&w) {
+                    list.push(w);
+                }
+            }
+            net.succ_lists[v as usize] = list;
+            net.fingers[v as usize][0] = s;
+        }
+        messages
+    }
+
+    /// The panic message of [`ChordNetwork::check_successor_lists`], if
+    /// it panics.
+    fn list_check(net: &ChordNetwork) -> Option<String> {
+        std::panic::catch_unwind(|| net.check_successor_lists())
+            .err()
+            .map(|e| match e.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(e) => e
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |s| s.to_string()),
+            })
+    }
+
+    #[test]
+    fn in_place_stabilize_matches_the_allocating_rounds() {
+        use qcp_util::rng::Pcg64;
+        for seed in 0..40u64 {
+            let mut rng = Pcg64::new(seed ^ 0x57ab);
+            let n = 2 + rng.index(60);
+            let r = 1 + rng.index(6);
+            let mut net = ChordNetwork::with_succ_len(n, seed, r);
+            let mut oracle = net.clone();
+            for step in 0..80 {
+                let v = rng.index(n) as u32;
+                match rng.index(5) {
+                    // Departures run twice as often as rejoins, so long
+                    // runs of dead successors and bootstrap rescues occur.
+                    0 | 1 => {
+                        if !net.is_departed(v) && net.live_count() > 1 {
+                            net.depart(v);
+                            oracle.depart(v);
+                        }
+                    }
+                    2 => {
+                        if net.is_departed(v) {
+                            assert_eq!(net.rejoin(v), oracle.rejoin(v));
+                        }
+                    }
+                    3 => assert_eq!(
+                        net.stabilize(),
+                        stabilize_allocating(&mut oracle),
+                        "seed {seed} step {step}: stabilize bill"
+                    ),
+                    _ => assert_eq!(net.fix_fingers(), oracle.fix_fingers()),
+                }
+                for u in 0..n as u32 {
+                    assert_eq!(
+                        net.succ_list(u),
+                        oracle.succ_list(u),
+                        "seed {seed} step {step}: successor list of {u}"
+                    );
+                }
+                assert_eq!(net.fingers, oracle.fingers, "seed {seed} step {step}");
+                assert_eq!(net.stale_entries(), oracle.stale_entries());
+                assert_eq!(
+                    list_check(&net),
+                    list_check(&oracle),
+                    "seed {seed} step {step}: successor-list check"
+                );
+            }
+        }
     }
 }
 

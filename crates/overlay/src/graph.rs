@@ -228,6 +228,18 @@ impl Graph {
     pub fn is_connected(&self) -> bool {
         self.num_nodes() > 0 && self.largest_component() == self.num_nodes()
     }
+
+    /// Builds a CSR from per-node neighbor lists taken as given: no
+    /// symmetry, dedup or self-loop handling, so tests can hand a
+    /// checker a corrupted graph.
+    #[cfg(test)]
+    pub(crate) fn from_lists_unchecked(lists: &[Vec<u32>]) -> Self {
+        let degree: Vec<u32> = lists.iter().map(|l| l.len() as u32).collect();
+        Self {
+            offsets: prefix_offsets(&degree),
+            edges: lists.concat(),
+        }
+    }
 }
 
 #[cfg(test)]

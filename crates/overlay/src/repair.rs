@@ -169,6 +169,46 @@ pub fn repair_round(
     policy: &MaintenancePolicy,
     round: u64,
 ) -> (Graph, RepairStats) {
+    let (added, stats) = plan_round(pool, graph, alive, policy, round);
+    // Survivors, then added edges in apply order. Both are unique pairs:
+    // survivors come from a `Graph` and are emitted once each as `u < v`,
+    // and `plan_round` adds only pairs absent from `graph` and from each
+    // other. So `Graph::from_edges` would drop nothing from this sequence
+    // and would build these same CSR bytes.
+    let repaired = Graph::from_unique_edge_stream(graph.num_nodes(), |sink| {
+        for_each_survivor(graph, alive, &mut *sink);
+        for &(a, b) in &added {
+            sink(a, b);
+        }
+    });
+    (repaired, stats)
+}
+
+/// Calls `f(u, v)` once per edge of `graph` with both endpoints alive,
+/// as `u < v`, in ascending `u` then neighbor-list order. A `Graph` holds
+/// each pair once and no self-loops, so every edge it skips is pruned.
+fn for_each_survivor(graph: &Graph, alive: &[bool], mut f: impl FnMut(u32, u32)) {
+    for u in 0..graph.num_nodes() as u32 {
+        if !alive[u as usize] {
+            continue;
+        }
+        for &v in graph.neighbors(u) {
+            if u < v && alive[v as usize] {
+                f(u, v);
+            }
+        }
+    }
+}
+
+/// Phases 1–3 of [`repair_round`]: the edges the round adds, as
+/// `(min, max)` pairs in apply order, and the round's stats.
+fn plan_round(
+    pool: &Pool,
+    graph: &Graph,
+    alive: &[bool],
+    policy: &MaintenancePolicy,
+    round: u64,
+) -> (Vec<(u32, u32)>, RepairStats) {
     let n = graph.num_nodes();
     assert_eq!(alive.len(), n, "alive mask must cover the graph");
     let mut stats = RepairStats::default();
@@ -176,20 +216,13 @@ pub fn repair_round(
     // Phase 1: detect — prune edges with a dead endpoint, compute
     // surviving degrees.
     let mut deg: Vec<u32> = vec![0; n];
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(graph.num_edges());
-    for u in 0..n as u32 {
-        for &v in graph.neighbors(u) {
-            if u < v {
-                if alive[u as usize] && alive[v as usize] {
-                    edges.push((u, v));
-                    deg[u as usize] += 1;
-                    deg[v as usize] += 1;
-                } else {
-                    stats.pruned += 1;
-                }
-            }
-        }
-    }
+    let mut survivors = 0u64;
+    for_each_survivor(graph, alive, |u, v| {
+        deg[u as usize] += 1;
+        deg[v as usize] += 1;
+        survivors += 1;
+    });
+    stats.pruned = graph.num_edges() as u64 - survivors;
 
     // Candidate universe: alive nodes in ascending id order (deterministic
     // by construction), plus cumulative degree weights for preferential
@@ -202,9 +235,8 @@ pub fn repair_round(
         .collect();
     stats.deficient = deficient.len() as u64;
     if alive_nodes.len() <= 1 || deficient.is_empty() {
-        let repaired = Graph::from_edges(n, &edges);
         stats.messages = stats.probes + 2 * stats.added;
-        return (repaired, stats);
+        return (Vec::new(), stats);
     }
     // prefix[i] = total weight of alive_nodes[..=i]; weight = degree + 1.
     let prefix: Vec<u64> = match policy.attachment {
@@ -261,6 +293,7 @@ pub fn repair_round(
 
     // Phase 3: apply — serial, ascending node order; accept an edge only
     // while both endpoints stay inside the band.
+    let mut added: Vec<(u32, u32)> = Vec::new();
     let mut new_keys: FxHashSet<u64> = FxHashSet::default();
     for (&u, (picks, probes)) in deficient.iter().zip(&proposals) {
         stats.probes += probes;
@@ -276,14 +309,14 @@ pub fn repair_round(
             if !new_keys.insert(key) {
                 continue;
             }
-            edges.push((a, b));
+            added.push((a, b));
             deg[u as usize] += 1;
             deg[v as usize] += 1;
             stats.added += 1;
         }
     }
     stats.messages = stats.probes + 2 * stats.added;
-    (Graph::from_edges(n, &edges), stats)
+    (added, stats)
 }
 
 /// Asserts the post-round maintenance invariants; panics on violation.
@@ -303,7 +336,31 @@ pub fn check_repair_invariants(
 ) {
     assert_eq!(after.num_nodes(), before.num_nodes());
     assert_eq!(alive.len(), after.num_nodes());
-    for u in 0..after.num_nodes() as u32 {
+    let n = after.num_nodes();
+    // `listed_by[at[u]..at[u + 1]]` holds every node whose list holds `u`:
+    // the transposed adjacency, built by counting sort. Stamping those
+    // nodes with `u` turns the symmetry test into one load per entry.
+    let mut at = vec![0u32; n + 1];
+    for u in 0..n as u32 {
+        for &v in after.neighbors(u) {
+            at[v as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        at[i + 1] += at[i];
+    }
+    let mut cursor = at[..n].to_vec();
+    let mut listed_by = vec![0u32; at[n] as usize];
+    for u in 0..n as u32 {
+        for &v in after.neighbors(u) {
+            listed_by[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
+        }
+    }
+    drop(cursor);
+    // Node ids are below `n <= u32::MAX`, so no node starts stamped.
+    let mut stamp = vec![u32::MAX; n];
+    for u in 0..n as u32 {
         let d = after.degree(u);
         if !alive[u as usize] {
             assert!(d == 0, "dead node {u} kept {d} edges after repair");
@@ -319,12 +376,12 @@ pub fn check_repair_invariants(
             "degree band violated at {u}: {d} > max({surviving_before}, {})",
             policy.degree_max
         );
+        for &w in &listed_by[at[u as usize] as usize..at[u as usize + 1] as usize] {
+            stamp[w as usize] = u;
+        }
         for &v in after.neighbors(u) {
             assert!(alive[v as usize], "repaired edge {u}-{v} touches dead node");
-            assert!(
-                after.neighbors(v).contains(&u),
-                "repaired edge {u}-{v} is one-way"
-            );
+            assert!(stamp[v as usize] == u, "repaired edge {u}-{v} is one-way");
         }
     }
     stats.check_identity();
@@ -389,6 +446,7 @@ impl Maintainer {
 mod tests {
     use super::*;
     use crate::topology::{erdos_renyi, gnutella_two_tier, TopologyConfig};
+    use qcp_util::rng::Pcg64;
 
     fn kill(n: usize, every: usize) -> Vec<bool> {
         (0..n).map(|i| i % every != 0).collect()
@@ -530,5 +588,296 @@ mod tests {
         let pool = Pool::new(1);
         let policy = MaintenancePolicy::uniform(2, 6, 4, 0);
         let _ = repair_round(&pool, &t.graph, &[true; 10], &policy, 0);
+    }
+
+    /// `Graph::from_edges` as `repair_round` used it before streaming:
+    /// dedup by a `(min, max, emission index)` sort, then re-sort by index.
+    fn from_edges_reference(num_nodes: usize, edge_list: &[(u32, u32)]) -> Graph {
+        let mut tagged: Vec<(u32, u32, u32)> = edge_list
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(a, b))| a != b)
+            .map(|(i, &(a, b))| (a.min(b), a.max(b), i as u32))
+            .collect();
+        tagged.sort_unstable();
+        tagged.dedup_by_key(|&mut (a, b, _)| (a, b));
+        tagged.sort_unstable_by_key(|&(_, _, i)| i);
+        Graph::from_unique_edge_stream(num_nodes, |sink| {
+            for &(a, b, _) in &tagged {
+                sink(a, b);
+            }
+        })
+    }
+
+    /// [`repair_round`] as it built its CSR before streaming: survivors
+    /// then added edges collected in one list for the sort-dedup build,
+    /// with `pruned` counted by the same scan.
+    fn repair_round_reference(
+        pool: &Pool,
+        graph: &Graph,
+        alive: &[bool],
+        policy: &MaintenancePolicy,
+        round: u64,
+    ) -> (Graph, RepairStats) {
+        let (added, stats) = plan_round(pool, graph, alive, policy, round);
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut pruned = 0u64;
+        for u in 0..graph.num_nodes() as u32 {
+            for &v in graph.neighbors(u) {
+                if u < v {
+                    if alive[u as usize] && alive[v as usize] {
+                        edges.push((u, v));
+                    } else {
+                        pruned += 1;
+                    }
+                }
+            }
+        }
+        edges.extend_from_slice(&added);
+        let graph = from_edges_reference(graph.num_nodes(), &edges);
+        (graph, RepairStats { pruned, ..stats })
+    }
+
+    /// [`check_repair_invariants`] as it was before the transposed
+    /// adjacency: symmetry by a `contains` scan of the far end's list.
+    fn check_repair_invariants_reference(
+        before: &Graph,
+        after: &Graph,
+        alive: &[bool],
+        policy: &MaintenancePolicy,
+        stats: &RepairStats,
+    ) {
+        assert_eq!(after.num_nodes(), before.num_nodes());
+        assert_eq!(alive.len(), after.num_nodes());
+        for u in 0..after.num_nodes() as u32 {
+            let d = after.degree(u);
+            if !alive[u as usize] {
+                assert!(d == 0, "dead node {u} kept {d} edges after repair");
+                continue;
+            }
+            let surviving_before = before
+                .neighbors(u)
+                .iter()
+                .filter(|&&v| alive[v as usize])
+                .count();
+            assert!(
+                d <= surviving_before.max(policy.degree_max),
+                "degree band violated at {u}: {d} > max({surviving_before}, {})",
+                policy.degree_max
+            );
+            for &v in after.neighbors(u) {
+                assert!(alive[v as usize], "repaired edge {u}-{v} touches dead node");
+                assert!(
+                    after.neighbors(v).contains(&u),
+                    "repaired edge {u}-{v} is one-way"
+                );
+            }
+        }
+        stats.check_identity();
+    }
+
+    /// Runs both invariant checks and returns their shared verdict: `None`
+    /// when both pass, or the panic message both raise.
+    fn both_checks(
+        before: &Graph,
+        after: &Graph,
+        alive: &[bool],
+        policy: &MaintenancePolicy,
+        stats: &RepairStats,
+    ) -> Option<String> {
+        let verdict = |check: fn(&Graph, &Graph, &[bool], &MaintenancePolicy, &RepairStats)| {
+            std::panic::catch_unwind(|| check(before, after, alive, policy, stats))
+                .err()
+                .map(|e| match e.downcast::<String>() {
+                    Ok(msg) => *msg,
+                    Err(e) => e
+                        .downcast_ref::<&str>()
+                        .map_or_else(String::new, |s| s.to_string()),
+                })
+        };
+        let fast = verdict(check_repair_invariants);
+        let slow = verdict(check_repair_invariants_reference);
+        assert_eq!(fast, slow, "the two invariant checks disagree");
+        fast
+    }
+
+    /// An ER or two-tier world of `n` nodes.
+    fn oracle_world(two_tier: bool, n: usize, seed: u64) -> Graph {
+        if two_tier {
+            gnutella_two_tier(&TopologyConfig {
+                num_nodes: n,
+                seed,
+                ..Default::default()
+            })
+            .graph
+        } else {
+            erdos_renyi(n, 2.0 + (seed % 5) as f64, seed).graph
+        }
+    }
+
+    /// Round `round`'s alive mask: about `dead_pct`% of nodes dead, a
+    /// fresh draw each round so nodes die and come back between rounds.
+    fn oracle_mask(seed: u64, round: u64, n: usize, dead_pct: u64) -> Vec<bool> {
+        (0..n as u64)
+            .map(|v| mix64(seed ^ mix64(round ^ (v << 8))) % 100 >= dead_pct)
+            .collect()
+    }
+
+    fn oracle_policy(preferential: bool, seed: u64) -> MaintenancePolicy {
+        let degree_min = 1 + (seed % 4) as usize;
+        let degree_max = degree_min + (seed >> 8) as usize % 12;
+        let budget = 1 + (seed >> 16) as usize % 16;
+        if preferential {
+            MaintenancePolicy::preferential(degree_min, degree_max, budget, seed)
+        } else {
+            MaintenancePolicy::uniform(degree_min, degree_max, budget, seed)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The streamed CSR is the sort-dedup CSR, node by node, over
+        /// chained rounds: each chain feeds its own output to the next
+        /// round, so lists reordered by earlier rounds are covered.
+        #[test]
+        fn streamed_repair_csr_matches_the_sort_dedup_build(
+            two_tier in proptest::prelude::any::<bool>(),
+            n in 4usize..400,
+            dead_pct in 0u64..46,
+            preferential in proptest::prelude::any::<bool>(),
+            streamed_wide in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let (narrow, wide) = (Pool::new(1), Pool::new(4));
+            let (streamed_pool, reference_pool) =
+                if streamed_wide { (&wide, &narrow) } else { (&narrow, &wide) };
+            let policy = oracle_policy(preferential, seed);
+            let mut streamed = oracle_world(two_tier, n, seed);
+            let mut reference = streamed.clone();
+            for round in 0..4 {
+                let alive = oracle_mask(seed, round, n, dead_pct);
+                let (s, s_stats) = repair_round(streamed_pool, &streamed, &alive, &policy, round);
+                let (r, r_stats) =
+                    repair_round_reference(reference_pool, &reference, &alive, &policy, round);
+                proptest::prop_assert_eq!(s_stats, r_stats, "round {}", round);
+                for v in 0..n as u32 {
+                    proptest::prop_assert_eq!(
+                        s.neighbors(v), r.neighbors(v), "round {} node {}", round, v
+                    );
+                }
+                let verdict = both_checks(&streamed, &s, &alive, &policy, &s_stats);
+                proptest::prop_assert_eq!(verdict, None);
+                streamed = s;
+                reference = r;
+            }
+        }
+
+        /// On repaired graphs with random corruptions (one-way entries,
+        /// edges to dead nodes, extra edges past the band), the linear
+        /// check panics exactly when the quadratic one does, with the
+        /// same first failing message.
+        #[test]
+        fn linear_invariant_check_matches_the_quadratic_one(
+            two_tier in proptest::prelude::any::<bool>(),
+            n in 4usize..200,
+            dead_pct in 0u64..46,
+            corruptions in 0usize..4,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let pool = Pool::new(2);
+            let policy = oracle_policy(seed & 1 == 1, seed);
+            let before = oracle_world(two_tier, n, seed);
+            let alive = oracle_mask(seed, 0, n, dead_pct);
+            let (after, stats) = repair_round(&pool, &before, &alive, &policy, 0);
+            let mut lists: Vec<Vec<u32>> =
+                (0..n as u32).map(|v| after.neighbors(v).to_vec()).collect();
+            let mut rng = Pcg64::new(seed ^ 0xc0ff);
+            for _ in 0..corruptions {
+                let u = rng.index(n);
+                let v = rng.index(n) as u32;
+                match rng.index(3) {
+                    0 => {
+                        if !lists[u].is_empty() {
+                            let at = rng.index(lists[u].len());
+                            lists[u].remove(at);
+                        }
+                    }
+                    1 => lists[u].push(v),
+                    _ => {
+                        lists[u].push(v);
+                        lists[v as usize].push(u as u32);
+                    }
+                }
+            }
+            let corrupted = Graph::from_lists_unchecked(&lists);
+            let verdict = both_checks(&before, &corrupted, &alive, &policy, &stats);
+            if corruptions == 0 {
+                proptest::prop_assert_eq!(verdict, None);
+            }
+        }
+    }
+
+    #[test]
+    fn both_invariant_checks_name_the_same_violation() {
+        // Path 0-1-2-3-4-5 plus 0-2; node 4 dead.
+        let before = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)]);
+        let mut alive = vec![true; 6];
+        alive[4] = false;
+        let policy = MaintenancePolicy::uniform(1, 2, 8, 3);
+        let pool = Pool::new(1);
+        let (after, stats) = repair_round(&pool, &before, &alive, &policy, 0);
+        assert_eq!(both_checks(&before, &after, &alive, &policy, &stats), None);
+        let lists: Vec<Vec<u32>> = (0..6).map(|v| after.neighbors(v).to_vec()).collect();
+        let corrupt = |edit: &dyn Fn(&mut Vec<Vec<u32>>)| {
+            let mut l = lists.clone();
+            edit(&mut l);
+            both_checks(
+                &before,
+                &Graph::from_lists_unchecked(&l),
+                &alive,
+                &policy,
+                &stats,
+            )
+        };
+        let one_way = corrupt(&|l| l[1].retain(|&w| w != 2));
+        assert_eq!(one_way.as_deref(), Some("repaired edge 2-1 is one-way"));
+        let to_dead = corrupt(&|l| l[3].push(4));
+        assert_eq!(
+            to_dead.as_deref(),
+            Some("repaired edge 3-4 touches dead node")
+        );
+        let dead_kept = corrupt(&|l| {
+            l[4].push(3);
+            l[3].push(4);
+        });
+        assert_eq!(
+            dead_kept.as_deref(),
+            Some("repaired edge 3-4 touches dead node")
+        );
+        let dead_kept_first = corrupt(&|l| {
+            l[4].push(5);
+            l[5].push(4);
+        });
+        assert_eq!(
+            dead_kept_first.as_deref(),
+            Some("dead node 4 kept 1 edges after repair")
+        );
+        // Node 1 had two surviving edges and a ceiling of 2: a third breaks
+        // the band before the symmetry scan of its list runs.
+        let band = corrupt(&|l| {
+            l[1].push(3);
+            l[3].push(1);
+        });
+        assert_eq!(
+            band.as_deref(),
+            Some("degree band violated at 1: 3 > max(2, 2)")
+        );
+        let broken_identity = RepairStats {
+            messages: stats.messages + 1,
+            ..stats
+        };
+        let identity = both_checks(&before, &after, &alive, &policy, &broken_identity);
+        assert!(identity.is_some_and(|m| m.starts_with("repair accounting broken")));
     }
 }
