@@ -20,12 +20,26 @@
 //! incrementally, and [`ChordNetwork::lookup_stale`] routes over the
 //! possibly-stale local tables only — succeeding, paying wasted probes,
 //! or failing outright depending on how far maintenance has caught up.
+//!
+//! Four lookups route over the tables:
+//!
+//! * [`ChordNetwork::lookup`] — the fault-free greedy lookup toward the
+//!   key;
+//! * [`ChordNetwork::lookup_stale`] — the same greedy rule over stale
+//!   local tables, probing for departed entries;
+//! * [`ChordNetwork::lookup_faulty`] and [`ChordNetwork::lookup_timed`]
+//!   — lookups under a [`FaultPlan`], both wrappers over one
+//!   owner-directed routing loop. It resolves the key's first alive
+//!   successor and walks toward it, excluding candidates that time out
+//!   or are found dead. Each hop is an attempt ladder whose clock is a
+//!   crate-private hop model: `Instant` charges fixed timeouts and drops
+//!   a dead candidate after one probe; `Raced` races each reply against
+//!   its (possibly jittered) timer and stops at a cutoff.
 
 use crate::ring::{in_interval_oc, in_interval_oo};
 use qcp_faults::{FaultPlan, FaultStats, RetryPolicy};
-use qcp_obs::{Counter, Event, Kernel, Recorder};
+use qcp_obs::{Counter, Kernel, Recorder};
 use qcp_util::hash::mix64;
-use qcp_vtime::Calendar;
 
 /// Number of finger-table entries (ring is 2^64).
 pub const FINGER_BITS: usize = 64;
@@ -73,19 +87,120 @@ pub struct TimedLookupResult {
     pub truncated: bool,
 }
 
-/// Tie-break keys for the per-attempt reply/timer race on the calendar:
-/// at an exact tie the reply pops first — a reply landing on the
-/// timeout tick is accepted, the retry is not fired.
-const REPLY_TIE: u64 = 0;
-const TIMER_TIE: u64 = 1;
+/// The clock of one hop's attempt ladder in [`ChordNetwork::route`].
+///
+/// The ladder itself (transmit, drop draw, dead-target and drop
+/// accounting, retry or hop timeout) is shared; a model decides only how
+/// long each attempt takes and whether a dead candidate runs the ladder
+/// at all. Routing is monomorphized over it, like the overlay kernels
+/// over their fault model.
+trait HopModel {
+    /// Whether a dead candidate is excluded after its first silent probe
+    /// instead of running the full retry ladder.
+    const DEAD_AFTER_ONE_PROBE: bool;
 
-/// One in-flight race entry of [`ChordNetwork::lookup_timed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Wire {
-    /// The candidate's response to a delivered transmission.
+    /// Waits out attempt `attempt` (0-based) starting at virtual time
+    /// `*now`. `reply` is the link latency when the candidate answers (it
+    /// is alive and the transmission was not dropped), `None` when it
+    /// stays silent. Advances `*now` to the first event and returns it.
+    fn wait(
+        &self,
+        policy: &RetryPolicy,
+        nonce: u64,
+        attempt: u32,
+        reply: Option<u64>,
+        now: &mut u64,
+    ) -> Wait;
+}
+
+/// The first event of one attempt.
+enum Wait {
+    /// The candidate's reply: the hop is delivered.
     Reply,
-    /// The sender's retransmission timer.
+    /// The retransmission timer: the attempt is lost.
     Timer,
+    /// The lookup's cutoff landed before either.
+    Cutoff,
+}
+
+/// Instant timeouts ([`ChordNetwork::lookup_faulty`]): a delivered
+/// attempt costs its link latency, a lost one
+/// `policy.timeout_after(attempt)`, and a dead candidate is found out by
+/// its first probe. This keeps `dropped == retries + timeouts`.
+struct Instant;
+
+impl HopModel for Instant {
+    const DEAD_AFTER_ONE_PROBE: bool = true;
+
+    #[inline]
+    fn wait(
+        &self,
+        policy: &RetryPolicy,
+        _nonce: u64,
+        attempt: u32,
+        reply: Option<u64>,
+        now: &mut u64,
+    ) -> Wait {
+        match reply {
+            Some(latency) => {
+                *now += latency;
+                Wait::Reply
+            }
+            None => {
+                *now += policy.timeout_after(attempt);
+                Wait::Timer
+            }
+        }
+    }
+}
+
+/// The reply/timer race ([`ChordNetwork::lookup_timed`]): the reply
+/// lands at `now + latency`, the timer at `now +
+/// policy.timeout_for(attempt, nonce)`, and the earlier time wins, a tie
+/// going to the reply. Dead candidates never reply, so they run the full
+/// ladder. `cutoff` (from the lookup's start) truncates the lookup when
+/// the first event would land past it.
+struct Raced {
+    cutoff: Option<u64>,
+}
+
+impl HopModel for Raced {
+    const DEAD_AFTER_ONE_PROBE: bool = false;
+
+    #[inline]
+    fn wait(
+        &self,
+        policy: &RetryPolicy,
+        nonce: u64,
+        attempt: u32,
+        reply: Option<u64>,
+        now: &mut u64,
+    ) -> Wait {
+        let timer = now.saturating_add(policy.timeout_for(attempt, nonce));
+        let reply = reply.map(|latency| now.saturating_add(latency));
+        let first = reply.map_or(timer, |r| r.min(timer));
+        if let Some(cutoff) = self.cutoff.filter(|&c| first > c) {
+            *now = cutoff;
+            return Wait::Cutoff;
+        }
+        *now = first;
+        if reply.is_some_and(|r| r <= timer) {
+            Wait::Reply
+        } else {
+            Wait::Timer
+        }
+    }
+}
+
+/// What [`ChordNetwork::route`] hands back to its two wrappers.
+#[derive(Default)]
+struct Route {
+    owner: Option<u32>,
+    hops: u32,
+    messages: u64,
+    truncated: bool,
+    /// The fault tally; `ticks` is the lookup's virtual clock.
+    stats: FaultStats,
 }
 
 /// A Chord network of simulated nodes.
@@ -157,8 +272,7 @@ impl ChordNetwork {
 
     /// Index of the node owning `key` (its successor on the ring).
     pub fn successor_of_key(&self, key: u64) -> u32 {
-        let idx = self.ids.partition_point(|&id| id < key);
-        (if idx == self.ids.len() { 0 } else { idx }) as u32
+        self.key_slot(key) as u32
     }
 
     fn rebuild_all_fingers(&mut self) {
@@ -225,73 +339,21 @@ impl ChordNetwork {
         }
     }
 
-    /// Fault-tolerant lookup: routes around nodes marked dead in `alive`
-    /// (indexed like the node table). Models Chord's successor-list
-    /// recovery: a dead finger is skipped in favor of the next-best alive
-    /// one; the key's owner becomes its first *alive* successor.
-    ///
-    /// `from` must be alive; panics if every node is dead.
-    pub fn lookup_with_failures(&self, from: u32, key: u64, alive: &[bool]) -> LookupResult {
-        assert_eq!(alive.len(), self.len());
-        assert!(alive[from as usize], "source node is dead");
-        let owner = self
-            .first_alive_successor(key, alive)
-            // qcplint: allow(panic) — documented precondition: the method
-            // contract states it panics when every node is dead.
-            .expect("no alive nodes in the ring");
-        let owner_id = self.ids[owner as usize];
-        let mut current = from;
-        let mut hops = 0u32;
-        // Greedy progress toward the owner's id, never stepping on a dead
-        // node; bounded fallback walks the sorted ring.
-        while current != owner {
-            let cur_id = self.ids[current as usize];
-            let mut next: Option<u32> = None;
-            for i in (0..FINGER_BITS).rev() {
-                let f = self.fingers[current as usize][i];
-                if f == current || !alive[f as usize] {
-                    continue;
-                }
-                let f_id = self.ids[f as usize];
-                if in_interval_oc(f_id, cur_id, owner_id) {
-                    next = Some(f);
-                    break;
-                }
-            }
-            let next = next.unwrap_or_else(|| {
-                // Successor-list fallback: the next alive node clockwise.
-                let n = self.len();
-                let mut idx = (current as usize + 1) % n;
-                while !alive[idx] {
-                    idx = (idx + 1) % n;
-                }
-                idx as u32
-            });
-            current = next;
-            hops += 1;
-            debug_assert!(
-                (hops as usize) <= 2 * self.len() + FINGER_BITS,
-                "fault-tolerant routing loop"
-            );
-        }
-        LookupResult { owner, hops }
-    }
-
     /// Lookup under a [`FaultPlan`]: every hop is a real transmission that
-    /// can be lost in flight or addressed to a departed finger.
+    /// can be lost in flight or addressed to a departed node.
     ///
     /// Per-hop protocol, mirroring a request/response RPC layer:
     ///
-    /// 1. pick the best next hop — the closest preceding alive-looking
-    ///    finger inside `(current, owner]`, falling back to the clockwise
-    ///    ring scan (successor-list recovery);
+    /// 1. pick the best next hop — the closest preceding finger inside
+    ///    `(current, owner]` that is not excluded, falling back to the
+    ///    clockwise ring scan (successor-list recovery);
     /// 2. transmit; a message **lost in flight** is retried after
     ///    `policy.timeout_after(attempt)` ticks, up to
     ///    `policy.max_retries` times — when the budget is exhausted the
-    ///    hop *times out*, the finger is excluded for this lookup, and the
-    ///    router repairs by picking the next-best candidate;
+    ///    hop *times out*, the candidate is excluded for this lookup, and
+    ///    the router repairs by picking the next-best candidate;
     /// 3. a message to a **departed node** wastes one probe and one base
-    ///    timeout, then the finger is excluded immediately (there is no
+    ///    timeout, then the candidate is excluded immediately (there is no
     ///    point re-sending to a dead peer).
     ///
     /// This keeps the [`FaultStats`] identity for retrying engines:
@@ -299,8 +361,8 @@ impl ChordNetwork {
     /// latency to `ticks`.
     ///
     /// Returns `owner: None` when the lookup fails outright: the source is
-    /// down, no alive owner exists, or every route to the owner was
-    /// excluded by timeouts.
+    /// down, no alive owner exists, the owner itself timed out, or every
+    /// route to the owner was excluded.
     pub fn lookup_faulty(
         &self,
         from: u32,
@@ -310,130 +372,26 @@ impl ChordNetwork {
         time: u64,
         nonce: u64,
     ) -> (FaultyLookupResult, FaultStats) {
-        assert_eq!(plan.num_nodes(), self.len(), "plan must cover the ring");
-        let mut stats = FaultStats::default();
-        let fail = |hops, messages, stats| {
-            (
-                FaultyLookupResult {
-                    owner: None,
-                    hops,
-                    messages,
-                },
-                stats,
-            )
+        let r = self.route(from, key, plan, policy, time, nonce, Instant);
+        let result = FaultyLookupResult {
+            owner: r.owner,
+            hops: r.hops,
+            messages: r.messages,
         };
-        if !plan.alive_at(from, time) {
-            return fail(0, 0, stats);
-        }
-        let Some(owner) = self.first_alive_successor_at(key, plan, time) else {
-            return fail(0, 0, stats);
-        };
-        let owner_id = self.ids[owner as usize];
-        let mut current = from;
-        let mut hops = 0u32;
-        let mut messages = 0u64;
-        // Fingers ruled out for this lookup (timed out or found dead).
-        let mut excluded: Vec<u32> = Vec::new();
-        while current != owner {
-            let Some(cand) = self.next_hop_candidate(current, owner_id, &excluded) else {
-                return fail(hops, messages, stats);
-            };
-            if !plan.alive_at(cand, time) {
-                // One probe wasted discovering the departure.
-                messages += 1;
-                stats.dead_targets += 1;
-                stats.ticks += policy.timeout_after(0);
-                excluded.push(cand);
-                continue;
-            }
-            // Transmit with the bounded-retry budget.
-            let mut attempt = 0u32;
-            let delivered = loop {
-                messages += 1;
-                if plan.drop_message(current, cand, nonce, messages) {
-                    stats.dropped += 1;
-                    stats.ticks += policy.timeout_after(attempt);
-                    if attempt >= policy.max_retries {
-                        stats.timeouts += 1;
-                        if cand == owner {
-                            // The destination itself is unreachable: no
-                            // amount of repair can route around the owner.
-                            return fail(hops, messages, stats);
-                        }
-                        excluded.push(cand);
-                        break false;
-                    }
-                    attempt += 1;
-                    stats.retries += 1;
-                } else {
-                    stats.ticks += plan.latency(current, cand);
-                    break true;
-                }
-            };
-            if delivered {
-                current = cand;
-                hops += 1;
-            }
-            debug_assert!(
-                (hops as usize) <= 2 * self.len() + FINGER_BITS,
-                "faulty routing loop"
-            );
-        }
-        (
-            FaultyLookupResult {
-                owner: Some(owner),
-                hops,
-                messages,
-            },
-            stats,
-        )
+        (result, r.stats)
     }
 
-    /// [`Self::lookup_faulty`] with an explicit [`Recorder`].
+    /// Virtual-time fault-aware lookup: the route of
+    /// [`Self::lookup_faulty`] with each attempt a race between the
+    /// candidate's reply and the sender's retransmission timer.
     ///
-    /// Recording happens **after** the lookup completes, from the
-    /// returned result and stats alone — the recorder is write-only and
-    /// can never perturb routing, retries, or fault draws, so the
-    /// returned pair is bitwise-identical to [`Self::lookup_faulty`]'s
-    /// (pinned in tests). Records under [`Kernel::ChordLookup`]: one
-    /// span, the message total, the per-hop histogram entry at the
-    /// successful hop count, the full fault counters, and a
-    /// [`Event::Hit`] / [`Event::Miss`] outcome.
-    #[allow(clippy::too_many_arguments)] // mirrors lookup_faulty plus the recorder
-    pub fn lookup_faulty_rec<R: Recorder>(
-        &self,
-        from: u32,
-        key: u64,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        time: u64,
-        nonce: u64,
-        rec: &mut R,
-    ) -> (FaultyLookupResult, FaultStats) {
-        let (result, stats) = self.lookup_faulty(from, key, plan, policy, time, nonce);
-        rec.rec_span(Kernel::ChordLookup);
-        rec.rec_count(Kernel::ChordLookup, Counter::Messages, result.messages);
-        rec.rec_faults(Kernel::ChordLookup, &stats);
-        if result.owner.is_some() {
-            rec.rec_hop(Kernel::ChordLookup, result.hops, 1);
-            rec.rec_event(Kernel::ChordLookup, Event::Hit);
-        } else {
-            rec.rec_event(Kernel::ChordLookup, Event::Miss);
-        }
-        (result, stats)
-    }
-
-    /// Virtual-time fault-aware lookup: [`Self::lookup_faulty`] with the
-    /// timeout expiry made *real* on the `qcp-vtime` calendar.
+    /// The reply lands at `now + plan.latency(current, cand)` (only when
+    /// the candidate is alive and the transmission is not dropped), the
+    /// timer at `now + policy.timeout_for(attempt, nonce)` (jittered when
+    /// the policy carries a jitter seed). The earlier time wins, and at a
+    /// tie the reply:
     ///
-    /// Per attempt the router schedules two events: the candidate's
-    /// reply at `now + plan.latency(current, cand)` (only when the
-    /// candidate is alive and the transmission is not dropped) and the
-    /// retransmission timer at `now + policy.timeout_for(attempt,
-    /// nonce)` (jittered when the policy carries a jitter seed). The
-    /// earlier event wins the race:
-    ///
-    /// * **reply first** — the hop is delivered and the pending timer is
+    /// * **reply first** — the hop is delivered and the timer is
     ///   abandoned;
     /// * **timer first** — the attempt is charged
     ///   ([`FaultStats::dropped`] / [`FaultStats::dead_targets`] when the
@@ -448,8 +406,8 @@ impl ChordNetwork {
     /// per attempt. `cutoff` (relative to the lookup's start) truncates
     /// the lookup when the next event would land past it.
     ///
-    /// Elapsed virtual time is `Calendar::now` at exit and is also
-    /// stored in [`FaultStats::ticks`].
+    /// Elapsed virtual time is the clock at exit (the cutoff, when
+    /// truncated) and is also stored in [`FaultStats::ticks`].
     #[allow(clippy::too_many_arguments)] // mirrors `lookup_faulty` + the cutoff
     pub fn lookup_timed(
         &self,
@@ -461,100 +419,25 @@ impl ChordNetwork {
         nonce: u64,
         cutoff: Option<u64>,
     ) -> (TimedLookupResult, FaultStats) {
-        assert_eq!(plan.num_nodes(), self.len(), "plan must cover the ring");
-        let mut stats = FaultStats::default();
-        let mut result = TimedLookupResult {
-            owner: None,
-            hops: 0,
-            messages: 0,
-            elapsed: 0,
-            truncated: false,
+        let r = self.route(from, key, plan, policy, time, nonce, Raced { cutoff });
+        let result = TimedLookupResult {
+            owner: r.owner,
+            hops: r.hops,
+            messages: r.messages,
+            elapsed: r.stats.ticks,
+            truncated: r.truncated,
         };
-        if !plan.alive_at(from, time) {
-            return (result, stats);
-        }
-        let Some(owner) = self.first_alive_successor_at(key, plan, time) else {
-            return (result, stats);
-        };
-        let owner_id = self.ids[owner as usize];
-        let mut cal: Calendar<Wire> = Calendar::new();
-        let mut current = from;
-        // Fingers ruled out for this lookup (timed out or found dead).
-        let mut excluded: Vec<u32> = Vec::new();
-        'route: while current != owner {
-            let Some(cand) = self.next_hop_candidate(current, owner_id, &excluded) else {
-                break 'route; // every route to the owner is excluded
-            };
-            let alive = plan.alive_at(cand, time);
-            let mut attempt = 0u32;
-            loop {
-                result.messages += 1;
-                let dropped = alive && plan.drop_message(current, cand, nonce, result.messages);
-                if alive && !dropped {
-                    cal.schedule_after(plan.latency(current, cand), REPLY_TIE, Wire::Reply);
-                }
-                cal.schedule_after(policy.timeout_for(attempt, nonce), TIMER_TIE, Wire::Timer);
-                // qcplint: allow(panic) — a timer was scheduled just above.
-                let next_t = cal.peek_time().expect("a timer is always pending");
-                if cutoff.is_some_and(|c| next_t > c) {
-                    result.truncated = true;
-                    // qcplint: allow(panic) — truncation is set only under `Some`.
-                    result.elapsed = cutoff.expect("truncation implies a cutoff");
-                    stats.ticks = result.elapsed;
-                    return (result, stats);
-                }
-                // qcplint: allow(panic) — a timer was scheduled just above.
-                let (_, ev) = cal.pop().expect("a timer is always pending");
-                // The race is decided: abandon the loser (the timer
-                // after a delivery, or a reply slower than the timer).
-                cal.clear();
-                match ev {
-                    Wire::Reply => {
-                        current = cand;
-                        result.hops += 1;
-                        break;
-                    }
-                    Wire::Timer => {
-                        if !alive {
-                            stats.dead_targets += 1;
-                        } else if dropped {
-                            stats.dropped += 1;
-                        }
-                        if attempt >= policy.max_retries {
-                            stats.timeouts += 1;
-                            if cand == owner {
-                                // The destination itself is unreachable:
-                                // no repair can route around the owner.
-                                break 'route;
-                            }
-                            excluded.push(cand);
-                            break;
-                        }
-                        attempt += 1;
-                        stats.retries += 1;
-                    }
-                }
-            }
-            debug_assert!(
-                (result.hops as usize) <= 2 * self.len() + FINGER_BITS,
-                "timed routing loop"
-            );
-        }
-        if current == owner {
-            result.owner = Some(owner);
-        }
-        result.elapsed = cal.now();
-        stats.ticks = result.elapsed;
-        (result, stats)
+        (result, r.stats)
     }
 
-    /// [`Self::lookup_timed`] with an explicit [`Recorder`]. Same
-    /// write-only, record-after contract as [`Self::lookup_faulty_rec`];
-    /// successful lookups additionally record their elapsed virtual time
-    /// in the [`Kernel::ChordLookup`] latency histogram
-    /// ([`Recorder::rec_time`]).
-    #[allow(clippy::too_many_arguments)] // mirrors lookup_timed plus the recorder
-    pub fn lookup_timed_rec<R: Recorder>(
+    /// The owner-directed routing loop behind [`Self::lookup_faulty`] and
+    /// [`Self::lookup_timed`]: resolve the key's first alive successor,
+    /// then walk toward it one candidate at a time, each hop an attempt
+    /// ladder timed by the hop model `M`. A candidate that is given up on
+    /// is excluded for the rest of the lookup; if it is the owner itself,
+    /// no repair can route around it and the lookup fails.
+    #[allow(clippy::too_many_arguments)] // the lookup context + the hop model
+    fn route<M: HopModel>(
         &self,
         from: u32,
         key: u64,
@@ -562,55 +445,68 @@ impl ChordNetwork {
         policy: &RetryPolicy,
         time: u64,
         nonce: u64,
-        cutoff: Option<u64>,
-        rec: &mut R,
-    ) -> (TimedLookupResult, FaultStats) {
-        let (result, stats) = self.lookup_timed(from, key, plan, policy, time, nonce, cutoff);
-        rec.rec_span(Kernel::ChordLookup);
-        rec.rec_count(Kernel::ChordLookup, Counter::Messages, result.messages);
-        rec.rec_faults(Kernel::ChordLookup, &stats);
-        if result.owner.is_some() {
-            rec.rec_hop(Kernel::ChordLookup, result.hops, 1);
-            rec.rec_time(Kernel::ChordLookup, result.elapsed, 1);
-            rec.rec_event(Kernel::ChordLookup, Event::Hit);
-        } else {
-            rec.rec_event(Kernel::ChordLookup, Event::Miss);
+        model: M,
+    ) -> Route {
+        assert_eq!(plan.num_nodes(), self.len(), "plan must cover the ring");
+        let mut route = Route::default();
+        if !plan.alive_at(from, time) {
+            return route;
         }
-        (result, stats)
-    }
-
-    /// [`Self::lookup`] with an explicit [`Recorder`] (fault-free path:
-    /// one message per hop). Same write-only, record-after contract as
-    /// [`Self::lookup_faulty_rec`].
-    pub fn lookup_rec<R: Recorder>(&self, from: u32, key: u64, rec: &mut R) -> LookupResult {
-        let result = self.lookup(from, key);
-        rec.rec_span(Kernel::ChordLookup);
-        rec.rec_count(Kernel::ChordLookup, Counter::Messages, result.hops as u64);
-        rec.rec_hop(Kernel::ChordLookup, result.hops, 1);
-        rec.rec_event(Kernel::ChordLookup, Event::Hit);
-        result
-    }
-
-    /// [`Self::lookup_stale`] with an explicit [`Recorder`] (stale-table
-    /// routing; wasted probes included in the message count). Same
-    /// write-only, record-after contract as [`Self::lookup_faulty_rec`].
-    pub fn lookup_stale_rec<R: Recorder>(
-        &self,
-        from: u32,
-        key: u64,
-        rec: &mut R,
-    ) -> (Option<LookupResult>, u64) {
-        let (result, messages) = self.lookup_stale(from, key);
-        rec.rec_span(Kernel::ChordLookup);
-        rec.rec_count(Kernel::ChordLookup, Counter::Messages, messages);
-        match result {
-            Some(r) => {
-                rec.rec_hop(Kernel::ChordLookup, r.hops, 1);
-                rec.rec_event(Kernel::ChordLookup, Event::Hit);
+        let Some(owner) = self.first_alive_successor_at(key, plan, time) else {
+            return route;
+        };
+        let owner_id = self.ids[owner as usize];
+        let mut current = from;
+        // Candidates ruled out for this lookup (timed out or found dead).
+        let mut excluded: Vec<u32> = Vec::new();
+        while current != owner {
+            let Some(cand) = self.next_hop_candidate(current, owner_id, &excluded) else {
+                return route; // every route to the owner is excluded
+            };
+            let alive = plan.alive_at(cand, time);
+            let mut attempt = 0u32;
+            let delivered = loop {
+                route.messages += 1;
+                let dropped = alive && plan.drop_message(current, cand, nonce, route.messages);
+                let reply = (alive && !dropped).then(|| plan.latency(current, cand));
+                match model.wait(policy, nonce, attempt, reply, &mut route.stats.ticks) {
+                    Wait::Reply => break true,
+                    Wait::Cutoff => {
+                        route.truncated = true;
+                        return route;
+                    }
+                    Wait::Timer => {}
+                }
+                if !alive {
+                    route.stats.dead_targets += 1;
+                    if M::DEAD_AFTER_ONE_PROBE {
+                        break false;
+                    }
+                } else if dropped {
+                    route.stats.dropped += 1;
+                }
+                if attempt >= policy.max_retries {
+                    route.stats.timeouts += 1;
+                    break false;
+                }
+                attempt += 1;
+                route.stats.retries += 1;
+            };
+            if delivered {
+                current = cand;
+                route.hops += 1;
+            } else if cand == owner {
+                return route; // the destination itself is unreachable
+            } else {
+                excluded.push(cand);
             }
-            None => rec.rec_event(Kernel::ChordLookup, Event::Miss),
+            debug_assert!(
+                (route.hops as usize) <= 2 * self.len() + FINGER_BITS,
+                "fault-aware routing loop"
+            );
         }
-        (result, messages)
+        route.owner = Some(owner);
+        route
     }
 
     /// [`Self::stabilize`] with an explicit [`Recorder`]: records the
@@ -634,7 +530,6 @@ impl ChordNetwork {
         rec.rec_count(Kernel::Stabilize, Counter::Probes, messages);
         messages
     }
-
     /// Best next hop from `current` toward the node owning `owner_id`:
     /// the closest preceding finger strictly progressing inside
     /// `(current, owner]`, else the closest clockwise ring node
@@ -650,42 +545,44 @@ impl ChordNetwork {
                 return Some(f);
             }
         }
+        self.clockwise_from(current as usize + 1)
+            .find(|&v| v != current && !excluded.contains(&v))
+    }
+
+    /// Node indices clockwise from index `start` (taken mod n), once round
+    /// the ring. Every "first live node" question the ring asks is a
+    /// `find` over it, or an `rfind` for the counterclockwise one.
+    fn clockwise_from(&self, start: usize) -> impl DoubleEndedIterator<Item = u32> {
         let n = self.len();
-        for off in 1..n {
-            let idx = ((current as usize + off) % n) as u32;
-            if !excluded.contains(&idx) {
-                return Some(idx);
-            }
+        (0..n).map(move |off| ((start + off) % n) as u32)
+    }
+
+    /// Index of the first node id at or clockwise after `key`.
+    fn key_slot(&self, key: u64) -> usize {
+        let idx = self.ids.partition_point(|&id| id < key);
+        if idx == self.ids.len() {
+            0
+        } else {
+            idx
         }
-        None
     }
 
     /// The first node at or clockwise after `key` that is alive at tick
-    /// `time` under `plan` (fault-plan variant of
-    /// [`Self::first_alive_successor`]).
-    pub fn first_alive_successor_at(&self, key: u64, plan: &FaultPlan, time: u64) -> Option<u32> {
-        let n = self.len();
-        let start = self.ids.partition_point(|&id| id < key) % n;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if plan.alive_at(idx as u32, time) {
-                return Some(idx as u32);
-            }
-        }
-        None
+    /// `time` under `plan`: the key's owner for fault-aware lookups.
+    pub(crate) fn first_alive_successor_at(
+        &self,
+        key: u64,
+        plan: &FaultPlan,
+        time: u64,
+    ) -> Option<u32> {
+        self.clockwise_from(self.key_slot(key))
+            .find(|&v| plan.alive_at(v, time))
     }
 
-    /// The first alive node at or clockwise after `key`.
-    pub fn first_alive_successor(&self, key: u64, alive: &[bool]) -> Option<u32> {
-        let n = self.len();
-        let start = self.ids.partition_point(|&id| id < key) % n;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if alive[idx] {
-                return Some(idx as u32);
-            }
-        }
-        None
+    /// The first node at or clockwise after `key` that is up in `alive`.
+    pub(crate) fn first_alive_successor(&self, key: u64, alive: &[bool]) -> Option<u32> {
+        self.clockwise_from(self.key_slot(key))
+            .find(|&v| alive[v as usize])
     }
 
     /// Adds a node with an id derived from `id_seed`; returns its index.
@@ -750,23 +647,13 @@ impl ChordNetwork {
     pub fn rejoin(&mut self, v: u32) -> u64 {
         assert!(self.departed[v as usize], "node {v} is not departed");
         self.departed[v as usize] = false;
-        let n = self.len();
-        let mut messages = 0u64;
         // Rebuild v's own successor list: next r live nodes clockwise.
-        let mut list = Vec::with_capacity(self.succ_len);
-        for off in 1..n {
-            let idx = ((v as usize + off) % n) as u32;
-            if !self.departed[idx as usize] {
-                list.push(idx);
-                messages += 1;
-                if list.len() >= self.succ_len {
-                    break;
-                }
-            }
-        }
+        let list: Vec<u32> = self.live_others(v).take(self.succ_len).collect();
+        let mut messages = list.len() as u64;
         self.succ_lists[v as usize] = list;
         // Notify the live predecessor so the ring learns v is back.
-        if let Some(u) = self.first_live_counterclockwise_before(v) {
+        let pred = self.live_others(v).next_back();
+        if let Some(u) = pred {
             messages += 1;
             let base = self.ids[u as usize];
             let d_v = self.ids[v as usize].wrapping_sub(base);
@@ -783,16 +670,12 @@ impl ChordNetwork {
         messages
     }
 
-    /// The first live node strictly counterclockwise before `v`.
-    fn first_live_counterclockwise_before(&self, v: u32) -> Option<u32> {
-        let n = self.len();
-        for off in 1..n {
-            let idx = ((v as usize + n - off) % n) as u32;
-            if !self.departed[idx as usize] {
-                return Some(idx);
-            }
-        }
-        None
+    /// The live nodes other than `v`, clockwise from `v`: `next()` is
+    /// its live successor (the bootstrap rescue when `v`'s whole
+    /// successor list is dead), `next_back()` its live predecessor.
+    fn live_others(&self, v: u32) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        self.clockwise_from(v as usize + 1)
+            .filter(move |&w| w != v && !self.departed[w as usize])
     }
 
     /// Whether `v` is currently departed.
@@ -818,36 +701,17 @@ impl ChordNetwork {
     /// The first *live* node at or clockwise after `key` — the key's
     /// owner under the current departed mask (oracle view; stale-aware
     /// routing may or may not reach it).
-    pub fn first_live_successor_of_key(&self, key: u64) -> Option<u32> {
-        let n = self.len();
-        let start = self.ids.partition_point(|&id| id < key) % n;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            if !self.departed[idx] {
-                return Some(idx as u32);
-            }
-        }
-        None
-    }
-
-    /// The first live node strictly clockwise after node `v` (bootstrap
-    /// oracle used when a node's entire successor list is dead).
-    fn first_live_clockwise_after(&self, v: u32) -> Option<u32> {
-        let n = self.len();
-        for off in 1..n {
-            let idx = ((v as usize + off) % n) as u32;
-            if !self.departed[idx as usize] {
-                return Some(idx);
-            }
-        }
-        None
+    pub(crate) fn first_live_successor_of_key(&self, key: u64) -> Option<u32> {
+        self.clockwise_from(self.key_slot(key))
+            .find(|&v| !self.departed[v as usize])
     }
 
     /// One stabilization round over all live nodes (ascending index
     /// order, in place — sequential gossip): each node probes its
     /// successor list for the first live entry `s` (one message per
-    /// probe), adopts `[s] ++ s's list` truncated to *r* (one fetch
-    /// message), and repoints `finger[0]` at `s`. A node whose entire
+    /// probe), adopts `[s] ++ s's list` truncated to *r* and cut where
+    /// it would reach or wrap past `v` (one fetch message), and repoints
+    /// `finger[0]` at `s`. A node whose entire
     /// list is dead re-enters via the first live node clockwise (a
     /// bootstrap rescue, one extra message).
     ///
@@ -874,7 +738,7 @@ impl ChordNetwork {
                 Some(s) => s,
                 None => {
                     messages += 1; // bootstrap rescue
-                    match self.first_live_clockwise_after(v) {
+                    match self.live_others(v).next() {
                         Some(s) => s,
                         None => continue, // alone in the ring
                     }
@@ -888,13 +752,19 @@ impl ChordNetwork {
             let mut list = std::mem::take(&mut self.succ_lists[v as usize]);
             list.clear();
             list.push(s);
+            // Adopt s's entries while they keep moving clockwise away
+            // from v: on a small ring s's list can reach v, or wrap past
+            // it, and nothing after that point succeeds v in order. Index
+            // order is clockwise order, so the wrapping offset `w - v`
+            // ranks entries by clockwise distance from v.
+            let mut prev = s.wrapping_sub(v);
             for &w in &self.succ_lists[s as usize] {
-                if list.len() >= self.succ_len {
+                let d = w.wrapping_sub(v);
+                if list.len() >= self.succ_len || d <= prev {
                     break;
                 }
-                if w != v && !list.contains(&w) {
-                    list.push(w);
-                }
+                list.push(w);
+                prev = d;
             }
             self.succ_lists[v as usize] = list;
             self.fingers[v as usize][0] = s;
@@ -1168,74 +1038,88 @@ mod tests {
 
 #[cfg(test)]
 mod failure_tests {
+    //! Routing around fail-stop nodes: [`ChordNetwork::lookup_faulty`]
+    //! under loss-free churn plans frozen at the end of their horizon,
+    //! so a node is either up or down for the whole lookup.
     use super::*;
-    use qcp_util::rng::Pcg64;
+    use qcp_faults::FaultConfig;
+
+    /// A loss-free plan over `n` nodes where a `churn` fraction is down
+    /// for good and the rest are up for good.
+    fn frozen(n: usize, churn: f64, seed: u64) -> FaultPlan {
+        let config = FaultConfig {
+            loss: 0.0,
+            churn,
+            rejoin: false,
+            seed,
+            ..Default::default()
+        };
+        FaultPlan::build(n, &config).frozen_at(config.horizon)
+    }
+
+    /// Owner and hop count of a lookup that must resolve.
+    fn resolve(net: &ChordNetwork, from: u32, key: u64, plan: &FaultPlan) -> (u32, u32) {
+        let policy = RetryPolicy::default();
+        let (r, _) = net.lookup_faulty(from, key, plan, &policy, 0, key);
+        (
+            r.owner.expect("loss-free lookup from a live source"),
+            r.hops,
+        )
+    }
 
     #[test]
     fn no_failures_matches_plain_lookup_owner() {
         let net = ChordNetwork::new(128, 21);
-        let alive = vec![true; 128];
+        let plan = FaultPlan::none(128);
         for k in 0..80u64 {
             let key = mix64(k);
-            let ft = net.lookup_with_failures(5, key, &alive);
-            assert_eq!(ft.owner, net.successor_of_key(key));
+            assert_eq!(resolve(&net, 5, key, &plan).0, net.successor_of_key(key));
         }
     }
 
     #[test]
     fn routes_around_random_failures() {
         let net = ChordNetwork::new(256, 22);
-        let mut rng = Pcg64::new(23);
-        let mut alive = vec![true; 256];
-        for idx in rng.sample_distinct(256, 64) {
-            alive[idx] = false;
-        }
+        let plan = frozen(256, 0.25, 23);
+        let alive = plan.alive_mask_at(0);
+        assert!(alive.iter().filter(|&&a| !a).count() > 32, "a quarter down");
         let sources: Vec<u32> = (0..256u32).filter(|&v| alive[v as usize]).take(8).collect();
         for k in 0..60u64 {
             let key = mix64(k ^ 0x77aa);
             let expected = net.first_alive_successor(key, &alive).unwrap();
             for &from in &sources {
-                let r = net.lookup_with_failures(from, key, &alive);
-                assert_eq!(r.owner, expected, "key {key:x} from {from}");
-                assert!(alive[r.owner as usize]);
-                assert!(
-                    (r.hops as usize) <= 2 * net.len(),
-                    "hops {} explode",
-                    r.hops
-                );
+                let (owner, hops) = resolve(&net, from, key, &plan);
+                assert_eq!(owner, expected, "key {key:x} from {from}");
+                assert!(alive[owner as usize]);
+                assert!((hops as usize) <= 2 * net.len(), "hops {hops} explode");
             }
         }
     }
 
     #[test]
     fn survives_heavy_failure() {
-        // 90% dead: lookups must still resolve to alive owners.
+        // ~90% dead: lookups must still resolve to alive owners.
         let net = ChordNetwork::new(100, 24);
-        let mut alive = vec![false; 100];
-        for idx in [3usize, 17, 42, 56, 61, 77, 80, 91, 95, 99] {
-            alive[idx] = true;
-        }
+        let plan = frozen(100, 0.9, 24);
+        let alive = plan.alive_mask_at(0);
+        let live: Vec<u32> = (0..100u32).filter(|&v| alive[v as usize]).collect();
+        assert!((3..=20).contains(&live.len()), "{} alive", live.len());
         for k in 0..40u64 {
             let key = mix64(k ^ 0xdead);
-            let r = net.lookup_with_failures(42, key, &alive);
-            assert!(alive[r.owner as usize]);
-            assert_eq!(r.owner, net.first_alive_successor(key, &alive).unwrap());
+            let (owner, _) = resolve(&net, live[k as usize % live.len()], key, &plan);
+            assert!(alive[owner as usize]);
+            assert_eq!(owner, net.first_alive_successor(key, &alive).unwrap());
         }
     }
 
     #[test]
     fn hops_degrade_gracefully_with_failures() {
         let net = ChordNetwork::new(1_024, 25);
-        let mut rng = Pcg64::new(26);
         let mut mean_hops = Vec::new();
-        for dead_frac in [0.0f64, 0.3] {
-            let mut alive = vec![true; 1_024];
-            let dead = (1_024.0 * dead_frac) as usize;
-            for idx in rng.sample_distinct(1_024, dead) {
-                alive[idx] = false;
-            }
+        for churn in [0.0f64, 0.3] {
+            let plan = frozen(1_024, churn, 26);
             let sources: Vec<u32> = (0..1_024u32)
-                .filter(|&v| alive[v as usize])
+                .filter(|&v| plan.alive_at(v, 0))
                 .take(16)
                 .collect();
             let mut total = 0u64;
@@ -1243,7 +1127,7 @@ mod failure_tests {
             for k in 0..100u64 {
                 let key = mix64(k ^ 0xfade);
                 for &from in &sources {
-                    total += net.lookup_with_failures(from, key, &alive).hops as u64;
+                    total += resolve(&net, from, key, &plan).1 as u64;
                     count += 1;
                 }
             }
@@ -1258,12 +1142,16 @@ mod failure_tests {
     }
 
     #[test]
-    #[should_panic(expected = "source node is dead")]
-    fn dead_source_rejected() {
+    fn dead_source_fails_the_lookup() {
         let net = ChordNetwork::new(8, 27);
-        let mut alive = vec![true; 8];
-        alive[2] = false;
-        let _ = net.lookup_with_failures(2, 42, &alive);
+        let plan = frozen(8, 0.5, 27);
+        let dead = (0..8u32)
+            .find(|&v| !plan.alive_at(v, 0))
+            .expect("half the ring churns");
+        let (r, stats) = net.lookup_faulty(dead, 42, &plan, &RetryPolicy::default(), 0, 1);
+        assert_eq!(r.owner, None);
+        assert_eq!((r.hops, r.messages), (0, 0));
+        assert_eq!(stats, FaultStats::default());
     }
 }
 
@@ -1377,50 +1265,6 @@ mod faulty_tests {
             let b = net.lookup_faulty(3, key, &plan, &policy, k, k);
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn recorded_lookup_is_bitwise_identical_and_reconciles() {
-        use qcp_obs::MetricsRecorder;
-        let net = ChordNetwork::new(128, 33);
-        let plan = FaultPlan::build(
-            128,
-            &FaultConfig {
-                loss: 0.25,
-                churn: 0.25,
-                ..Default::default()
-            },
-        );
-        let policy = RetryPolicy::default();
-        let mut rec = MetricsRecorder::new();
-        let mut messages = 0u64;
-        let mut expect = FaultStats::default();
-        let mut hits = 0u64;
-        let trials = 40u64;
-        for k in 0..trials {
-            let key = mix64(k);
-            let plain = net.lookup_faulty(3, key, &plan, &policy, k, k);
-            let (result, stats) = net.lookup_faulty_rec(3, key, &plan, &policy, k, k, &mut rec);
-            assert_eq!((result, stats), plain, "recording must not perturb routing");
-            messages += result.messages;
-            expect.absorb(&stats);
-            hits += result.owner.is_some() as u64;
-        }
-        // Reconciliation: recorded totals equal the summed outcomes, and
-        // the recorded fault counters are exactly the FaultStats sums.
-        assert_eq!(rec.spans(Kernel::ChordLookup), trials);
-        assert_eq!(rec.total(Kernel::ChordLookup, Counter::Messages), messages);
-        assert_eq!(rec.fault_stats(Kernel::ChordLookup), expect);
-        assert_eq!(rec.event_count(Kernel::ChordLookup, Event::Hit), hits);
-        assert_eq!(
-            rec.event_count(Kernel::ChordLookup, Event::Miss),
-            trials - hits
-        );
-        assert_eq!(rec.hop_weight(Kernel::ChordLookup), hits);
-        // The retrying-engine identity survives aggregation through the
-        // recorder: dropped == retries + timeouts.
-        let f = rec.fault_stats(Kernel::ChordLookup);
-        assert_eq!(f.dropped, f.retries + f.timeouts);
     }
 
     #[test]
@@ -1544,6 +1388,10 @@ mod faulty_tests {
 
     /// [`ChordNetwork::stabilize`] as it was before it rebuilt lists in
     /// place: a fresh `Vec` per node and a clone of the successor's list.
+    /// It adopts every entry but `v` itself, so its lists can break the
+    /// clockwise order on small rings; its message bill and successor
+    /// choices are still the round's, since neither depends on which
+    /// entries are adopted.
     fn stabilize_allocating(net: &mut ChordNetwork) -> u64 {
         let n = net.len();
         let mut messages = 0u64;
@@ -1563,7 +1411,7 @@ mod faulty_tests {
                 Some(s) => s,
                 None => {
                     messages += 1;
-                    match net.first_live_clockwise_after(v) {
+                    match net.live_others(v).next() {
                         Some(s) => s,
                         None => continue,
                     }
@@ -1587,19 +1435,6 @@ mod faulty_tests {
         messages
     }
 
-    /// The panic message of [`ChordNetwork::check_successor_lists`], if
-    /// it panics.
-    fn list_check(net: &ChordNetwork) -> Option<String> {
-        std::panic::catch_unwind(|| net.check_successor_lists())
-            .err()
-            .map(|e| match e.downcast::<String>() {
-                Ok(msg) => *msg,
-                Err(e) => e
-                    .downcast_ref::<&str>()
-                    .map_or_else(String::new, |s| s.to_string()),
-            })
-    }
-
     #[test]
     fn in_place_stabilize_matches_the_allocating_rounds() {
         use qcp_util::rng::Pcg64;
@@ -1608,7 +1443,6 @@ mod faulty_tests {
             let n = 2 + rng.index(60);
             let r = 1 + rng.index(6);
             let mut net = ChordNetwork::with_succ_len(n, seed, r);
-            let mut oracle = net.clone();
             for step in 0..80 {
                 let v = rng.index(n) as u32;
                 match rng.index(5) {
@@ -1617,37 +1451,51 @@ mod faulty_tests {
                     0 | 1 => {
                         if !net.is_departed(v) && net.live_count() > 1 {
                             net.depart(v);
-                            oracle.depart(v);
                         }
                     }
                     2 => {
                         if net.is_departed(v) {
-                            assert_eq!(net.rejoin(v), oracle.rejoin(v));
+                            net.rejoin(v);
                         }
                     }
-                    3 => assert_eq!(
-                        net.stabilize(),
-                        stabilize_allocating(&mut oracle),
-                        "seed {seed} step {step}: stabilize bill"
-                    ),
-                    _ => assert_eq!(net.fix_fingers(), oracle.fix_fingers()),
+                    3 => {
+                        // The old round on a copy of the same state is
+                        // the oracle for the bill and every successor.
+                        let mut oracle = net.clone();
+                        assert_eq!(
+                            net.stabilize(),
+                            stabilize_allocating(&mut oracle),
+                            "seed {seed} step {step}: stabilize bill"
+                        );
+                        assert_eq!(net.fingers, oracle.fingers, "seed {seed} step {step}");
+                    }
+                    _ => {
+                        net.fix_fingers();
+                    }
                 }
-                for u in 0..n as u32 {
-                    assert_eq!(
-                        net.succ_list(u),
-                        oracle.succ_list(u),
-                        "seed {seed} step {step}: successor list of {u}"
-                    );
-                }
-                assert_eq!(net.fingers, oracle.fingers, "seed {seed} step {step}");
-                assert_eq!(net.stale_entries(), oracle.stale_entries());
-                assert_eq!(
-                    list_check(&net),
-                    list_check(&oracle),
-                    "seed {seed} step {step}: successor-list check"
-                );
+                // Every step, small rings included, keeps every live
+                // node's list in strict clockwise order.
+                net.check_successor_lists();
             }
         }
+    }
+
+    #[test]
+    fn stabilize_keeps_a_wrapping_list_in_clockwise_order() {
+        // n = 6, r = 2, live {3, 4}. Node 4's list [5, 0] is all dead,
+        // so it rescues to 3, whose list [4, 5] reaches 4 itself:
+        // adoption stops there instead of keeping 5, which precedes 3
+        // clockwise from 4.
+        let mut net = ChordNetwork::with_succ_len(6, 3, 2);
+        for v in [0, 1, 2, 5] {
+            net.depart(v);
+        }
+        for _ in 0..3 {
+            net.stabilize();
+            net.check_successor_lists();
+        }
+        assert_eq!(net.succ_list(4), &[3]);
+        assert_eq!(net.succ_list(3), &[4]);
     }
 }
 
@@ -1795,45 +1643,6 @@ mod timed_tests {
                 assert_eq!(a, b);
             }
         }
-    }
-
-    #[test]
-    fn recorded_timed_lookup_is_bitwise_identical_and_reconciles() {
-        use qcp_obs::MetricsRecorder;
-        let net = ChordNetwork::new(128, 55);
-        let plan = FaultPlan::build(
-            128,
-            &FaultConfig {
-                loss: 0.2,
-                churn: 0.2,
-                mean_latency: 3,
-                ..Default::default()
-            },
-        );
-        let policy = RetryPolicy::default();
-        let mut rec = MetricsRecorder::new();
-        let mut hits = 0u64;
-        let mut elapsed_sum = 0u64;
-        let trials = 40u64;
-        for k in 0..trials {
-            let key = mix64(k);
-            let plain = net.lookup_timed(3, key, &plan, &policy, k, k, Some(300));
-            let (result, stats) =
-                net.lookup_timed_rec(3, key, &plan, &policy, k, k, Some(300), &mut rec);
-            assert_eq!((result, stats), plain, "recording must not perturb routing");
-            if result.owner.is_some() {
-                hits += 1;
-                elapsed_sum += result.elapsed;
-            }
-        }
-        assert_eq!(rec.spans(Kernel::ChordLookup), trials);
-        assert_eq!(rec.event_count(Kernel::ChordLookup, Event::Hit), hits);
-        // The latency histogram holds one entry per successful lookup,
-        // totaling the summed elapsed time.
-        assert_eq!(rec.time_weight(Kernel::ChordLookup), hits);
-        let hist = rec.time_histogram(Kernel::ChordLookup);
-        let mass: u64 = hist.iter().enumerate().map(|(t, &n)| t as u64 * n).sum();
-        assert_eq!(mass, elapsed_sum);
     }
 }
 

@@ -43,6 +43,18 @@ pub struct TimedQueryOutcome {
     pub deadline_exceeded: bool,
 }
 
+/// One term lookup as [`DhtIndex::and_query`] consumes it.
+#[derive(Default)]
+struct TermLookup {
+    /// The resolved owner; `None` fails the AND query (unless `cut`).
+    owner: Option<u32>,
+    hops: u32,
+    /// Lookup transmissions (the posting-list transfer is added later).
+    messages: u64,
+    /// The budget ran out before this term resolved.
+    cut: bool,
+}
+
 /// The index: per-node storage of term posting lists.
 #[derive(Debug, Clone)]
 pub struct DhtIndex {
@@ -97,35 +109,17 @@ impl DhtIndex {
 
     /// Multi-key AND query (symbol-level variant of [`Self::query`]).
     pub fn query_keys(&self, net: &ChordNetwork, from: u32, terms: &[u64]) -> DhtQueryOutcome {
-        if terms.is_empty() {
-            return DhtQueryOutcome {
-                results: Vec::new(),
-                hops: 0,
-                messages: 0,
-            };
-        }
-        let mut hops = 0u32;
-        let mut messages = 0u64;
-        let mut result: Option<Vec<u32>> = None;
-        for &key in terms {
+        let mut stats = FaultStats::default();
+        let (out, _) = self.and_query(net, terms, &mut stats, |_, key, _| {
             let r = net.lookup(from, key);
-            hops += r.hops;
-            messages += r.hops as u64 + 1; // +1 posting-list transfer
-            let empty: Vec<u32> = Vec::new();
-            let list = self.storage[r.owner as usize].get(&key).unwrap_or(&empty);
-            result = Some(match result {
-                None => list.clone(),
-                Some(acc) => intersect_sorted(&acc, list),
-            });
-            if result.as_ref().is_some_and(|r| r.is_empty()) {
-                break; // AND already failed; remaining terms can't help
+            TermLookup {
+                owner: Some(r.owner),
+                hops: r.hops,
+                messages: r.hops as u64,
+                cut: false,
             }
-        }
-        DhtQueryOutcome {
-            results: result.unwrap_or_default(),
-            hops,
-            messages,
-        }
+        });
+        out
     }
 
     /// Multi-key AND query under a [`FaultPlan`].
@@ -152,56 +146,18 @@ impl DhtIndex {
         nonce: u64,
     ) -> (DhtQueryOutcome, FaultStats) {
         let mut stats = FaultStats::default();
-        if terms.is_empty() {
-            return (
-                DhtQueryOutcome {
-                    results: Vec::new(),
-                    hops: 0,
-                    messages: 0,
-                },
-                stats,
-            );
-        }
-        let mut hops = 0u32;
-        let mut messages = 0u64;
-        let mut result: Option<Vec<u32>> = None;
-        for (i, &key) in terms.iter().enumerate() {
+        let (out, _) = self.and_query(net, terms, &mut stats, |i, key, stats| {
             let (r, term_stats) =
                 net.lookup_faulty(from, key, plan, policy, time, mix64(nonce ^ i as u64));
             stats.absorb(&term_stats);
-            hops += r.hops;
-            messages += r.messages;
-            let Some(owner) = r.owner else {
-                // Routing failed: the AND query fails outright.
-                result = Some(Vec::new());
-                break;
-            };
-            messages += 1; // posting-list transfer
-            let list = self.storage[owner as usize].get(&key);
-            if list.is_none() {
-                let home = net.successor_of_key(key);
-                if home != owner && self.storage[home as usize].contains_key(&key) {
-                    stats.stale_misses += 1;
-                }
+            TermLookup {
+                owner: r.owner,
+                hops: r.hops,
+                messages: r.messages,
+                cut: false,
             }
-            let empty: Vec<u32> = Vec::new();
-            let list = list.unwrap_or(&empty);
-            result = Some(match result {
-                None => list.clone(),
-                Some(acc) => intersect_sorted(&acc, list),
-            });
-            if result.as_ref().is_some_and(|r| r.is_empty()) {
-                break; // AND already failed; remaining terms can't help
-            }
-        }
-        (
-            DhtQueryOutcome {
-                results: result.unwrap_or_default(),
-                hops,
-                messages,
-            },
-            stats,
-        )
+        });
+        (out, stats)
     }
 
     /// Deadline-bounded multi-key AND query on the virtual-time engine.
@@ -236,50 +192,76 @@ impl DhtIndex {
         nonce: u64,
         budget: Option<u64>,
     ) -> (TimedQueryOutcome, FaultStats) {
+        // The query's virtual clock is `stats.ticks`: lookup times plus
+        // transfer latencies, serial across terms.
         let mut stats = FaultStats::default();
-        let mut out = TimedQueryOutcome {
+        let (out, cut) = self.and_query(net, terms, &mut stats, |i, key, stats| {
+            let remaining = budget.map(|b| b.saturating_sub(stats.ticks));
+            if remaining == Some(0) {
+                return TermLookup {
+                    cut: true,
+                    ..TermLookup::default()
+                };
+            }
+            let nonce = mix64(nonce ^ i as u64);
+            let (r, term_stats) = net.lookup_timed(from, key, plan, policy, time, nonce, remaining);
+            stats.absorb(&term_stats);
+            if let Some(owner) = r.owner {
+                stats.ticks += plan.latency(from, owner); // posting-list transfer
+            }
+            TermLookup {
+                owner: r.owner,
+                hops: r.hops,
+                messages: r.messages,
+                cut: r.truncated,
+            }
+        });
+        let elapsed = stats.ticks;
+        let timed = TimedQueryOutcome {
+            results: out.results,
+            hops: out.hops,
+            messages: out.messages,
+            elapsed,
+            deadline_exceeded: cut || budget.is_some_and(|b| elapsed > b),
+        };
+        (timed, stats)
+    }
+
+    /// The AND-query loop behind the three `query_keys*` variants: for
+    /// each term, `lookup(i, key, stats)` routes to its owner, then the
+    /// posting list is transferred (one message), a stranded posting is
+    /// counted stale, and the running intersection is narrowed. A failed
+    /// lookup empties the result; a cut one keeps the partial
+    /// intersection (and returns `true` beside the outcome); an empty
+    /// intersection ends the query early.
+    fn and_query(
+        &self,
+        net: &ChordNetwork,
+        terms: &[u64],
+        stats: &mut FaultStats,
+        mut lookup: impl FnMut(usize, u64, &mut FaultStats) -> TermLookup,
+    ) -> (DhtQueryOutcome, bool) {
+        let mut out = DhtQueryOutcome {
             results: Vec::new(),
             hops: 0,
             messages: 0,
-            elapsed: 0,
-            deadline_exceeded: false,
         };
-        if terms.is_empty() {
-            return (out, stats);
-        }
+        let mut cut = false;
         let mut result: Option<Vec<u32>> = None;
         for (i, &key) in terms.iter().enumerate() {
-            let remaining = budget.map(|b| b.saturating_sub(out.elapsed));
-            if remaining == Some(0) {
-                out.deadline_exceeded = true;
-                break;
-            }
-            let (r, term_stats) = net.lookup_timed(
-                from,
-                key,
-                plan,
-                policy,
-                time,
-                mix64(nonce ^ i as u64),
-                remaining,
-            );
-            stats.absorb(&term_stats);
-            out.hops += r.hops;
-            out.messages += r.messages;
-            out.elapsed += r.elapsed;
-            if r.truncated {
-                out.deadline_exceeded = true;
+            let term = lookup(i, key, stats);
+            out.hops += term.hops;
+            out.messages += term.messages;
+            if term.cut {
+                cut = true;
                 break; // partial intersection over the resolved terms
             }
-            let Some(owner) = r.owner else {
-                // Routing failed within budget: the AND fails outright.
+            let Some(owner) = term.owner else {
+                // Routing failed: the AND query fails outright.
                 result = Some(Vec::new());
                 break;
             };
             out.messages += 1; // posting-list transfer
-            let transfer = plan.latency(from, owner);
-            out.elapsed += transfer;
-            stats.ticks += transfer;
             let list = self.storage[owner as usize].get(&key);
             if list.is_none() {
                 let home = net.successor_of_key(key);
@@ -287,21 +269,19 @@ impl DhtIndex {
                     stats.stale_misses += 1;
                 }
             }
-            let empty: Vec<u32> = Vec::new();
-            let list = list.unwrap_or(&empty);
-            result = Some(match result {
-                None => list.clone(),
-                Some(acc) => intersect_sorted(&acc, list),
-            });
-            if result.as_ref().is_some_and(|r| r.is_empty()) {
+            let list = list.map_or(&[][..], Vec::as_slice);
+            let narrowed = match &result {
+                None => list.to_vec(),
+                Some(acc) => intersect_sorted(acc, list),
+            };
+            let done = narrowed.is_empty();
+            result = Some(narrowed);
+            if done {
                 break; // AND already failed; remaining terms can't help
             }
         }
-        if budget.is_some_and(|b| out.elapsed > b) {
-            out.deadline_exceeded = true;
-        }
         out.results = result.unwrap_or_default();
-        (out, stats)
+        (out, cut)
     }
 
     /// Removes node `v`'s storage slot, keeping the index aligned with the

@@ -19,7 +19,7 @@ use crate::systems::{
 };
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_dht::{ChordNetwork, DhtIndex};
-use qcp_faults::{CapacityPlan, FaultPlan};
+use qcp_faults::{CapacityPlan, FaultPlan, FaultStats};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
 use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
 use qcp_overlay::EventEngine;
@@ -85,17 +85,33 @@ fn maintain<R: Recorder>(
     messages
 }
 
-/// Records one completed structured lookup (record-after style: the
-/// lookup's own accounting is the source of truth, the recorder only
-/// mirrors it, so recording cannot perturb the lookup).
-fn record_lookup<R: Recorder>(rec: &mut R, messages: u64, hops: u32, success: bool) {
+/// Records one structured query under [`Kernel::ChordLookup`]
+/// (record-after style: the query's own accounting is the source of
+/// truth, the recorder only mirrors it, so recording cannot perturb the
+/// query): one span, `event` (a hit, a miss or a hybrid's fallback), the
+/// `(messages, hops)` of its term lookups, its fault counters (all zero,
+/// and so no change, for a fault-free query), the virtual time when the
+/// DHT answered it under a deadline, and whether the deadline cut it
+/// short.
+fn record_lookup<R: Recorder>(
+    rec: &mut R,
+    event: Event,
+    (messages, hops): (u64, u32),
+    faults: &FaultStats,
+    time: Option<u64>,
+    deadline_exceeded: bool,
+) {
     rec.rec_span(Kernel::ChordLookup);
+    rec.rec_event(Kernel::ChordLookup, event);
     rec.rec_count(Kernel::ChordLookup, Counter::Messages, messages);
     rec.rec_hop(Kernel::ChordLookup, hops, 1);
-    rec.rec_event(
-        Kernel::ChordLookup,
-        if success { Event::Hit } else { Event::Miss },
-    );
+    rec.rec_faults(Kernel::ChordLookup, faults);
+    if let Some(time) = time {
+        rec.rec_time(Kernel::ChordLookup, time, 1);
+    }
+    if deadline_exceeded {
+        rec.rec_event(Kernel::ChordLookup, Event::DeadlineExceeded);
+    }
 }
 
 /// Flood-then-DHT hybrid search.
@@ -246,30 +262,29 @@ impl<R: Recorder> HybridSearch<R> {
         self.fallbacks += 1;
         let keys = query_keys(query);
         let (dht, dht_stats) = match self.faults.as_ref().zip(draw) {
-            Some((ctx, (time, nonce))) => {
-                let (dht, dht_stats) = self.index.query_keys_faulty(
-                    &self.net,
-                    query.source,
-                    &keys,
-                    &ctx.plan,
-                    &ctx.policy,
-                    time,
-                    mix64(nonce ^ DHT_PHASE_TAG),
-                );
-                stats.absorb(&dht_stats);
-                (dht, Some(dht_stats))
-            }
-            None => (self.index.query_keys(&self.net, query.source, &keys), None),
+            Some((ctx, (time, nonce))) => self.index.query_keys_faulty(
+                &self.net,
+                query.source,
+                &keys,
+                &ctx.plan,
+                &ctx.policy,
+                time,
+                mix64(nonce ^ DHT_PHASE_TAG),
+            ),
+            None => (
+                self.index.query_keys(&self.net, query.source, &keys),
+                FaultStats::default(),
+            ),
         };
-        self.recorder.rec_span(Kernel::ChordLookup);
-        self.recorder
-            .rec_event(Kernel::ChordLookup, Event::Fallback);
-        self.recorder
-            .rec_count(Kernel::ChordLookup, Counter::Messages, dht.messages);
-        self.recorder.rec_hop(Kernel::ChordLookup, dht.hops, 1);
-        if let Some(dht_stats) = &dht_stats {
-            self.recorder.rec_faults(Kernel::ChordLookup, dht_stats);
-        }
+        stats.absorb(&dht_stats);
+        record_lookup(
+            &mut self.recorder,
+            Event::Fallback,
+            (dht.messages, dht.hops),
+            &dht_stats,
+            None,
+            false,
+        );
         SearchOutcome {
             success: flood.found || !dht.results.is_empty(),
             messages: flood.messages + dht.messages,
@@ -370,20 +385,14 @@ impl<R: Recorder> HybridSearch<R> {
         } else {
             flood.completion_time + dht.elapsed
         };
-        self.recorder.rec_span(Kernel::ChordLookup);
-        self.recorder
-            .rec_event(Kernel::ChordLookup, Event::Fallback);
-        self.recorder
-            .rec_count(Kernel::ChordLookup, Counter::Messages, dht.messages);
-        self.recorder.rec_hop(Kernel::ChordLookup, dht.hops, 1);
-        self.recorder.rec_faults(Kernel::ChordLookup, &dht_stats);
-        if success && !flood.flood.found {
-            self.recorder.rec_time(Kernel::ChordLookup, elapsed, 1);
-        }
-        if dht.deadline_exceeded {
-            self.recorder
-                .rec_event(Kernel::ChordLookup, Event::DeadlineExceeded);
-        }
+        record_lookup(
+            &mut self.recorder,
+            Event::Fallback,
+            (dht.messages, dht.hops),
+            &dht_stats,
+            (success && !flood.flood.found).then_some(elapsed),
+            dht.deadline_exceeded,
+        );
         SearchOutcome {
             success,
             messages: flood.flood.messages + dht.messages,
@@ -513,85 +522,79 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
     ) -> SearchOutcome {
         let _ = world;
         let keys = query_keys(query);
-        if let Some(ctx) = &mut self.faults {
-            let (time, nonce) = ctx.next_query();
-            self.repair_messages += maintain(
-                self.maintenance.as_mut(),
-                &mut self.index,
-                &self.net,
-                &ctx.plan,
-                time,
-                &mut self.recorder,
-            );
-            if let Some(deadline) = self.deadline {
-                // The DHT is provisioned infrastructure: no queueing
-                // model, but the ingress admission gate still applies.
-                if let Some(cap) = &self.capacity {
-                    if !cap.admit(query.source, nonce) {
-                        return reject_admission(Kernel::ChordLookup, &mut self.recorder);
-                    }
-                }
-                // Deadline path: per-hop timeout expiry on the event
-                // calendar, degrading to a partial (per-term best-so-far)
-                // intersection when the budget runs out.
-                let (out, stats) = self.index.query_keys_timed(
-                    &self.net,
-                    query.source,
-                    &keys,
-                    &ctx.plan,
-                    &ctx.policy,
-                    time,
-                    nonce,
-                    Some(deadline.ticks),
-                );
-                let success = !out.results.is_empty();
-                record_lookup(&mut self.recorder, out.messages, out.hops, success);
-                self.recorder.rec_faults(Kernel::ChordLookup, &stats);
-                if success {
-                    self.recorder.rec_time(Kernel::ChordLookup, out.elapsed, 1);
-                }
-                if out.deadline_exceeded {
-                    self.recorder
-                        .rec_event(Kernel::ChordLookup, Event::DeadlineExceeded);
-                }
-                return SearchOutcome {
-                    success,
-                    messages: out.messages,
-                    hops: Some(out.hops),
-                    faults: stats,
-                    elapsed: out.elapsed,
-                    deadline_exceeded: out.deadline_exceeded,
-                    ..SearchOutcome::default()
-                };
+        // (messages, hops, found, faults, deadline exceeded); a query's
+        // virtual time is its fault tally's `ticks` on every path.
+        let (messages, hops, success, faults, deadline_exceeded) = match &mut self.faults {
+            None => {
+                let out = self.index.query_keys(&self.net, query.source, &keys);
+                let found = !out.results.is_empty();
+                (out.messages, out.hops, found, FaultStats::default(), false)
             }
-            let (out, stats) = self.index.query_keys_faulty(
-                &self.net,
-                query.source,
-                &keys,
-                &ctx.plan,
-                &ctx.policy,
-                time,
-                nonce,
-            );
-            let success = !out.results.is_empty();
-            record_lookup(&mut self.recorder, out.messages, out.hops, success);
-            self.recorder.rec_faults(Kernel::ChordLookup, &stats);
-            return SearchOutcome {
-                success,
-                messages: out.messages,
-                hops: Some(out.hops),
-                faults: stats,
-                elapsed: stats.ticks,
-                ..SearchOutcome::default()
-            };
-        }
-        let out = self.index.query_keys(&self.net, query.source, &keys);
-        let success = !out.results.is_empty();
-        record_lookup(&mut self.recorder, out.messages, out.hops, success);
+            Some(ctx) => {
+                let (time, nonce) = ctx.next_query();
+                self.repair_messages += maintain(
+                    self.maintenance.as_mut(),
+                    &mut self.index,
+                    &self.net,
+                    &ctx.plan,
+                    time,
+                    &mut self.recorder,
+                );
+                if let Some(deadline) = self.deadline {
+                    // The DHT is provisioned infrastructure: no queueing
+                    // model, but the ingress admission gate still applies.
+                    if let Some(cap) = &self.capacity {
+                        if !cap.admit(query.source, nonce) {
+                            return reject_admission(Kernel::ChordLookup, &mut self.recorder);
+                        }
+                    }
+                    // Deadline path: per-hop timeouts race replies on the
+                    // virtual clock, degrading to a partial (per-term
+                    // best-so-far) intersection when the budget runs out.
+                    let (out, stats) = self.index.query_keys_timed(
+                        &self.net,
+                        query.source,
+                        &keys,
+                        &ctx.plan,
+                        &ctx.policy,
+                        time,
+                        nonce,
+                        Some(deadline.ticks),
+                    );
+                    let found = !out.results.is_empty();
+                    (out.messages, out.hops, found, stats, out.deadline_exceeded)
+                } else {
+                    let (out, stats) = self.index.query_keys_faulty(
+                        &self.net,
+                        query.source,
+                        &keys,
+                        &ctx.plan,
+                        &ctx.policy,
+                        time,
+                        nonce,
+                    );
+                    let found = !out.results.is_empty();
+                    (out.messages, out.hops, found, stats, false)
+                }
+            }
+        };
+        record_lookup(
+            &mut self.recorder,
+            if success { Event::Hit } else { Event::Miss },
+            (messages, hops),
+            &faults,
+            // A deadline implies a fault plan (the builder rejects one
+            // without it), so this is the timed path's answer time.
+            (success && self.deadline.is_some()).then_some(faults.ticks),
+            deadline_exceeded,
+        );
         SearchOutcome {
             success,
-            messages: out.messages,
-            hops: Some(out.hops),
+            messages,
+            hops: Some(hops),
+            faults,
+            elapsed: faults.ticks,
+            deadline_exceeded,
             ..SearchOutcome::default()
         }
     }

@@ -159,7 +159,7 @@ pub struct Calendar<E> {
     occupied: u64,
     /// Pool index of tick `now`'s bucket, sorted by descending
     /// `(tie, seq)` and popped from the back; `NONE` before the first
-    /// pop and after `clear`/`reset`.
+    /// pop and after `reset`.
     draining: u32,
     /// Free list of pool indices.
     spare: Vec<u32>,
@@ -332,27 +332,6 @@ impl<E> Calendar<E> {
         })
     }
 
-    /// Drops every pending event without advancing `now`. Used by the
-    /// timed DHT lookup to abandon a late reply once its timer fires.
-    /// Every bucket returns to the free list.
-    pub fn clear(&mut self) {
-        let mut occupied = std::mem::take(&mut self.occupied);
-        while occupied != 0 {
-            let i = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            let b = std::mem::replace(&mut self.ring[i], NONE);
-            self.buckets[b as usize].clear();
-            self.spare.push(b);
-        }
-        if self.draining != NONE {
-            self.buckets[self.draining as usize].clear();
-            self.spare.push(self.draining);
-            self.draining = NONE;
-        }
-        self.overflow.clear();
-        self.len = 0;
-    }
-
     /// Rewinds the calendar to virtual time 0 for reuse across trials:
     /// drops every pending event, resets `now` and the insertion
     /// sequence, and **retains every bucket's allocation**. The free
@@ -439,19 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_abandons_pending_events_without_time_travel() {
-        let mut c = Calendar::new();
-        c.schedule_at(4, 0, 1u8);
-        c.schedule_at(8, 0, 2u8);
-        assert_eq!(c.pop(), Some((4, 1)));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.now(), 4);
-        c.schedule_after(1, 0, 3u8);
-        assert_eq!(c.pop(), Some((5, 3)));
-    }
-
-    #[test]
     fn reset_rewinds_time_and_retains_capacity() {
         let mut c = Calendar::new();
         for i in 0..256u64 {
@@ -464,9 +430,8 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.now(), 0, "reset rewinds virtual time");
         assert_eq!(c.capacity(), cap, "reset retains the heap allocation");
-        // The rewound calendar accepts early times again (clear() alone
-        // would leave `now` stuck at the last popped timestamp) and
-        // replays identically: same events, same pop order, no growth.
+        // The rewound calendar accepts early times again and replays
+        // identically: same events, same pop order, no growth.
         for i in 0..256u64 {
             c.schedule_at(i, tie_break(i), i);
         }
@@ -601,11 +566,11 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
         /// Any interleaving of schedules, bursts into one tick, pops,
-        /// peeks, mid-run clears and resets matches the binary-heap model
-        /// op by op.
+        /// peeks and mid-run resets matches the binary-heap model op by
+        /// op.
         #[test]
         fn matches_the_heap_model(
-            ops in proptest::collection::vec((0u8..21, 0u8..6, proptest::prelude::any::<u64>()), 0..400)
+            ops in proptest::collection::vec((0u8..20, 0u8..6, proptest::prelude::any::<u64>()), 0..400)
         ) {
             let mut c = Calendar::new();
             let mut model = HeapCalendar::new();
@@ -628,10 +593,6 @@ mod tests {
                     10..=15 => proptest::prop_assert_eq!(c.pop(), model.pop()),
                     16 | 17 => {}
                     18 => {
-                        c.clear();
-                        model.heap.clear();
-                    }
-                    19 => {
                         c.reset();
                         model = HeapCalendar::new();
                     }

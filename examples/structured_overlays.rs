@@ -7,6 +7,7 @@
 //! ```
 
 use qcp2p::dht::{ChordNetwork, DhtIndex, PastryNetwork};
+use qcp2p::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use qcp2p::util::hash::mix64;
 use qcp2p::util::rng::Pcg64;
 
@@ -37,30 +38,39 @@ fn main() {
     // --- Fault tolerance ------------------------------------------------
     let n = 2_000;
     let chord = ChordNetwork::new(n, 3);
-    let mut rng = Pcg64::new(4);
+    let policy = RetryPolicy::default();
     println!("\nchord lookups with fail-stop node losses (TTL-free routing):");
-    for dead_frac in [0.0f64, 0.2, 0.5] {
-        let mut alive = vec![true; n];
-        for idx in rng.sample_distinct(n, (n as f64 * dead_frac) as usize) {
-            alive[idx] = false;
-        }
+    for churn in [0.0f64, 0.2, 0.5] {
+        // A loss-free churn plan frozen at the end of its horizon: each
+        // node is down for good or up for good.
+        let config = FaultConfig {
+            loss: 0.0,
+            churn,
+            rejoin: false,
+            seed: 4,
+            ..Default::default()
+        };
+        let plan = FaultPlan::build(n, &config).frozen_at(config.horizon);
         let sources: Vec<u32> = (0..n as u32)
-            .filter(|&v| alive[v as usize])
+            .filter(|&v| plan.alive_at(v, 0))
             .take(32)
             .collect();
-        let mut total = 0u64;
-        let mut count = 0u64;
+        let (mut hops, mut resolved, mut count) = (0u64, 0u64, 0u64);
         for k in 0..200u64 {
             let key = mix64(k ^ 0xfa11);
             for &from in &sources {
-                total += chord.lookup_with_failures(from, key, &alive).hops as u64;
+                let (r, _) = chord.lookup_faulty(from, key, &plan, &policy, 0, k);
+                if r.owner.is_some() {
+                    hops += r.hops as u64;
+                    resolved += 1;
+                }
                 count += 1;
             }
         }
         println!(
-            "  {:>3.0}% dead: every lookup still resolves, mean {:.2} hops",
-            dead_frac * 100.0,
-            total as f64 / count as f64
+            "  {:>3.0}% dead: {resolved}/{count} lookups resolve, mean {:.2} hops",
+            plan.dead_count_at(0) as f64 * 100.0 / n as f64,
+            hops as f64 / resolved as f64
         );
     }
 
