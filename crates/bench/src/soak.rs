@@ -36,7 +36,8 @@
 //!
 //! * repair: degree band, alive-edge symmetry, dead-node isolation, and
 //!   the `messages == probes + 2·added` accounting identity
-//!   (via [`Maintainer::step`] → `check_repair_invariants`);
+//!   (via [`Maintainer::step`], whose touched check gives the verdict
+//!   of `check_repair_invariants`);
 //! * ring: successor-list sortedness/liveness structure after every
 //!   sync and stabilization round (`ChordNetwork::check_successor_lists`);
 //! * accounting: per-round repair messages must sum to the maintainer's

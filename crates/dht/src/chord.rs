@@ -48,6 +48,9 @@ pub const FINGER_BITS: usize = 64;
 /// departures between maintenance rounds.
 pub const DEFAULT_SUCC_LEN: usize = 4;
 
+/// Pads a successor-list row past the end of its list.
+const NO_SUCC: u32 = u32::MAX;
+
 /// Result of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupResult {
@@ -217,16 +220,136 @@ struct Route {
 pub struct ChordNetwork {
     /// Sorted node ids.
     ids: Vec<u64>,
-    /// `fingers[v][i]` = node index of `successor(ids[v] + 2^i)`.
-    fingers: Vec<Vec<u32>>,
-    /// `succ_lists[v]` = the next `succ_len` nodes clockwise after `v`
-    /// (as last refreshed — entries dangle after [`Self::depart`]).
-    succ_lists: Vec<Vec<u32>>,
+    /// The finger tables, one flat row of [`FINGER_BITS`] slots per node:
+    /// `fingers[v * FINGER_BITS + i]` = node index of
+    /// `successor(ids[v] + 2^i)` (as last repaired).
+    fingers: Vec<u32>,
+    /// Who may point at whom, and whose fingers may dangle. Boxed, as
+    /// it is five vectors: the network is moved and embedded by value.
+    index: Box<FingerIndex>,
+    /// The successor lists, one flat row of `succ_len` slots per node:
+    /// node `v`'s list (the next `succ_len` nodes clockwise after `v`, as
+    /// last refreshed — entries dangle after [`Self::depart`]) is its
+    /// row up to the first [`NO_SUCC`].
+    succ: Vec<u32>,
     /// Nodes marked down by [`Self::depart`]; they keep their id slot so
     /// other nodes' stale table entries still *point* somewhere.
     departed: Vec<bool>,
+    /// Number of nodes not departed.
+    live: usize,
     /// Successor-list length *r*.
     succ_len: usize,
+}
+
+/// The bookkeeping that lets finger maintenance visit only what churn
+/// touched.
+///
+/// Two invariants hold between calls:
+///
+/// * **owners** — the CSR (`owners[at[t]..at[t + 1]]`, built from the
+///   whole table) together with the `log` of `(target, owner)` finger
+///   writes since is a superset of the finger relation: whenever a
+///   finger of `v` points at `t`, `v` is listed under `t` in one of them;
+/// * **dirty** — every live node with a finger at a departed node is in
+///   `dirty`. A live node outside it has only live fingers.
+#[derive(Debug, Clone, Default)]
+struct FingerIndex {
+    at: Vec<u32>,
+    owners: Vec<u32>,
+    log: Vec<(u32, u32)>,
+    /// The dirty nodes, each once; `is_dirty` is its membership mask.
+    dirty: Vec<u32>,
+    is_dirty: Vec<bool>,
+}
+
+impl FingerIndex {
+    /// Re-derives everything from the table after a join or leave: the
+    /// CSR, an empty log, and as dirty every owner of a departed node
+    /// (the rebuilt fingers ignore `departed`, so they may dangle).
+    fn rebuild(&mut self, fingers: &[u32], departed: &[bool]) {
+        self.compact(fingers);
+        self.dirty.clear();
+        self.is_dirty.clear();
+        self.is_dirty.resize(departed.len(), false);
+        for (v, row) in fingers.chunks_exact(FINGER_BITS).enumerate() {
+            if row.iter().any(|&f| departed[f as usize]) {
+                self.mark(v as u32);
+            }
+        }
+    }
+
+    /// Rebuilds the owner CSR from the table and empties the log: a
+    /// counting sort of each row's distinct targets. A row repeats a
+    /// target only in adjacent slots, except after repairs, and a repeat
+    /// the dedup misses only costs a duplicate entry.
+    fn compact(&mut self, fingers: &[u32]) {
+        let n = fingers.len() / FINGER_BITS;
+        let rows = || {
+            fingers
+                .chunks_exact(FINGER_BITS)
+                .enumerate()
+                .flat_map(|(v, row)| {
+                    row.iter()
+                        .enumerate()
+                        .filter(move |&(i, &t)| i == 0 || row[i - 1] != t)
+                        .map(move |(_, &t)| (t, v as u32))
+                })
+        };
+        self.log.clear();
+        self.at.clear();
+        self.at.resize(n + 1, 0);
+        for (t, _) in rows() {
+            self.at[t as usize] += 1;
+        }
+        for t in 1..=n {
+            self.at[t] += self.at[t - 1];
+        }
+        // `at[t]` is now the end of `t`'s run; filling each run from its
+        // end moves `at[t]` back to its start. Free the old list before
+        // allocating a longer one, so the two never coexist.
+        let total = self.at[n] as usize;
+        self.owners.clear();
+        if self.owners.capacity() < total {
+            self.owners = Vec::new();
+        }
+        self.owners.resize(total, 0);
+        for (t, v) in rows() {
+            self.at[t as usize] -= 1;
+            self.owners[self.at[t as usize] as usize] = v;
+        }
+    }
+
+    /// Notes that a finger of `owner` now points at `target`, compacting
+    /// the log into the CSR once it outgrows half the ring.
+    fn record(&mut self, target: u32, owner: u32, fingers: &[u32]) {
+        if self.log.last() != Some(&(target, owner)) {
+            self.log.push((target, owner));
+        }
+        if self.log.len() > fingers.len() / FINGER_BITS / 2 {
+            self.compact(fingers);
+        }
+    }
+
+    /// Marks every node that may hold a finger to `t` dirty.
+    fn mark_owners_of(&mut self, t: u32) {
+        let (from, to) = (self.at[t as usize], self.at[t as usize + 1]);
+        for i in from..to {
+            self.mark(self.owners[i as usize]);
+        }
+        for i in 0..self.log.len() {
+            let (target, owner) = self.log[i];
+            if target == t {
+                self.mark(owner);
+            }
+        }
+    }
+
+    fn mark(&mut self, v: u32) {
+        if !self.is_dirty[v as usize] {
+            self.is_dirty[v as usize] = true;
+            self.dirty.push(v);
+        }
+    }
 }
 
 impl ChordNetwork {
@@ -247,8 +370,10 @@ impl ChordNetwork {
         let mut net = Self {
             ids,
             fingers: Vec::new(),
-            succ_lists: Vec::new(),
+            index: Box::default(),
+            succ: Vec::new(),
             departed: vec![false; n],
+            live: n,
             succ_len: r,
         };
         net.rebuild_all_fingers();
@@ -275,23 +400,56 @@ impl ChordNetwork {
         self.key_slot(key) as u32
     }
 
+    /// Rebuilds every finger with [`Self::successor_of_key`], which
+    /// ignores `departed`, so the rebuilt fingers may dangle; the index
+    /// marks their owners dirty.
     fn rebuild_all_fingers(&mut self) {
         let n = self.ids.len();
-        self.fingers = (0..n)
-            .map(|v| self.build_fingers_for(self.ids[v]))
-            .collect();
+        // Refill the table in its own buffer, which a join or leave
+        // changes by one row; reserve it exactly, as it is the ring's
+        // largest allocation.
+        let mut fingers = std::mem::take(&mut self.fingers);
+        fingers.clear();
+        fingers.reserve_exact(n * FINGER_BITS);
+        for &id in &self.ids {
+            fingers.extend(
+                (0..FINGER_BITS).map(|i| self.successor_of_key(id.wrapping_add(1u64 << i))),
+            );
+        }
+        self.fingers = fingers;
+        self.index.rebuild(&self.fingers, &self.departed);
         // Successor lists: the next min(r, n-1) nodes clockwise. The ids
         // are sorted, so index order *is* clockwise order.
         let r = self.succ_len.min(n.saturating_sub(1));
-        self.succ_lists = (0..n)
-            .map(|v| (1..=r).map(|off| ((v + off) % n) as u32).collect())
+        self.succ = (0..n)
+            .flat_map(|v| {
+                let list = (1..=r).map(move |off| ((v + off) % n) as u32);
+                list.chain(std::iter::repeat_n(NO_SUCC, self.succ_len - r))
+            })
             .collect();
     }
 
-    fn build_fingers_for(&self, id: u64) -> Vec<u32> {
-        (0..FINGER_BITS)
-            .map(|i| self.successor_of_key(id.wrapping_add(1u64 << i)))
-            .collect()
+    /// Replaces node `v`'s successor list with `list` (at most *r*
+    /// entries).
+    fn set_succ_list(&mut self, v: u32, list: &[u32]) {
+        let row = &mut self.succ[v as usize * self.succ_len..][..self.succ_len];
+        row[..list.len()].copy_from_slice(list);
+        row[list.len()..].fill(NO_SUCC);
+    }
+
+    /// Node `v`'s finger table.
+    fn fingers_of(&self, v: u32) -> &[u32] {
+        &self.fingers[v as usize * FINGER_BITS..][..FINGER_BITS]
+    }
+
+    /// Points finger `i` of `v` at `target`, recording the write in the
+    /// owner index.
+    fn set_finger(&mut self, v: u32, i: usize, target: u32) {
+        let slot = &mut self.fingers[v as usize * FINGER_BITS + i];
+        if *slot != target {
+            *slot = target;
+            self.index.record(target, v, &self.fingers);
+        }
     }
 
     /// Greedy Chord lookup from node `from` for `key`.
@@ -310,7 +468,7 @@ impl ChordNetwork {
                     hops,
                 };
             }
-            let succ = self.fingers[current as usize][0];
+            let succ = self.fingers_of(current)[0];
             let succ_id = self.ids[succ as usize];
             if in_interval_oc(key, cur_id, succ_id) {
                 // Key owned by our successor: one final hop.
@@ -321,8 +479,7 @@ impl ChordNetwork {
             }
             // Closest preceding finger strictly inside (cur, key).
             let mut next = succ;
-            for i in (0..FINGER_BITS).rev() {
-                let f = self.fingers[current as usize][i];
+            for &f in self.fingers_of(current).iter().rev() {
                 let f_id = self.ids[f as usize];
                 if in_interval_oo(f_id, cur_id, key) {
                     next = f;
@@ -536,8 +693,7 @@ impl ChordNetwork {
     /// (successor-list fallback). Nodes in `excluded` are skipped.
     fn next_hop_candidate(&self, current: u32, owner_id: u64, excluded: &[u32]) -> Option<u32> {
         let cur_id = self.ids[current as usize];
-        for i in (0..FINGER_BITS).rev() {
-            let f = self.fingers[current as usize][i];
+        for &f in self.fingers_of(current).iter().rev() {
             if f == current || excluded.contains(&f) {
                 continue;
             }
@@ -597,6 +753,7 @@ impl ChordNetwork {
         );
         self.ids.insert(pos, id);
         self.departed.insert(pos, false);
+        self.live += 1;
         self.rebuild_all_fingers();
         pos as u32
     }
@@ -605,7 +762,9 @@ impl ChordNetwork {
     pub fn leave(&mut self, v: u32) {
         assert!(self.ids.len() > 1, "cannot empty the ring");
         self.ids.remove(v as usize);
-        self.departed.remove(v as usize);
+        if !self.departed.remove(v as usize) {
+            self.live -= 1;
+        }
         self.rebuild_all_fingers();
     }
 
@@ -631,6 +790,9 @@ impl ChordNetwork {
             "cannot depart the last live node in the ring"
         );
         self.departed[v as usize] = true;
+        self.live -= 1;
+        // Whoever points at v now holds a dangling finger.
+        self.index.mark_owners_of(v);
     }
 
     /// Brings a departed node back up: Chord's re-join, collapsed.
@@ -647,24 +809,29 @@ impl ChordNetwork {
     pub fn rejoin(&mut self, v: u32) -> u64 {
         assert!(self.departed[v as usize], "node {v} is not departed");
         self.departed[v as usize] = false;
+        self.live += 1;
+        // v's fingers were not repaired while it was down.
+        self.index.mark(v);
         // Rebuild v's own successor list: next r live nodes clockwise.
-        let list: Vec<u32> = self.live_others(v).take(self.succ_len).collect();
+        let mut list: Vec<u32> = self.live_others(v).take(self.succ_len).collect();
         let mut messages = list.len() as u64;
-        self.succ_lists[v as usize] = list;
+        self.set_succ_list(v, &list);
         // Notify the live predecessor so the ring learns v is back.
         let pred = self.live_others(v).next_back();
         if let Some(u) = pred {
             messages += 1;
             let base = self.ids[u as usize];
             let d_v = self.ids[v as usize].wrapping_sub(base);
-            let lst = &mut self.succ_lists[u as usize];
-            let pos = lst.partition_point(|&w| self.ids[w as usize].wrapping_sub(base) < d_v);
-            if lst.get(pos) != Some(&v) {
-                lst.insert(pos, v);
-                lst.truncate(self.succ_len);
+            list.clear();
+            list.extend_from_slice(self.succ_list(u));
+            let pos = list.partition_point(|&w| self.ids[w as usize].wrapping_sub(base) < d_v);
+            if list.get(pos) != Some(&v) {
+                list.insert(pos, v);
+                list.truncate(self.succ_len);
+                self.set_succ_list(u, &list);
             }
             if pos == 0 {
-                self.fingers[u as usize][0] = v;
+                self.set_finger(u, 0, v);
             }
         }
         messages
@@ -685,7 +852,7 @@ impl ChordNetwork {
 
     /// Number of live (non-departed) nodes.
     pub fn live_count(&self) -> usize {
-        self.departed.iter().filter(|&&d| !d).count()
+        self.live
     }
 
     /// The liveness mask (`true` = live), indexed like the node table.
@@ -695,7 +862,9 @@ impl ChordNetwork {
 
     /// Node `v`'s successor list as last refreshed (possibly stale).
     pub fn succ_list(&self, v: u32) -> &[u32] {
-        &self.succ_lists[v as usize]
+        let row = &self.succ[v as usize * self.succ_len..][..self.succ_len];
+        let len = row.iter().position(|&w| w == NO_SUCC).unwrap_or(row.len());
+        &row[..len]
     }
 
     /// The first *live* node at or clockwise after `key` — the key's
@@ -722,12 +891,13 @@ impl ChordNetwork {
     pub fn stabilize(&mut self) -> u64 {
         let n = self.len();
         let mut messages = 0u64;
+        let mut list = Vec::with_capacity(self.succ_len);
         for v in 0..n as u32 {
             if self.departed[v as usize] {
                 continue;
             }
             let mut found: Option<u32> = None;
-            for &w in &self.succ_lists[v as usize] {
+            for &w in self.succ_list(v) {
                 messages += 1; // liveness probe
                 if !self.departed[w as usize] {
                     found = Some(w);
@@ -744,12 +914,10 @@ impl ChordNetwork {
                     }
                 }
             };
-            // Rebuild v's list in its own buffer, reading s's list in
-            // place: lists never hold their owner and the rescue skips v,
-            // so s != v and the two lists are distinct.
+            // Lists never hold their owner and the rescue skips v, so
+            // s != v.
             debug_assert_ne!(s, v);
             messages += 1; // fetch s's successor list
-            let mut list = std::mem::take(&mut self.succ_lists[v as usize]);
             list.clear();
             list.push(s);
             // Adopt s's entries while they keep moving clockwise away
@@ -758,7 +926,7 @@ impl ChordNetwork {
             // order is clockwise order, so the wrapping offset `w - v`
             // ranks entries by clockwise distance from v.
             let mut prev = s.wrapping_sub(v);
-            for &w in &self.succ_lists[s as usize] {
+            for &w in self.succ_list(s) {
                 let d = w.wrapping_sub(v);
                 if list.len() >= self.succ_len || d <= prev {
                     break;
@@ -766,8 +934,8 @@ impl ChordNetwork {
                 list.push(w);
                 prev = d;
             }
-            self.succ_lists[v as usize] = list;
-            self.fingers[v as usize][0] = s;
+            self.set_succ_list(v, &list);
+            self.set_finger(v, 0, s);
         }
         messages
     }
@@ -777,48 +945,56 @@ impl ChordNetwork {
     /// the finger's ring target (the outcome of a `find_successor`
     /// lookup, collapsed to one accounting message per repaired entry).
     ///
+    /// Only dirty nodes are visited: a clean live node has no finger to
+    /// repoint. The repair reads only `departed`, which the round does
+    /// not change, so visit order cannot change the outcome. Afterwards
+    /// no live node has a dangling finger, and a departed one is marked
+    /// dirty again when it rejoins.
+    ///
     /// Returns the round's message count.
     pub fn fix_fingers(&mut self) -> u64 {
-        let n = self.len();
         let mut messages = 0u64;
-        for v in 0..n as u32 {
+        let mut dirty = std::mem::take(&mut self.index.dirty);
+        for &v in &dirty {
+            self.index.is_dirty[v as usize] = false;
             if self.departed[v as usize] {
                 continue;
             }
             for i in 0..FINGER_BITS {
-                let f = self.fingers[v as usize][i];
+                let f = self.fingers_of(v)[i];
                 if !self.departed[f as usize] {
                     continue;
                 }
                 let target = self.ids[v as usize].wrapping_add(1u64 << i);
                 if let Some(nf) = self.first_live_successor_of_key(target) {
-                    self.fingers[v as usize][i] = nf;
+                    self.set_finger(v, i, nf);
                     messages += 1;
                 }
             }
         }
+        dirty.clear();
+        self.index.dirty = dirty;
         messages
     }
 
     /// Number of table entries (fingers + successor lists) of live nodes
     /// that point at departed nodes. Decays to zero as maintenance
-    /// rounds catch up; `repro soak` tracks the decay.
+    /// rounds catch up; `repro soak` tracks the decay. Only dirty nodes
+    /// can hold a stale finger.
     pub fn stale_entries(&self) -> usize {
-        let mut stale = 0usize;
-        for v in 0..self.len() {
-            if self.departed[v] {
-                continue;
-            }
-            stale += self.fingers[v]
-                .iter()
-                .filter(|&&f| self.departed[f as usize])
-                .count();
-            stale += self.succ_lists[v]
-                .iter()
-                .filter(|&&w| self.departed[w as usize])
-                .count();
-        }
-        stale
+        let is_stale = |&&w: &&u32| self.departed[w as usize];
+        let fingers: usize = self
+            .index
+            .dirty
+            .iter()
+            .filter(|&&v| !self.departed[v as usize])
+            .map(|&v| self.fingers_of(v).iter().filter(is_stale).count())
+            .sum();
+        let lists: usize = (0..self.len())
+            .filter(|&v| !self.departed[v])
+            .map(|v| self.succ_list(v as u32).iter().filter(is_stale).count())
+            .sum();
+        fingers + lists
     }
 
     /// Lookup over **possibly-stale local tables only** — no oracle in
@@ -847,7 +1023,7 @@ impl ChordNetwork {
             let cur_id = self.ids[current as usize];
             // First live entry of the local successor list.
             let mut live_succ: Option<u32> = None;
-            for &w in &self.succ_lists[current as usize] {
+            for &w in self.succ_list(current) {
                 messages += 1; // liveness probe
                 if !self.departed[w as usize] {
                     live_succ = Some(w);
@@ -868,8 +1044,7 @@ impl ChordNetwork {
                 );
             }
             let mut next: Option<u32> = None;
-            for i in (0..FINGER_BITS).rev() {
-                let f = self.fingers[current as usize][i];
+            for &f in self.fingers_of(current).iter().rev() {
                 if f == current {
                     continue;
                 }
@@ -901,7 +1076,7 @@ impl ChordNetwork {
             if self.departed[v as usize] {
                 continue;
             }
-            let list = &self.succ_lists[v as usize];
+            let list = self.succ_list(v);
             assert!(
                 list.len() <= self.succ_len,
                 "successor list of {v} overflows r={}",
@@ -1400,7 +1575,7 @@ mod faulty_tests {
                 continue;
             }
             let mut found: Option<u32> = None;
-            for &w in &net.succ_lists[v as usize] {
+            for &w in net.succ_list(v) {
                 messages += 1;
                 if !net.departed[w as usize] {
                     found = Some(w);
@@ -1420,7 +1595,7 @@ mod faulty_tests {
             messages += 1;
             let mut list = Vec::with_capacity(net.succ_len);
             list.push(s);
-            let src = net.succ_lists[s as usize].clone();
+            let src = net.succ_list(s).to_vec();
             for w in src {
                 if list.len() >= net.succ_len {
                     break;
@@ -1429,8 +1604,8 @@ mod faulty_tests {
                     list.push(w);
                 }
             }
-            net.succ_lists[v as usize] = list;
-            net.fingers[v as usize][0] = s;
+            net.set_succ_list(v, &list);
+            net.fingers[v as usize * FINGER_BITS] = s;
         }
         messages
     }
@@ -1496,6 +1671,100 @@ mod faulty_tests {
         }
         assert_eq!(net.succ_list(4), &[3]);
         assert_eq!(net.succ_list(3), &[4]);
+    }
+
+    /// [`ChordNetwork::fix_fingers`] as a full-table round: every finger
+    /// of every live node, in index order.
+    fn fix_fingers_full(net: &mut ChordNetwork) -> u64 {
+        let mut messages = 0u64;
+        for v in 0..net.len() {
+            if net.departed[v] {
+                continue;
+            }
+            for i in 0..FINGER_BITS {
+                let slot = v * FINGER_BITS + i;
+                if !net.departed[net.fingers[slot] as usize] {
+                    continue;
+                }
+                let target = net.ids[v].wrapping_add(1u64 << i);
+                if let Some(nf) = net.first_live_successor_of_key(target) {
+                    net.fingers[slot] = nf;
+                    messages += 1;
+                }
+            }
+        }
+        messages
+    }
+
+    /// [`ChordNetwork::stale_entries`] as a full-table count.
+    fn stale_entries_full(net: &ChordNetwork) -> usize {
+        (0..net.len())
+            .filter(|&v| !net.departed[v])
+            .map(|v| {
+                let row = &net.fingers[v * FINGER_BITS..][..FINGER_BITS];
+                row.iter()
+                    .chain(net.succ_list(v as u32))
+                    .filter(|&&w| net.departed[w as usize])
+                    .count()
+            })
+            .sum()
+    }
+
+    #[test]
+    fn dirty_owner_finger_repair_matches_the_full_table_round() {
+        use qcp_util::rng::Pcg64;
+        for seed in 0..60u64 {
+            let mut rng = Pcg64::new(seed ^ 0xf1f0);
+            let r = 1 + rng.index(6);
+            let mut net = ChordNetwork::with_succ_len(2 + rng.index(199), seed, r);
+            for step in 0..120 {
+                let v = rng.index(net.len()) as u32;
+                match rng.index(12) {
+                    // Departures outrun rejoins, so joins and leaves often
+                    // rebuild the tables while nodes are down.
+                    0..=3 => {
+                        if !net.is_departed(v) && net.live_count() > 1 {
+                            net.depart(v);
+                        }
+                    }
+                    4 | 5 => {
+                        if net.is_departed(v) {
+                            net.rejoin(v);
+                        }
+                    }
+                    6 | 7 => {
+                        net.stabilize();
+                    }
+                    8 | 9 => {
+                        net.fix_fingers();
+                    }
+                    10 => {
+                        if net.len() < 200 {
+                            net.join(rng.next());
+                        }
+                    }
+                    _ => {
+                        if net.len() > 2 && (net.is_departed(v) || net.live_count() > 1) {
+                            net.leave(v);
+                        }
+                    }
+                }
+                let at = format!("seed {seed} step {step}");
+                let live = net.departed.iter().filter(|&&d| !d).count();
+                assert_eq!(net.live_count(), live, "{at}: live count");
+                assert_eq!(net.stale_entries(), stale_entries_full(&net), "{at}");
+                // The full-table round on a clone is the oracle for the
+                // next round from this state.
+                let (mut fast, mut full) = (net.clone(), net.clone());
+                assert_eq!(
+                    fast.fix_fingers(),
+                    fix_fingers_full(&mut full),
+                    "{at}: fix_fingers bill"
+                );
+                assert_eq!(fast.fingers, full.fingers, "{at}: finger slots");
+                assert_eq!(fast.stale_entries(), stale_entries_full(&full), "{at}");
+            }
+        }
     }
 }
 

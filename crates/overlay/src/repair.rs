@@ -334,33 +334,45 @@ pub fn check_repair_invariants(
     policy: &MaintenancePolicy,
     stats: &RepairStats,
 ) {
+    check_round(before, after, alive, policy, stats, Probe::everywhere);
+}
+
+/// [`check_repair_invariants`] with the symmetry test run only where the
+/// round could have broken it; `before` must be symmetric.
+///
+/// A one-way entry `v` in `u`'s list has `u` or `v` touched (its list
+/// differs from `before`): were neither, `before` would hold the same
+/// one-way entry. If only `v` is, `u`'s list is its old one, so `u` is an
+/// old neighbor of `v`. Probing the touched nodes and their old
+/// neighbors therefore finds every one-way entry, and the other
+/// assertions still run everywhere in the same order, so the verdict and
+/// the panic message are those of the full check.
+fn check_touched(
+    before: &Graph,
+    after: &Graph,
+    alive: &[bool],
+    policy: &MaintenancePolicy,
+    stats: &RepairStats,
+) {
+    check_round(before, after, alive, policy, stats, Probe::touched);
+}
+
+/// The one loop behind both invariant checks: nodes in index order, each
+/// checked for the dead-node degree, the band, then every entry for a
+/// dead end and, where the symmetry probe built by `probe(before, after)`
+/// tests the node, a missing mirror.
+fn check_round(
+    before: &Graph,
+    after: &Graph,
+    alive: &[bool],
+    policy: &MaintenancePolicy,
+    stats: &RepairStats,
+    probe: fn(&Graph, &Graph) -> Probe,
+) {
     assert_eq!(after.num_nodes(), before.num_nodes());
     assert_eq!(alive.len(), after.num_nodes());
-    let n = after.num_nodes();
-    // `listed_by[at[u]..at[u + 1]]` holds every node whose list holds `u`:
-    // the transposed adjacency, built by counting sort. Stamping those
-    // nodes with `u` turns the symmetry test into one load per entry.
-    let mut at = vec![0u32; n + 1];
-    for u in 0..n as u32 {
-        for &v in after.neighbors(u) {
-            at[v as usize + 1] += 1;
-        }
-    }
-    for i in 0..n {
-        at[i + 1] += at[i];
-    }
-    let mut cursor = at[..n].to_vec();
-    let mut listed_by = vec![0u32; at[n] as usize];
-    for u in 0..n as u32 {
-        for &v in after.neighbors(u) {
-            listed_by[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
-    }
-    drop(cursor);
-    // Node ids are below `n <= u32::MAX`, so no node starts stamped.
-    let mut stamp = vec![u32::MAX; n];
-    for u in 0..n as u32 {
+    let mut probe = probe(before, after);
+    for u in 0..after.num_nodes() as u32 {
         let d = after.degree(u);
         if !alive[u as usize] {
             assert!(d == 0, "dead node {u} kept {d} edges after repair");
@@ -376,15 +388,118 @@ pub fn check_repair_invariants(
             "degree band violated at {u}: {d} > max({surviving_before}, {})",
             policy.degree_max
         );
-        for &w in &listed_by[at[u as usize] as usize..at[u as usize + 1] as usize] {
-            stamp[w as usize] = u;
-        }
+        let probed = probe.start(u);
         for &v in after.neighbors(u) {
             assert!(alive[v as usize], "repaired edge {u}-{v} touches dead node");
-            assert!(stamp[v as usize] == u, "repaired edge {u}-{v} is one-way");
+            assert!(
+                !probed || probe.mirrored(after, v, u),
+                "repaired edge {u}-{v} is one-way"
+            );
         }
     }
     stats.check_identity();
+}
+
+/// Where and how [`check_round`] tests that list entries are mirrored.
+enum Probe {
+    /// At every node, through the transposed adjacency.
+    Everywhere(Transpose),
+    /// At the marked nodes only, by scanning the far end's list.
+    Marked(Vec<bool>),
+}
+
+impl Probe {
+    fn everywhere(_before: &Graph, after: &Graph) -> Self {
+        Probe::Everywhere(Transpose::new(after))
+    }
+
+    /// Marks the nodes whose list differs from `before`, and their old
+    /// neighbors (see [`check_touched`]).
+    fn touched(before: &Graph, after: &Graph) -> Self {
+        let mut marked = vec![false; after.num_nodes()];
+        for u in 0..after.num_nodes() as u32 {
+            let old = before.neighbors(u);
+            if after.neighbors(u) != old {
+                marked[u as usize] = true;
+                for &w in old {
+                    marked[w as usize] = true;
+                }
+            }
+        }
+        Probe::Marked(marked)
+    }
+
+    /// Readies the test of `u`'s entries; false when `u` is not tested.
+    fn start(&mut self, u: u32) -> bool {
+        match self {
+            Probe::Everywhere(t) => {
+                t.stamp(u);
+                true
+            }
+            Probe::Marked(marked) => marked[u as usize],
+        }
+    }
+
+    /// Whether `v`'s list holds `u`, the node last started.
+    fn mirrored(&self, after: &Graph, v: u32, u: u32) -> bool {
+        match self {
+            Probe::Everywhere(t) => t.lists(v, u),
+            Probe::Marked(_) => after.neighbors(v).contains(&u),
+        }
+    }
+}
+
+/// A graph's transposed adjacency, for symmetry tests in O(n + m):
+/// `listed_by[at[u]..at[u + 1]]` holds every node whose list holds `u`,
+/// built by counting sort. Stamping those nodes with `u` turns "does
+/// `v`'s list hold `u`" into one load.
+struct Transpose {
+    at: Vec<u32>,
+    listed_by: Vec<u32>,
+    stamp: Vec<u32>,
+}
+
+impl Transpose {
+    fn new(graph: &Graph) -> Self {
+        let n = graph.num_nodes();
+        let mut at = vec![0u32; n + 1];
+        for u in 0..n as u32 {
+            for &v in graph.neighbors(u) {
+                at[v as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            at[i + 1] += at[i];
+        }
+        let mut cursor = at[..n].to_vec();
+        let mut listed_by = vec![0u32; at[n] as usize];
+        for u in 0..n as u32 {
+            for &v in graph.neighbors(u) {
+                listed_by[cursor[v as usize] as usize] = u;
+                cursor[v as usize] += 1;
+            }
+        }
+        drop(cursor);
+        // Node ids are below `n <= u32::MAX`, so no node starts stamped.
+        Self {
+            at,
+            listed_by,
+            stamp: vec![u32::MAX; n],
+        }
+    }
+
+    /// Stamps every node whose list holds `u`.
+    fn stamp(&mut self, u: u32) {
+        let (from, to) = (self.at[u as usize], self.at[u as usize + 1]);
+        for &w in &self.listed_by[from as usize..to as usize] {
+            self.stamp[w as usize] = u;
+        }
+    }
+
+    /// Whether `v`'s list holds `u`, the node last stamped.
+    fn lists(&self, v: u32, u: u32) -> bool {
+        self.stamp[v as usize] == u
+    }
 }
 
 /// Drives [`repair_round`]s over an owned graph, carrying the evolving
@@ -400,7 +515,19 @@ pub struct Maintainer {
 
 impl Maintainer {
     /// Starts maintenance over `graph` under `policy`.
+    ///
+    /// Panics if `graph` holds a one-way entry: each step checks only
+    /// the nodes its round touched, which is the full check only while
+    /// the graph it starts from is symmetric, and a checked round keeps
+    /// it so.
     pub fn new(graph: Graph, policy: MaintenancePolicy) -> Self {
+        let mut transpose = Transpose::new(&graph);
+        for u in 0..graph.num_nodes() as u32 {
+            transpose.stamp(u);
+            for &v in graph.neighbors(u) {
+                assert!(transpose.lists(v, u), "maintained edge {u}-{v} is one-way");
+            }
+        }
         Self {
             graph,
             policy,
@@ -429,12 +556,13 @@ impl Maintainer {
         self.totals
     }
 
-    /// Applies one repair round under `alive`, advances the round counter,
-    /// and returns that round's stats. The round index feeds the draw keys,
-    /// so step sequences are reproducible but rounds are not identical.
+    /// Applies one repair round under `alive`, checks its invariants,
+    /// advances the round counter, and returns that round's stats. The
+    /// round index feeds the draw keys, so step sequences are
+    /// reproducible but rounds are not identical.
     pub fn step(&mut self, pool: &Pool, alive: &[bool]) -> RepairStats {
         let (repaired, stats) = repair_round(pool, &self.graph, alive, &self.policy, self.round);
-        check_repair_invariants(&self.graph, &repaired, alive, &self.policy, &stats);
+        check_touched(&self.graph, &repaired, alive, &self.policy, &stats);
         self.graph = repaired;
         self.round += 1;
         self.totals.absorb(&stats);
@@ -676,6 +804,27 @@ mod tests {
         stats.check_identity();
     }
 
+    type Check = fn(&Graph, &Graph, &[bool], &MaintenancePolicy, &RepairStats);
+
+    /// `None` when `check` passes, else its panic message.
+    fn verdict(
+        check: Check,
+        before: &Graph,
+        after: &Graph,
+        alive: &[bool],
+        policy: &MaintenancePolicy,
+        stats: &RepairStats,
+    ) -> Option<String> {
+        std::panic::catch_unwind(|| check(before, after, alive, policy, stats))
+            .err()
+            .map(|e| match e.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(e) => e
+                    .downcast_ref::<&str>()
+                    .map_or_else(String::new, |s| s.to_string()),
+            })
+    }
+
     /// Runs both invariant checks and returns their shared verdict: `None`
     /// when both pass, or the panic message both raise.
     fn both_checks(
@@ -685,20 +834,44 @@ mod tests {
         policy: &MaintenancePolicy,
         stats: &RepairStats,
     ) -> Option<String> {
-        let verdict = |check: fn(&Graph, &Graph, &[bool], &MaintenancePolicy, &RepairStats)| {
-            std::panic::catch_unwind(|| check(before, after, alive, policy, stats))
-                .err()
-                .map(|e| match e.downcast::<String>() {
-                    Ok(msg) => *msg,
-                    Err(e) => e
-                        .downcast_ref::<&str>()
-                        .map_or_else(String::new, |s| s.to_string()),
-                })
-        };
-        let fast = verdict(check_repair_invariants);
-        let slow = verdict(check_repair_invariants_reference);
+        let fast = verdict(check_repair_invariants, before, after, alive, policy, stats);
+        let slow = verdict(
+            check_repair_invariants_reference,
+            before,
+            after,
+            alive,
+            policy,
+            stats,
+        );
         assert_eq!(fast, slow, "the two invariant checks disagree");
         fast
+    }
+
+    /// `graph` with `corruptions` random edits between nodes drawn from
+    /// `nodes`: a dropped entry (one-way), a pushed entry (one-way, or to
+    /// a dead node) or a pushed pair (past the band, or to a dead node).
+    fn corrupt(graph: &Graph, nodes: &[u32], corruptions: usize, rng: &mut Pcg64) -> Graph {
+        let mut lists: Vec<Vec<u32>> = (0..graph.num_nodes() as u32)
+            .map(|v| graph.neighbors(v).to_vec())
+            .collect();
+        for _ in 0..corruptions {
+            let u = nodes[rng.index(nodes.len())] as usize;
+            let v = nodes[rng.index(nodes.len())];
+            match rng.index(3) {
+                0 => {
+                    if !lists[u].is_empty() {
+                        let at = rng.index(lists[u].len());
+                        lists[u].remove(at);
+                    }
+                }
+                1 => lists[u].push(v),
+                _ => {
+                    lists[u].push(v);
+                    lists[v as usize].push(u as u32);
+                }
+            }
+        }
+        Graph::from_lists_unchecked(&lists)
     }
 
     /// An ER or two-tier world of `n` nodes.
@@ -790,30 +963,55 @@ mod tests {
             let before = oracle_world(two_tier, n, seed);
             let alive = oracle_mask(seed, 0, n, dead_pct);
             let (after, stats) = repair_round(&pool, &before, &alive, &policy, 0);
-            let mut lists: Vec<Vec<u32>> =
-                (0..n as u32).map(|v| after.neighbors(v).to_vec()).collect();
+            let nodes: Vec<u32> = (0..n as u32).collect();
             let mut rng = Pcg64::new(seed ^ 0xc0ff);
-            for _ in 0..corruptions {
-                let u = rng.index(n);
-                let v = rng.index(n) as u32;
-                match rng.index(3) {
-                    0 => {
-                        if !lists[u].is_empty() {
-                            let at = rng.index(lists[u].len());
-                            lists[u].remove(at);
-                        }
-                    }
-                    1 => lists[u].push(v),
-                    _ => {
-                        lists[u].push(v);
-                        lists[v as usize].push(u as u32);
-                    }
-                }
-            }
-            let corrupted = Graph::from_lists_unchecked(&lists);
+            let corrupted = corrupt(&after, &nodes, corruptions, &mut rng);
             let verdict = both_checks(&before, &corrupted, &alive, &policy, &stats);
             if corruptions == 0 {
                 proptest::prop_assert_eq!(verdict, None);
+            }
+        }
+
+        /// Over chained rounds, with 0–3 corruptions among the nodes each
+        /// round touched and their old and new neighbors, the touched
+        /// check panics exactly when the full check does, with the same
+        /// message.
+        #[test]
+        fn touched_check_matches_the_full_check(
+            two_tier in proptest::prelude::any::<bool>(),
+            n in 4usize..300,
+            dead_pct in 0u64..46,
+            corruptions in 0usize..4,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let pool = Pool::new(2);
+            let policy = oracle_policy(seed & 1 == 1, seed);
+            let mut before = oracle_world(two_tier, n, seed);
+            let mut rng = Pcg64::new(seed ^ 0x70c4);
+            for round in 0..3 {
+                let alive = oracle_mask(seed, round, n, dead_pct);
+                let (after, stats) = repair_round(&pool, &before, &alive, &policy, round);
+                let mut near: Vec<u32> = (0..n as u32)
+                    .filter(|&u| after.neighbors(u) != before.neighbors(u))
+                    .flat_map(|u| {
+                        let lists = before.neighbors(u).iter().chain(after.neighbors(u));
+                        std::iter::once(u).chain(lists.copied())
+                    })
+                    .collect();
+                near.sort_unstable();
+                near.dedup();
+                if near.is_empty() {
+                    near = (0..n as u32).collect();
+                }
+                let corrupted = corrupt(&after, &near, corruptions, &mut rng);
+                let touched = verdict(check_touched, &before, &corrupted, &alive, &policy, &stats);
+                let full =
+                    verdict(check_repair_invariants, &before, &corrupted, &alive, &policy, &stats);
+                proptest::prop_assert_eq!(&touched, &full, "round {}", round);
+                if corruptions == 0 {
+                    proptest::prop_assert_eq!(touched, None);
+                }
+                before = after;
             }
         }
     }
