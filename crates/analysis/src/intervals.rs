@@ -1,14 +1,80 @@
 //! Interval bucketing of query streams.
 //!
 //! Section IV of the paper evaluates query-term popularity "at various
-//! evaluation intervals" (15/30/60/120 minutes). [`IntervalIndex`] buckets
-//! a timestamped query stream into fixed intervals, tokenizes every query
-//! through the shared [`TermDict`], and stores per-interval term counts —
-//! the substrate for the transient (Fig 5), stability (Fig 6) and mismatch
-//! (Fig 7) analyses.
+//! evaluation intervals" (15/30/60/120 minutes). [`QueryTerms`] tokenizes
+//! a timestamped query stream once through the shared [`TermDict`];
+//! [`IntervalIndex`] buckets those symbols into fixed intervals and stores
+//! per-interval term counts — the substrate for the transient (Fig 5),
+//! stability (Fig 6) and mismatch (Fig 7) analyses. Every interval length
+//! is built from the same [`QueryTerms`].
 
-use qcp_terms::{tokenize, TermDict};
+use qcp_terms::{for_each_token_with, TermDict, TokenizerConfig};
 use qcp_util::{FxHashMap, Symbol};
+
+/// The in-range queries of a trace as term symbols, in input order.
+///
+/// One pass tokenizes every query with the protocol tokenizer and
+/// observes each term in the shared [`TermDict`] (so file terms and query
+/// terms live in one symbol space). Query `i` has time `times[i]` and
+/// terms `syms[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+pub struct QueryTerms {
+    duration_secs: u32,
+    times: Vec<u32>,
+    offsets: Vec<usize>,
+    syms: Vec<Symbol>,
+}
+
+impl QueryTerms {
+    /// Tokenizes `(time, query_text)` records in input order. Records
+    /// outside `[0, duration_secs)` are skipped before tokenizing, so
+    /// their terms are never interned. Input need not be sorted.
+    pub fn observe<'a, I>(records: I, duration_secs: u32, dict: &mut TermDict) -> Self
+    where
+        I: IntoIterator<Item = (u32, &'a str)>,
+    {
+        let mut terms = Self {
+            duration_secs,
+            times: Vec::new(),
+            offsets: vec![0],
+            syms: Vec::new(),
+        };
+        for (time, text) in records {
+            if time >= duration_secs {
+                continue;
+            }
+            terms.times.push(time);
+            for_each_token_with(text, TokenizerConfig::default(), |term| {
+                terms.syms.push(dict.observe(term));
+            });
+            terms.offsets.push(terms.syms.len());
+        }
+        terms
+    }
+
+    /// The trace duration in seconds (queries lie in `[0, duration)`).
+    pub fn duration_secs(&self) -> u32 {
+        self.duration_secs
+    }
+
+    /// Number of in-range queries.
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// True when no query fell in range.
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    /// `(time, terms)` per query, in input order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[Symbol])> {
+        self.times
+            .iter()
+            .zip(self.offsets.windows(2))
+            .map(|(&time, span)| (time, &self.syms[span[0]..span[1]]))
+    }
+}
 
 /// Term counts for one evaluation interval.
 #[derive(Debug, Clone, Default)]
@@ -33,7 +99,8 @@ pub struct IntervalIndex {
 }
 
 impl IntervalIndex {
-    /// Buckets `(time, query_text)` records. Queries are tokenized with the
+    /// Buckets `(time, query_text)` records: [`QueryTerms::observe`]
+    /// then [`IntervalIndex::from_terms`]. Queries are tokenized with the
     /// protocol tokenizer and interned into `dict` (shared across analyses
     /// so file terms and query terms live in one symbol space).
     ///
@@ -48,6 +115,16 @@ impl IntervalIndex {
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
+        Self::from_terms(
+            &QueryTerms::observe(records, duration_secs, dict),
+            interval_secs,
+        )
+    }
+
+    /// Buckets an already tokenized query stream into `interval_secs`
+    /// intervals covering `[0, terms.duration_secs())`.
+    pub fn from_terms(terms: &QueryTerms, interval_secs: u32) -> Self {
+        let duration_secs = terms.duration_secs();
         assert!(interval_secs > 0 && duration_secs > 0);
         let n_intervals = duration_secs.div_ceil(interval_secs) as usize;
         let mut intervals: Vec<IntervalCounts> = (0..n_intervals)
@@ -56,17 +133,12 @@ impl IntervalIndex {
                 ..Default::default()
             })
             .collect();
-        for (time, text) in records {
-            if time >= duration_secs {
-                continue;
-            }
-            let bucket = (time / interval_secs) as usize;
-            let iv = &mut intervals[bucket];
+        for (time, syms) in terms.iter() {
+            let iv = &mut intervals[(time / interval_secs) as usize];
             iv.num_queries += 1;
-            for term in tokenize(text) {
-                let sym = dict.observe(&term);
+            iv.total_terms += syms.len() as u64;
+            for &sym in syms {
                 *iv.counts.entry(sym).or_insert(0) += 1;
-                iv.total_terms += 1;
             }
         }
         Self {

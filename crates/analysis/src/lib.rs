@@ -32,11 +32,11 @@ pub mod summary;
 pub mod transient;
 
 pub use annotations::AnnotationAnalysis;
-pub use intervals::{IntervalCounts, IntervalIndex};
-pub use mismatch::MismatchSeries;
+pub use intervals::{IntervalCounts, IntervalIndex, QueryTerms};
+pub use mismatch::{MismatchSeries, PopularFileTerms};
 pub use popularity::PopularityRule;
 pub use queries::QueryStringAnalysis;
-pub use replication::{ReplicationAnalysis, TermReplicationAnalysis};
+pub use replication::{file_term_peer_counts, ReplicationAnalysis, TermReplicationAnalysis};
 pub use stability::StabilitySeries;
 pub use summary::{CrawlSummary, QuerySummary};
 pub use transient::{TransientConfig, TransientSeries};

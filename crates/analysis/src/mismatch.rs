@@ -7,7 +7,8 @@
 
 use crate::intervals::IntervalIndex;
 use crate::popularity::PopularityRule;
-use qcp_terms::{tokenize, TermDict};
+use crate::replication::file_term_peer_counts;
+use qcp_terms::TermDict;
 use qcp_util::jaccard::jaccard_sorted;
 use qcp_util::{FxHashMap, Symbol};
 
@@ -18,6 +19,24 @@ pub struct PopularFileTerms {
     pub popular: Vec<Symbol>,
     /// Number of distinct file terms seen overall.
     pub unique_terms: usize,
+}
+
+impl PopularFileTerms {
+    /// Cuts the popular set from a [`file_term_peer_counts`] table with
+    /// `rule`; zero entries (symbols not in the crawl) are not file terms.
+    pub fn from_peer_counts(peer_counts: &[u32], rule: PopularityRule) -> Self {
+        let counts: FxHashMap<Symbol, u32> = peer_counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(s, &c)| (Symbol(s as u32), c))
+            .collect();
+        let total: u64 = peer_counts.iter().map(|&c| u64::from(c)).sum();
+        Self {
+            popular: rule.extract(&counts, total),
+            unique_terms: counts.len(),
+        }
+    }
 }
 
 /// Extracts the popular file-term set from `(peer, name)` crawl records.
@@ -34,27 +53,7 @@ pub fn popular_file_terms<'a, I>(
 where
     I: IntoIterator<Item = (u32, &'a str)>,
 {
-    // term -> distinct peer count, via a last-peer cache per term (records
-    // are usually grouped by peer, but correctness doesn't require it).
-    let mut peer_sets: FxHashMap<Symbol, qcp_util::FxHashSet<u32>> = FxHashMap::default();
-    for (peer, name) in records {
-        for term in tokenize(name) {
-            let sym = dict.intern(&term);
-            peer_sets.entry(sym).or_default().insert(peer);
-        }
-    }
-    let counts: FxHashMap<Symbol, u32> = peer_sets
-        .iter()
-        .map(|(&s, peers)| (s, peers.len() as u32))
-        .collect();
-    // qcplint: allow(unordered-iter) — commutative integer sum; the fold
-    // is order-independent by construction.
-    let total: u64 = counts.values().map(|&c| c as u64).sum();
-    let popular = rule.extract(&counts, total);
-    PopularFileTerms {
-        popular,
-        unique_terms: counts.len(),
-    }
+    PopularFileTerms::from_peer_counts(&file_term_peer_counts(records, dict), rule)
 }
 
 /// Figure 7 output.

@@ -5,10 +5,129 @@
 //! counts, per distinct name, the number of *distinct peers* sharing it;
 //! the descending count series is the Figure 1/2 rank plot. Figure 3 does
 //! the same per *term* after protocol tokenization.
+//!
+//! Each crawl string is read once: one grouping by raw name serves both
+//! Figures 1 and 2 ([`ReplicationAnalysis::raw_and_sanitized`]), and one
+//! [`file_term_peer_counts`] pass serves Figure 3 and the popular file
+//! terms of Figure 7.
 
-use qcp_terms::{sanitize_name, tokenize};
-use qcp_util::{FxHashMap, FxHashSet};
+use qcp_terms::{for_each_token_with, sanitize_into, TermDict, TokenizerConfig};
+use qcp_util::FxHashMap;
 use qcp_zipf::{fit_tail_mle, TailFit};
+
+/// Crawl records grouped by raw name; the names are borrowed.
+struct NameGroups<'a> {
+    /// Records seen (file copies).
+    total: usize,
+    /// Distinct raw names, in first-occurrence order.
+    names: Vec<&'a str>,
+    /// Distinct `(name index, peer)` pairs, sorted, packed by [`pack`].
+    pairs: Vec<u64>,
+}
+
+fn pack(group: u32, peer: u32) -> u64 {
+    u64::from(group) << 32 | u64::from(peer)
+}
+
+impl<'a> NameGroups<'a> {
+    fn group<I>(records: I) -> Self
+    where
+        I: IntoIterator<Item = (u32, &'a str)>,
+    {
+        let mut index: FxHashMap<&'a str, u32> = FxHashMap::default();
+        let mut names = Vec::new();
+        let mut pairs = Vec::new();
+        for (peer, name) in records {
+            let group = *index.entry(name).or_insert_with(|| {
+                names.push(name);
+                names.len() as u32 - 1
+            });
+            pairs.push(pack(group, peer));
+        }
+        let total = pairs.len();
+        pairs.sort_unstable();
+        pairs.dedup();
+        Self {
+            total,
+            names,
+            pairs,
+        }
+    }
+
+    /// The same records grouped by sanitized name. Each distinct raw name
+    /// is sanitized once and its peers join its sanitized group; a union
+    /// of peer sets does not depend on order, so this equals grouping the
+    /// records by their sanitized names.
+    fn sanitized_pairs(&self) -> Vec<u64> {
+        let mut index: FxHashMap<String, u32> = FxHashMap::default();
+        let mut buf = String::new();
+        let group_of: Vec<u32> = self
+            .names
+            .iter()
+            .map(|name| {
+                sanitize_into(name, &mut buf);
+                if let Some(&group) = index.get(buf.as_str()) {
+                    return group;
+                }
+                let group = index.len() as u32;
+                index.insert(buf.clone(), group);
+                group
+            })
+            .collect();
+        let mut pairs: Vec<u64> = self
+            .pairs
+            .iter()
+            .map(|&p| pack(group_of[(p >> 32) as usize], p as u32))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+}
+
+/// Distinct peers per group of sorted, distinct packed pairs, descending.
+fn counts_desc(pairs: &[u64]) -> Vec<u32> {
+    let mut counts: Vec<u32> = pairs
+        .chunk_by(|a, b| a >> 32 == b >> 32)
+        .map(|run| run.len() as u32)
+        .collect();
+    counts.sort_unstable_by(|a, b| b.cmp(a));
+    counts
+}
+
+/// Distinct-peer count per term of the `(peer, name)` crawl records,
+/// indexed by symbol: one pass tokenizes every name and interns its terms
+/// into `dict` (without counting occurrences). The table has `dict.len()`
+/// entries; symbols the crawl never used count zero.
+pub fn file_term_peer_counts<'a, I>(records: I, dict: &mut TermDict) -> Vec<u32>
+where
+    I: IntoIterator<Item = (u32, &'a str)>,
+{
+    // `(term, peer)` pairs. Remembering each term's last peer drops the
+    // repeats within one peer's run of records (a crawl lists each peer's
+    // files together); the sort drops the rest, whatever the order.
+    let mut last_peer: Vec<Option<u32>> = vec![None; dict.len()];
+    let mut pairs: Vec<u64> = Vec::new();
+    for (peer, name) in records {
+        for_each_token_with(name, TokenizerConfig::default(), |term| {
+            let sym = dict.intern(term);
+            if sym.index() >= last_peer.len() {
+                last_peer.push(None);
+            }
+            if last_peer[sym.index()] != Some(peer) {
+                last_peer[sym.index()] = Some(peer);
+                pairs.push(pack(sym.0, peer));
+            }
+        });
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut counts = vec![0u32; dict.len()];
+    for p in pairs {
+        counts[(p >> 32) as usize] += 1;
+    }
+    counts
+}
 
 /// Replication distribution of objects (distinct names).
 #[derive(Debug, Clone)]
@@ -31,7 +150,8 @@ impl ReplicationAnalysis {
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
-        Self::build(num_peers, records, |name| name.to_string())
+        let groups = NameGroups::group(records);
+        Self::from_pairs(num_peers, groups.total, &groups.pairs)
     }
 
     /// Analyzes sanitized names (the Figure 2 variant).
@@ -39,31 +159,30 @@ impl ReplicationAnalysis {
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
-        Self::build(num_peers, records, sanitize_name)
+        let groups = NameGroups::group(records);
+        Self::from_pairs(num_peers, groups.total, &groups.sanitized_pairs())
     }
 
-    fn build<'a, I, K>(num_peers: u32, records: I, canonicalize: K) -> Self
+    /// Figures 1 and 2 from one grouping: `(from_names, from_sanitized_names)`
+    /// of the same records, reading each record once and sanitizing each
+    /// distinct raw name once.
+    pub fn raw_and_sanitized<'a, I>(num_peers: u32, records: I) -> (Self, Self)
     where
         I: IntoIterator<Item = (u32, &'a str)>,
-        K: Fn(&str) -> String,
     {
-        // name -> set of peers. Peer sets are typically tiny (the whole
-        // point of the paper), so small hash sets are fine.
-        let mut by_name: FxHashMap<String, FxHashSet<u32>> = FxHashMap::default();
-        let mut total = 0usize;
-        for (peer, name) in records {
-            total += 1;
-            by_name.entry(canonicalize(name)).or_default().insert(peer);
-        }
-        // qcplint: allow(unordered-iter) — plain counts are collected and
-        // then fully sorted; duplicates are indistinguishable, so hash
-        // order cannot reach the output.
-        let mut counts_desc: Vec<u32> = by_name.values().map(|s| s.len() as u32).collect();
-        counts_desc.sort_unstable_by(|a, b| b.cmp(a));
+        let groups = NameGroups::group(records);
+        (
+            Self::from_pairs(num_peers, groups.total, &groups.pairs),
+            Self::from_pairs(num_peers, groups.total, &groups.sanitized_pairs()),
+        )
+    }
+
+    fn from_pairs(num_peers: u32, total_copies: usize, pairs: &[u64]) -> Self {
+        let counts_desc = counts_desc(pairs);
         let tail = fit_tail(&counts_desc);
         Self {
             num_peers,
-            total_copies: total,
+            total_copies,
             unique_objects: counts_desc.len(),
             counts_desc,
             tail,
@@ -142,16 +261,13 @@ impl TermReplicationAnalysis {
     where
         I: IntoIterator<Item = (u32, &'a str)>,
     {
-        let mut by_term: FxHashMap<String, FxHashSet<u32>> = FxHashMap::default();
-        for (peer, name) in records {
-            for term in tokenize(name) {
-                by_term.entry(term).or_default().insert(peer);
-            }
-        }
-        // qcplint: allow(unordered-iter) — plain counts are collected and
-        // then fully sorted; duplicates are indistinguishable, so hash
-        // order cannot reach the output.
-        let mut counts_desc: Vec<u32> = by_term.values().map(|s| s.len() as u32).collect();
+        Self::from_peer_counts(&file_term_peer_counts(records, &mut TermDict::new()))
+    }
+
+    /// Builds the distribution from a [`file_term_peer_counts`] table;
+    /// zero entries (symbols not in the crawl) are not terms of it.
+    pub fn from_peer_counts(peer_counts: &[u32]) -> Self {
+        let mut counts_desc: Vec<u32> = peer_counts.iter().copied().filter(|&c| c > 0).collect();
         counts_desc.sort_unstable_by(|a, b| b.cmp(a));
         let tail = fit_tail(&counts_desc);
         Self {

@@ -3,8 +3,9 @@
 use crate::config::AnalyzerConfig;
 use crate::findings::{Figure4Findings, Findings};
 use qcp_analysis::{
-    mismatch, stability, transient, AnnotationAnalysis, CrawlSummary, IntervalIndex, QuerySummary,
-    ReplicationAnalysis, TermReplicationAnalysis,
+    file_term_peer_counts, mismatch, stability, transient, AnnotationAnalysis, CrawlSummary,
+    IntervalIndex, PopularFileTerms, QuerySummary, QueryTerms, ReplicationAnalysis,
+    TermReplicationAnalysis,
 };
 use qcp_terms::TermDict;
 use qcp_tracegen::{Crawl, ItunesTrace, QueryTrace, Vocabulary};
@@ -39,10 +40,18 @@ impl QueryCentricAnalyzer {
     /// crawl/query data would take).
     pub fn analyze(&self, crawl: &Crawl, itunes: &ItunesTrace, queries: &QueryTrace) -> Findings {
         // --- Figures 1-3: crawl-side distributions --------------------
+        // Each crawl string is read once: one grouping by name for
+        // Figures 1 and 2, and one term pass for Figure 3 and the popular
+        // file terms of Figure 7. That pass interns the crawl terms into
+        // the dictionary the queries share (the Figure 7 Jaccard needs
+        // one symbol space), before any query term.
         let records = || crawl.files.iter().map(|f| (f.peer, f.name.as_str()));
-        let fig1 = ReplicationAnalysis::from_names(crawl.num_peers, records());
-        let fig2 = ReplicationAnalysis::from_sanitized_names(crawl.num_peers, records());
-        let fig3 = TermReplicationAnalysis::from_names(records());
+        let (fig1, fig2) = ReplicationAnalysis::raw_and_sanitized(crawl.num_peers, records());
+        let mut dict = TermDict::new();
+        let file_peers = file_term_peer_counts(records(), &mut dict);
+        let fig3 = TermReplicationAnalysis::from_peer_counts(&file_peers);
+        let popular_files = PopularFileTerms::from_peer_counts(&file_peers, self.config.popularity);
+        drop(file_peers);
 
         // --- Figure 4: iTunes annotations ------------------------------
         let songs = AnnotationAnalysis::from_records(
@@ -83,37 +92,35 @@ impl QueryCentricAnalyzer {
         };
 
         // --- Figures 5-7: query-side temporal analysis ------------------
-        // One shared dictionary so query terms and file terms live in the
-        // same symbol space (needed for the Figure 7 Jaccard).
-        let mut dict = TermDict::new();
-        let popular_files =
-            mismatch::popular_file_terms(records(), self.config.popularity, &mut dict);
-
-        let query_records = || queries.queries.iter().map(|q| (q.time, q.text.as_str()));
-
-        // Figure 5 sweep over evaluation intervals.
-        let fig5: Vec<transient::TransientSeries> = self
-            .config
-            .fig5_intervals
-            .iter()
-            .map(|&interval| {
-                let idx = IntervalIndex::build(
-                    query_records(),
-                    queries.duration_secs,
-                    interval,
-                    &mut dict,
-                );
-                transient::detect_transients(&idx, &self.config.transient)
-            })
-            .collect();
-
-        // Headline interval for Figures 6 and 7.
-        let headline_idx = IntervalIndex::build(
-            query_records(),
+        // Every query is tokenized once; each interval index is built from
+        // the same symbols when its turn comes and dropped after use. The
+        // headline index (Figures 6 and 7) also serves Figure 5 when the
+        // sweep includes its interval.
+        let query_terms = QueryTerms::observe(
+            queries.queries.iter().map(|q| (q.time, q.text.as_str())),
             queries.duration_secs,
-            self.config.headline_interval,
             &mut dict,
         );
+        drop(dict);
+        let headline = self.config.headline_interval;
+        let detect =
+            |idx: &IntervalIndex| transient::detect_transients(idx, &self.config.transient);
+        let mut headline_idx = None;
+        let mut fig5 = Vec::with_capacity(self.config.fig5_intervals.len());
+        for &interval in &self.config.fig5_intervals {
+            fig5.push(if interval == headline {
+                detect(
+                    headline_idx
+                        .get_or_insert_with(|| IntervalIndex::from_terms(&query_terms, headline)),
+                )
+            } else {
+                detect(&IntervalIndex::from_terms(&query_terms, interval))
+            });
+        }
+        let headline_idx =
+            headline_idx.unwrap_or_else(|| IntervalIndex::from_terms(&query_terms, headline));
+        drop(query_terms);
+
         let fig6 = stability::popular_stability(&headline_idx, self.config.popularity);
         let fig7 =
             mismatch::query_file_mismatch(&headline_idx, &popular_files, self.config.popularity);
@@ -150,6 +157,7 @@ impl QueryCentricAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcp_analysis::{MismatchSeries, StabilitySeries, TransientSeries};
 
     fn findings() -> Findings {
         QueryCentricAnalyzer::new(AnalyzerConfig::test_scale().with_seed(2024)).run()
@@ -253,5 +261,99 @@ mod tests {
         let text = t.to_text();
         assert!(text.contains("70.5%"));
         assert!(text.contains("measured"));
+    }
+
+    /// `analyze()` rebuilt stage by stage from the public per-stage entry
+    /// points, each tokenizing its own input: the path a caller timing
+    /// one stage at a time takes.
+    fn staged(
+        c: &AnalyzerConfig,
+        crawl: &Crawl,
+        queries: &QueryTrace,
+    ) -> (
+        CrawlSummary,
+        QuerySummary,
+        Vec<TransientSeries>,
+        StabilitySeries,
+        MismatchSeries,
+    ) {
+        let records = || crawl.files.iter().map(|f| (f.peer, f.name.as_str()));
+        let fig1 = ReplicationAnalysis::from_names(crawl.num_peers, records());
+        let fig2 = ReplicationAnalysis::from_sanitized_names(crawl.num_peers, records());
+        let fig3 = TermReplicationAnalysis::from_names(records());
+        let mut dict = TermDict::new();
+        let popular_files = mismatch::popular_file_terms(records(), c.popularity, &mut dict);
+        let query_records = || queries.queries.iter().map(|q| (q.time, q.text.as_str()));
+        let fig5: Vec<TransientSeries> = c
+            .fig5_intervals
+            .iter()
+            .map(|&interval| {
+                let idx = IntervalIndex::build(
+                    query_records(),
+                    queries.duration_secs,
+                    interval,
+                    &mut dict,
+                );
+                transient::detect_transients(&idx, &c.transient)
+            })
+            .collect();
+        let headline = IntervalIndex::build(
+            query_records(),
+            queries.duration_secs,
+            c.headline_interval,
+            &mut dict,
+        );
+        let fig6 = stability::popular_stability(&headline, c.popularity);
+        let fig7 = mismatch::query_file_mismatch(&headline, &popular_files, c.popularity);
+        let warmup = (fig6.jaccards.len() / 10).max(3);
+        let last = fig5.last();
+        let query = QuerySummary {
+            total_queries: headline.total_queries(),
+            duration_secs: queries.duration_secs,
+            interval_secs: c.headline_interval,
+            stability_after_warmup: fig6.mean_after_warmup(warmup),
+            mean_popular_mismatch: fig7.mean_popular_similarity(),
+            max_popular_mismatch: fig7.max_popular_similarity(),
+            mean_transients: last.map_or(0.0, |s| s.mean()),
+            transient_variance: last.map_or(0.0, |s| s.variance()),
+        };
+        (
+            CrawlSummary::build(&fig1, &fig2, &fig3),
+            query,
+            fig5,
+            fig6,
+            fig7,
+        )
+    }
+
+    #[test]
+    fn staged_stages_equal_analyze() {
+        let mut shared = AnalyzerConfig::test_scale().with_seed(401);
+        shared.vocab.num_terms = 1_500;
+        shared.crawl.num_peers = 60;
+        shared.crawl.num_objects = 400;
+        shared.itunes.num_clients = 4;
+        shared.itunes.catalog_songs = 300;
+        shared.itunes.catalog_artists = 60;
+        shared.queries.num_queries = 2_500;
+        // The headline interval is in the Figure 5 sweep (one shared
+        // index) in the first config and not in the second.
+        let mut separate = shared.clone().with_seed(7);
+        separate.fig5_intervals = vec![900, 2_700];
+        separate.headline_interval = 1_800;
+        for c in [shared, separate] {
+            let vocab = Vocabulary::generate(&c.vocab);
+            let crawl = Crawl::generate(&vocab, &c.crawl);
+            let itunes = ItunesTrace::generate(&vocab, &c.itunes);
+            let queries = QueryTrace::generate(&vocab, &c.queries);
+            let f = QueryCentricAnalyzer::new(c.clone()).analyze(&crawl, &itunes, &queries);
+            let (crawl_summary, query_summary, fig5, fig6, fig7) = staged(&c, &crawl, &queries);
+            assert_eq!(format!("{:?}", f.crawl), format!("{crawl_summary:?}"));
+            assert_eq!(format!("{:?}", f.query), format!("{query_summary:?}"));
+            assert_eq!(format!("{:?}", f.fig5), format!("{fig5:?}"));
+            assert_eq!(format!("{:?}", f.fig6), format!("{fig6:?}"));
+            assert_eq!(format!("{:?}", f.fig7), format!("{fig7:?}"));
+            assert!(f.fig5.iter().any(|s| s.counts.iter().any(|&n| n > 0)));
+        }
     }
 }

@@ -24,5 +24,5 @@ pub mod tokenize;
 
 pub use dict::TermDict;
 pub use query::{matches_all_terms, Query};
-pub use sanitize::sanitize_name;
-pub use tokenize::{tokenize, tokenize_with, TokenizerConfig};
+pub use sanitize::{sanitize_into, sanitize_name};
+pub use tokenize::{for_each_token_with, tokenize, tokenize_with, TokenizerConfig};

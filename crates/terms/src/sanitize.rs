@@ -6,6 +6,8 @@
 //! merges e.g. `"Aaron Neville - I Don't Know Much.MP3"` and
 //! `"aaron neville i dont know much.mp3"`.
 
+use crate::tokenize::{for_each_token_with, TokenizerConfig};
+
 /// Sanitizes an object name: lower-cases, treats every non-alphanumeric
 /// character as a separator, collapses separator runs to a single space,
 /// and trims. The result is a canonical form for replica matching:
@@ -18,20 +20,28 @@
 /// ```
 pub fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
-    let mut pending_space = false;
-    for ch in name.chars() {
-        if ch.is_alphanumeric() {
-            if pending_space && !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-            out.extend(ch.to_lowercase());
-        } else {
-            // Whitespace, dashes, dots, apostrophes: all separators.
-            pending_space = true;
-        }
-    }
+    sanitize_into(name, &mut out);
     out
+}
+
+/// [`sanitize_name`] into a caller-owned buffer, which is cleared first;
+/// a loop over many names reuses one allocation.
+///
+/// The sanitized name is the protocol tokenization with every token kept
+/// (`min_len` 1) joined by single spaces.
+pub fn sanitize_into(name: &str, out: &mut String) {
+    out.clear();
+    let every_token = TokenizerConfig {
+        min_len: 1,
+        lowercase: true,
+        drop_numeric: false,
+    };
+    for_each_token_with(name, every_token, |token| {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(token);
+    });
 }
 
 #[cfg(test)]

@@ -46,32 +46,129 @@ pub fn tokenize(input: &str) -> Vec<String> {
 /// Tokenizes `input` according to `config`.
 pub fn tokenize_with(input: &str, config: TokenizerConfig) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in input.chars() {
-        if ch.is_alphanumeric() {
-            if config.lowercase {
-                current.extend(ch.to_lowercase());
-            } else {
-                current.push(ch);
-            }
-        } else if !current.is_empty() {
-            push_token(&mut tokens, std::mem::take(&mut current), config);
-        }
-    }
-    if !current.is_empty() {
-        push_token(&mut tokens, current, config);
-    }
+    for_each_token_with(input, config, |t| tokens.push(t.to_string()));
     tokens
 }
 
-fn push_token(tokens: &mut Vec<String>, token: String, config: TokenizerConfig) {
-    if token.chars().count() < config.min_len {
-        return;
+/// Calls `f` with each token of `input` under `config`, in order.
+///
+/// A token that the configuration leaves unchanged (no case to fold) is
+/// passed as a slice of `input`; the others are built in one buffer that
+/// every token of the call reuses, so the call allocates at most that
+/// buffer. ASCII characters take a fast path (`is_ascii_alphanumeric`,
+/// `to_ascii_lowercase`), which is exact because those agree with the
+/// Unicode predicates on ASCII; every other character goes through
+/// `char::is_alphanumeric` and `char::to_lowercase`. `min_len` counts
+/// the token's characters after lower-casing.
+///
+/// ```
+/// use qcp_terms::tokenize::{for_each_token_with, TokenizerConfig};
+///
+/// let mut terms = Vec::new();
+/// for_each_token_with("AC/DC - Back in Black", TokenizerConfig::default(), |t| {
+///     terms.push(t.len())
+/// });
+/// assert_eq!(terms, vec![2, 2, 4, 2, 5]);
+/// ```
+pub fn for_each_token_with<F: FnMut(&str)>(input: &str, config: TokenizerConfig, mut f: F) {
+    let mut token = Token::default();
+    for (at, ch) in input.char_indices() {
+        if ch.is_ascii() {
+            if !ch.is_ascii_alphanumeric() {
+                token.end(input, at, config, &mut f);
+            } else if config.lowercase && ch.is_ascii_uppercase() {
+                token.push_changed(input, at, ch.to_ascii_lowercase());
+            } else {
+                token.push_same(at, ch, ch.is_ascii_digit());
+            }
+        } else if !ch.is_alphanumeric() {
+            token.end(input, at, config, &mut f);
+        } else if !config.lowercase {
+            token.push_same(at, ch, ch.is_numeric());
+        } else {
+            let mut lower = ch.to_lowercase();
+            let first = lower.next();
+            if first == Some(ch) && lower.len() == 0 {
+                token.push_same(at, ch, ch.is_numeric());
+            } else {
+                for lc in first.into_iter().chain(lower) {
+                    token.push_changed(input, at, lc);
+                }
+            }
+        }
     }
-    if config.drop_numeric && token.chars().all(|c| c.is_numeric()) {
-        return;
+    token.end(input, input.len(), config, &mut f);
+}
+
+/// The token being scanned: a slice of the input until a character
+/// changes under lower-casing, then a copy in `text`.
+#[derive(Default)]
+struct Token {
+    /// Byte offset of the token's first character (meaningful when `chars > 0`).
+    start: usize,
+    /// Whether the token lives in `text` rather than in the input.
+    copied: bool,
+    /// The lower-cased copy (when `copied`).
+    text: String,
+    /// Characters so far, after lower-casing.
+    chars: usize,
+    /// Whether every character so far is numeric.
+    numeric: bool,
+}
+
+// `#[inline]` on the per-character methods: `for_each_token_with` is
+// generic, so it is compiled in each caller's crate, where these would
+// otherwise be out-of-line calls.
+impl Token {
+    /// Appends input character `ch` at byte `at`, unchanged.
+    #[inline]
+    fn push_same(&mut self, at: usize, ch: char, numeric: bool) {
+        self.begin(at);
+        if self.copied {
+            self.text.push(ch);
+        }
+        self.chars += 1;
+        self.numeric &= numeric;
     }
-    tokens.push(token);
+
+    /// Appends `ch`, a changed form of the input character at byte `at`.
+    #[inline]
+    fn push_changed(&mut self, input: &str, at: usize, ch: char) {
+        self.begin(at);
+        if !self.copied {
+            self.text.clear();
+            self.text.push_str(&input[self.start..at]);
+            self.copied = true;
+        }
+        self.text.push(ch);
+        self.chars += 1;
+        self.numeric &= ch.is_numeric();
+    }
+
+    #[inline]
+    fn begin(&mut self, at: usize) {
+        if self.chars == 0 {
+            self.start = at;
+            self.numeric = true;
+        }
+    }
+
+    /// Ends the token at byte `at` (if one is open) and passes it to `f`
+    /// unless `config` drops it.
+    fn end<F: FnMut(&str)>(&mut self, input: &str, at: usize, config: TokenizerConfig, f: &mut F) {
+        if self.chars == 0 {
+            return;
+        }
+        if self.chars >= config.min_len && !(config.drop_numeric && self.numeric) {
+            f(if self.copied {
+                &self.text
+            } else {
+                &input[self.start..at]
+            });
+        }
+        self.chars = 0;
+        self.copied = false;
+    }
 }
 
 /// Tokenizes and deduplicates, preserving first-occurrence order — the term
