@@ -224,9 +224,9 @@ pub struct ChordNetwork {
     /// `fingers[v * FINGER_BITS + i]` = node index of
     /// `successor(ids[v] + 2^i)` (as last repaired).
     fingers: Vec<u32>,
-    /// Who may point at whom, and whose fingers may dangle. Boxed, as
-    /// it is five vectors: the network is moved and embedded by value.
-    index: Box<FingerIndex>,
+    /// The maintenance bookkeeping. Boxed, as it is nine vectors: the
+    /// network is moved and embedded by value.
+    index: Box<Index>,
     /// The successor lists, one flat row of `succ_len` slots per node:
     /// node `v`'s list (the next `succ_len` nodes clockwise after `v`, as
     /// last refreshed — entries dangle after [`Self::depart`]) is its
@@ -241,15 +241,25 @@ pub struct ChordNetwork {
     succ_len: usize,
 }
 
+/// What lets maintenance visit only what churn touched: the finger side
+/// for [`ChordNetwork::fix_fingers`], the list side for
+/// [`ChordNetwork::stabilize`] and the stale count.
+#[derive(Debug, Clone, Default)]
+struct Index {
+    fingers: FingerIndex,
+    lists: ListIndex,
+}
+
 /// The bookkeeping that lets finger maintenance visit only what churn
 /// touched.
 ///
 /// Two invariants hold between calls:
 ///
-/// * **owners** — the CSR (`owners[at[t]..at[t + 1]]`, built from the
-///   whole table) together with the `log` of `(target, owner)` finger
-///   writes since is a superset of the finger relation: whenever a
-///   finger of `v` points at `t`, `v` is listed under `t` in one of them;
+/// * **owners** — unless `overflow` is set, the CSR (`owners[at[t]..at[t
+///   + 1]]`, built from the whole table) together with the `log` of
+///   `(target, owner)` finger writes since is a superset of the finger
+///   relation: whenever a finger of `v` points at `t`, `v` is listed
+///   under `t` in one of them;
 /// * **dirty** — every live node with a finger at a departed node is in
 ///   `dirty`. A live node outside it has only live fingers.
 #[derive(Debug, Clone, Default)]
@@ -257,6 +267,11 @@ struct FingerIndex {
     at: Vec<u32>,
     owners: Vec<u32>,
     log: Vec<(u32, u32)>,
+    /// The log outgrew half the ring and was dropped: the CSR must be
+    /// rebuilt from the table ([`Self::settle`]) before the relation is
+    /// read. Rounds settle once, at their end; nothing reads the
+    /// relation mid-round.
+    overflow: bool,
     /// The dirty nodes, each once; `is_dirty` is its membership mask.
     dirty: Vec<u32>,
     is_dirty: Vec<bool>,
@@ -271,6 +286,9 @@ impl FingerIndex {
         self.dirty.clear();
         self.is_dirty.clear();
         self.is_dirty.resize(departed.len(), false);
+        if !departed.contains(&true) {
+            return;
+        }
         for (v, row) in fingers.chunks_exact(FINGER_BITS).enumerate() {
             if row.iter().any(|&f| departed[f as usize]) {
                 self.mark(v as u32);
@@ -284,22 +302,18 @@ impl FingerIndex {
     /// the dedup misses only costs a duplicate entry.
     fn compact(&mut self, fingers: &[u32]) {
         let n = fingers.len() / FINGER_BITS;
-        let rows = || {
-            fingers
-                .chunks_exact(FINGER_BITS)
-                .enumerate()
-                .flat_map(|(v, row)| {
-                    row.iter()
-                        .enumerate()
-                        .filter(move |&(i, &t)| i == 0 || row[i - 1] != t)
-                        .map(move |(_, &t)| (t, v as u32))
-                })
-        };
         self.log.clear();
+        self.overflow = false;
         self.at.clear();
         self.at.resize(n + 1, 0);
-        for (t, _) in rows() {
-            self.at[t as usize] += 1;
+        for row in fingers.chunks_exact(FINGER_BITS) {
+            let mut prev = NO_SUCC;
+            for &t in row {
+                if t != prev {
+                    self.at[t as usize] += 1;
+                    prev = t;
+                }
+            }
         }
         for t in 1..=n {
             self.at[t] += self.at[t - 1];
@@ -313,25 +327,43 @@ impl FingerIndex {
             self.owners = Vec::new();
         }
         self.owners.resize(total, 0);
-        for (t, v) in rows() {
-            self.at[t as usize] -= 1;
-            self.owners[self.at[t as usize] as usize] = v;
+        for (v, row) in fingers.chunks_exact(FINGER_BITS).enumerate() {
+            let mut prev = NO_SUCC;
+            for &t in row {
+                if t != prev {
+                    self.at[t as usize] -= 1;
+                    self.owners[self.at[t as usize] as usize] = v as u32;
+                    prev = t;
+                }
+            }
         }
     }
 
-    /// Notes that a finger of `owner` now points at `target`, compacting
-    /// the log into the CSR once it outgrows half the ring.
-    fn record(&mut self, target: u32, owner: u32, fingers: &[u32]) {
-        if self.log.last() != Some(&(target, owner)) {
-            self.log.push((target, owner));
+    /// Notes that a finger of `owner` now points at `target`. Past half
+    /// the ring's entries the log is dropped and the index marked for
+    /// compaction instead.
+    fn record(&mut self, target: u32, owner: u32) {
+        if self.overflow || self.log.last() == Some(&(target, owner)) {
+            return;
         }
-        if self.log.len() > fingers.len() / FINGER_BITS / 2 {
+        self.log.push((target, owner));
+        if self.log.len() > self.is_dirty.len() / 2 {
+            self.log.clear();
+            self.overflow = true;
+        }
+    }
+
+    /// Compacts an overflowed log, restoring the owners invariant.
+    fn settle(&mut self, fingers: &[u32]) {
+        if self.overflow {
             self.compact(fingers);
         }
     }
 
-    /// Marks every node that may hold a finger to `t` dirty.
+    /// Marks every node that may hold a finger to `t` dirty; the index
+    /// must be settled.
     fn mark_owners_of(&mut self, t: u32) {
+        debug_assert!(!self.overflow, "finger index read before settling");
         let (from, to) = (self.at[t as usize], self.at[t as usize + 1]);
         for i in from..to {
             self.mark(self.owners[i as usize]);
@@ -352,6 +384,74 @@ impl FingerIndex {
     }
 }
 
+/// The bookkeeping that lets a stabilize round visit only the nodes whose
+/// turn could change something, and keeps the successor-list stale count.
+///
+/// A live node is *settled* when its turn would leave it as it is: its
+/// list starts with a live node `s`, its `finger[0]` is `s`, and the rest
+/// of its list is what it adopts from `s`'s list as that list stands. A
+/// settled node's turn costs two messages (one probe, one fetch), which
+/// the round charges without visiting it.
+///
+/// **work** — between calls, and during a round for every node after the
+/// one being visited, each live node outside `work` is settled. Three
+/// events can unsettle a node, and each puts it in `work`:
+///
+/// * a liveness flip of `x` — the nodes whose list starts with `x`;
+/// * a change to `s`'s list — the nodes whose list starts with `s`;
+/// * a rejoin — the rejoiner and the predecessor its notify reaches.
+///
+/// A flip further down a list unsettles nothing by itself: the first
+/// entry is still live, and if the flip changes that entry's list, the
+/// second event follows. A round visits `work` in ascending order; a node
+/// marked at or before the one being visited waits for the next round,
+/// exactly when a full round would already have passed it.
+#[derive(Debug, Clone, Default)]
+struct ListIndex {
+    /// `first_head[s]` starts a chain, through `first_next`, of every
+    /// node (live or departed) whose list starts with `s`.
+    first_head: Vec<u32>,
+    first_next: Vec<u32>,
+    /// `listed[x]`: the live nodes whose list holds `x`.
+    listed: Vec<u32>,
+    /// Entries of live nodes' lists at departed nodes: `listed` summed
+    /// over the departed nodes.
+    stale: usize,
+    /// One bit per node: the nodes the next round visits.
+    work: Vec<u64>,
+}
+
+impl ListIndex {
+    fn mark(&mut self, v: u32) {
+        self.work[v as usize / 64] |= 1 << (v % 64);
+    }
+
+    /// Chains `v` under `s`, its list's first entry.
+    fn link(&mut self, v: u32, s: u32) {
+        if s != NO_SUCC {
+            self.first_next[v as usize] = self.first_head[s as usize];
+            self.first_head[s as usize] = v;
+        }
+    }
+
+    /// Takes `v` out of `s`'s chain.
+    fn unlink(&mut self, v: u32, s: u32) {
+        if s == NO_SUCC {
+            return;
+        }
+        let next = self.first_next[v as usize];
+        if self.first_head[s as usize] == v {
+            self.first_head[s as usize] = next;
+            return;
+        }
+        let mut at = self.first_head[s as usize];
+        while self.first_next[at as usize] != v {
+            at = self.first_next[at as usize];
+        }
+        self.first_next[at as usize] = next;
+    }
+}
+
 impl ChordNetwork {
     /// Builds a network of `n` nodes with ids derived from `seed` and the
     /// default successor-list length.
@@ -362,11 +462,17 @@ impl ChordNetwork {
     /// Builds a network with an explicit successor-list length `r >= 1`.
     pub fn with_succ_len(n: usize, seed: u64, r: usize) -> Self {
         assert!(n >= 1);
-        assert!(r >= 1, "successor list needs at least one entry");
         let mut ids: Vec<u64> = (0..n as u64).map(|i| mix64(seed ^ mix64(i))).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n, "id collision (astronomically unlikely)");
+        Self::from_sorted_ids(ids, r)
+    }
+
+    /// Builds a fully live network over sorted, distinct `ids`.
+    fn from_sorted_ids(ids: Vec<u64>, r: usize) -> Self {
+        assert!(r >= 1, "successor list needs at least one entry");
+        let n = ids.len();
         let mut net = Self {
             ids,
             fingers: Vec::new(),
@@ -400,7 +506,7 @@ impl ChordNetwork {
         self.key_slot(key) as u32
     }
 
-    /// Rebuilds every finger with [`Self::successor_of_key`], which
+    /// Rebuilds every finger as [`Self::successor_of_key`] would, which
     /// ignores `departed`, so the rebuilt fingers may dangle; the index
     /// marks their owners dirty.
     fn rebuild_all_fingers(&mut self) {
@@ -411,30 +517,123 @@ impl ChordNetwork {
         let mut fingers = std::mem::take(&mut self.fingers);
         fingers.clear();
         fingers.reserve_exact(n * FINGER_BITS);
+        // Finger `i`'s target `ids[v] + 2^i` rises with `v`, wrapping past
+        // 2^64 at most once, so the first id at or after it only moves
+        // forward: one pointer per bit, restarted at the wrap, finds every
+        // slot without a search. A pointer run off the end means the key
+        // wraps to slot 0.
+        let mut next = [0usize; FINGER_BITS];
+        let mut wrapped = 0u64;
         for &id in &self.ids {
-            fingers.extend(
-                (0..FINGER_BITS).map(|i| self.successor_of_key(id.wrapping_add(1u64 << i))),
-            );
+            for (i, p) in next.iter_mut().enumerate() {
+                let (target, wraps) = id.overflowing_add(1u64 << i);
+                if wraps && wrapped & (1 << i) == 0 {
+                    wrapped |= 1 << i;
+                    *p = 0;
+                }
+                while *p < n && self.ids[*p] < target {
+                    *p += 1;
+                }
+                fingers.push(if *p == n { 0 } else { *p as u32 });
+            }
         }
         self.fingers = fingers;
-        self.index.rebuild(&self.fingers, &self.departed);
+        self.index.fingers.rebuild(&self.fingers, &self.departed);
         // Successor lists: the next min(r, n-1) nodes clockwise. The ids
         // are sorted, so index order *is* clockwise order.
         let r = self.succ_len.min(n.saturating_sub(1));
-        self.succ = (0..n)
-            .flat_map(|v| {
-                let list = (1..=r).map(move |off| ((v + off) % n) as u32);
-                list.chain(std::iter::repeat_n(NO_SUCC, self.succ_len - r))
-            })
-            .collect();
+        self.succ.clear();
+        for v in 0..n {
+            self.succ.extend((1..=r).map(|off| ((v + off) % n) as u32));
+            self.succ
+                .extend(std::iter::repeat_n(NO_SUCC, self.succ_len - r));
+        }
+        self.rebuild_lists();
+    }
+
+    /// Re-derives the list side of the index from the table. A fresh
+    /// list is the next nodes by index, which is also what its turn
+    /// adopts, so a node is settled unless its list is empty (n = 1) or
+    /// starts at a departed node.
+    fn rebuild_lists(&mut self) {
+        let n = self.len();
+        let lists = &mut self.index.lists;
+        lists.first_head.clear();
+        lists.first_head.resize(n, NO_SUCC);
+        lists.first_next.clear();
+        lists.first_next.resize(n, NO_SUCC);
+        lists.listed.clear();
+        lists.listed.resize(n, 0);
+        lists.stale = 0;
+        lists.work.clear();
+        lists.work.resize(n.div_ceil(64), 0);
+        for v in 0..n as u32 {
+            let first = self.succ[v as usize * self.succ_len];
+            self.index.lists.link(v, first);
+            if first == NO_SUCC || self.departed[first as usize] {
+                self.index.lists.mark(v);
+            }
+            if !self.departed[v as usize] {
+                self.tally_list(v, true);
+            }
+        }
+    }
+
+    /// Adds node `v`'s list to (`add`) or takes it from the `listed`
+    /// counts and the stale count.
+    fn tally_list(&mut self, v: u32, add: bool) {
+        let row = &self.succ[v as usize * self.succ_len..][..self.succ_len];
+        let lists = &mut self.index.lists;
+        for &w in row.iter().take_while(|&&w| w != NO_SUCC) {
+            let dead = self.departed[w as usize] as usize;
+            if add {
+                lists.listed[w as usize] += 1;
+                lists.stale += dead;
+            } else {
+                lists.listed[w as usize] -= 1;
+                lists.stale -= dead;
+            }
+        }
+    }
+
+    /// Puts in the work set every live node whose list starts with `x`.
+    fn mark_first_listers(&mut self, x: u32) {
+        let lists = &mut self.index.lists;
+        let mut w = lists.first_head[x as usize];
+        while w != NO_SUCC {
+            if !self.departed[w as usize] {
+                lists.mark(w);
+            }
+            w = lists.first_next[w as usize];
+        }
     }
 
     /// Replaces node `v`'s successor list with `list` (at most *r*
-    /// entries).
+    /// entries), keeping the list index: the counts, `v`'s chain, and the
+    /// nodes that adopt from `v`'s list marked to adopt again.
     fn set_succ_list(&mut self, v: u32, list: &[u32]) {
-        let row = &mut self.succ[v as usize * self.succ_len..][..self.succ_len];
+        let at = v as usize * self.succ_len;
+        let row = &self.succ[at..at + self.succ_len];
+        if row.starts_with(list) && row.get(list.len()).is_none_or(|&w| w == NO_SUCC) {
+            return;
+        }
+        let old_first = row[0];
+        let live = !self.departed[v as usize];
+        if live {
+            self.tally_list(v, false);
+        }
+        let row = &mut self.succ[at..at + self.succ_len];
         row[..list.len()].copy_from_slice(list);
         row[list.len()..].fill(NO_SUCC);
+        if live {
+            self.tally_list(v, true);
+        }
+        let new_first = self.succ[at];
+        if new_first != old_first {
+            self.index.lists.unlink(v, old_first);
+            self.index.lists.link(v, new_first);
+        }
+        self.mark_first_listers(v);
     }
 
     /// Node `v`'s finger table.
@@ -448,7 +647,7 @@ impl ChordNetwork {
         let slot = &mut self.fingers[v as usize * FINGER_BITS + i];
         if *slot != target {
             *slot = target;
-            self.index.record(target, v, &self.fingers);
+            self.index.fingers.record(target, v);
         }
     }
 
@@ -791,8 +990,14 @@ impl ChordNetwork {
         );
         self.departed[v as usize] = true;
         self.live -= 1;
+        // v's list stops counting, and every live list holding v now
+        // holds a stale entry; those that start with v must re-probe.
+        self.tally_list(v, false);
+        self.index.lists.stale += self.index.lists.listed[v as usize] as usize;
+        self.mark_first_listers(v);
         // Whoever points at v now holds a dangling finger.
-        self.index.mark_owners_of(v);
+        self.index.fingers.settle(&self.fingers);
+        self.index.fingers.mark_owners_of(v);
     }
 
     /// Brings a departed node back up: Chord's re-join, collapsed.
@@ -810,16 +1015,23 @@ impl ChordNetwork {
         assert!(self.departed[v as usize], "node {v} is not departed");
         self.departed[v as usize] = false;
         self.live += 1;
+        // Every live list holding v holds a live entry again, and v's own
+        // list counts from now on.
+        self.index.lists.stale -= self.index.lists.listed[v as usize] as usize;
+        self.tally_list(v, true);
+        self.mark_first_listers(v);
         // v's fingers were not repaired while it was down.
-        self.index.mark(v);
+        self.index.fingers.mark(v);
         // Rebuild v's own successor list: next r live nodes clockwise.
         let mut list: Vec<u32> = self.live_others(v).take(self.succ_len).collect();
         let mut messages = list.len() as u64;
         self.set_succ_list(v, &list);
+        self.index.lists.mark(v);
         // Notify the live predecessor so the ring learns v is back.
         let pred = self.live_others(v).next_back();
         if let Some(u) = pred {
             messages += 1;
+            self.index.lists.mark(u);
             let base = self.ids[u as usize];
             let d_v = self.ids[v as usize].wrapping_sub(base);
             list.clear();
@@ -870,6 +1082,7 @@ impl ChordNetwork {
     /// The first *live* node at or clockwise after `key` — the key's
     /// owner under the current departed mask (oracle view; stale-aware
     /// routing may or may not reach it).
+    #[cfg(test)]
     pub(crate) fn first_live_successor_of_key(&self, key: u64) -> Option<u32> {
         self.clockwise_from(self.key_slot(key))
             .find(|&v| !self.departed[v as usize])
@@ -884,59 +1097,91 @@ impl ChordNetwork {
     /// list is dead re-enters via the first live node clockwise (a
     /// bootstrap rescue, one extra message).
     ///
+    /// Only the nodes in the index's work set are visited: every other
+    /// live node is settled, its turn would change nothing, and the
+    /// round charges it the two messages of that turn (see
+    /// `ListIndex`). The work set is kept in ascending order, so the
+    /// round's outcome is that of the full pass.
+    ///
     /// Returns the round's message count. One round repairs every
     /// immediate successor pointer; lists converge to the true next-*r*
     /// live nodes within `O(r)` rounds — the recovery curve `repro soak`
     /// measures.
     pub fn stabilize(&mut self) -> u64 {
-        let n = self.len();
         let mut messages = 0u64;
+        let mut visited = 0usize;
         let mut list = Vec::with_capacity(self.succ_len);
-        for v in 0..n as u32 {
-            if self.departed[v as usize] {
-                continue;
-            }
-            let mut found: Option<u32> = None;
-            for &w in self.succ_list(v) {
-                messages += 1; // liveness probe
-                if !self.departed[w as usize] {
-                    found = Some(w);
+        for word in 0..self.index.lists.work.len() {
+            // Bits below `from` were visited this round or marked since;
+            // a mark there waits for the next round.
+            let mut from = 0u32;
+            while from < 64 {
+                let pending = self.index.lists.work[word] & (!0u64 << from);
+                if pending == 0 {
                     break;
                 }
+                let bit = pending.trailing_zeros();
+                self.index.lists.work[word] &= !(1u64 << bit);
+                from = bit + 1;
+                let v = (word * 64) as u32 + bit;
+                if !self.departed[v as usize] {
+                    visited += 1;
+                    messages += self.stabilize_node(v, &mut list);
+                }
             }
-            let s = match found {
-                Some(s) => s,
-                None => {
-                    messages += 1; // bootstrap rescue
-                    match self.live_others(v).next() {
-                        Some(s) => s,
-                        None => continue, // alone in the ring
+        }
+        self.index.fingers.settle(&self.fingers);
+        messages + 2 * (self.live - visited) as u64
+    }
+
+    /// Node `v`'s turn in a stabilize round; returns its messages.
+    fn stabilize_node(&mut self, v: u32, list: &mut Vec<u32>) -> u64 {
+        let mut messages = 0u64;
+        let mut found: Option<u32> = None;
+        for &w in self.succ_list(v) {
+            messages += 1; // liveness probe
+            if !self.departed[w as usize] {
+                found = Some(w);
+                break;
+            }
+        }
+        let s = match found {
+            Some(s) => s,
+            None => {
+                messages += 1; // bootstrap rescue
+                let rescue = self.live_others(v).next();
+                match rescue {
+                    Some(s) => s,
+                    None => {
+                        // Alone in the ring: it stays in the work set, so
+                        // every round charges its probes and rescue.
+                        self.index.lists.mark(v);
+                        return messages;
                     }
                 }
-            };
-            // Lists never hold their owner and the rescue skips v, so
-            // s != v.
-            debug_assert_ne!(s, v);
-            messages += 1; // fetch s's successor list
-            list.clear();
-            list.push(s);
-            // Adopt s's entries while they keep moving clockwise away
-            // from v: on a small ring s's list can reach v, or wrap past
-            // it, and nothing after that point succeeds v in order. Index
-            // order is clockwise order, so the wrapping offset `w - v`
-            // ranks entries by clockwise distance from v.
-            let mut prev = s.wrapping_sub(v);
-            for &w in self.succ_list(s) {
-                let d = w.wrapping_sub(v);
-                if list.len() >= self.succ_len || d <= prev {
-                    break;
-                }
-                list.push(w);
-                prev = d;
             }
-            self.set_succ_list(v, &list);
-            self.set_finger(v, 0, s);
+        };
+        // Lists never hold their owner and the rescue skips v, so s != v.
+        debug_assert_ne!(s, v);
+        messages += 1; // fetch s's successor list
+        list.clear();
+        list.push(s);
+        // Adopt s's entries while they keep moving clockwise away from v:
+        // on a small ring s's list can reach v, or wrap past it, and
+        // nothing after that point succeeds v in order. Index order is
+        // clockwise order, so the wrapping offset `w - v` ranks entries
+        // by clockwise distance from v.
+        let mut prev = s.wrapping_sub(v);
+        for &w in self.succ_list(s) {
+            let d = w.wrapping_sub(v);
+            if list.len() >= self.succ_len || d <= prev {
+                break;
+            }
+            list.push(w);
+            prev = d;
         }
+        self.set_succ_list(v, list);
+        self.set_finger(v, 0, s);
         messages
     }
 
@@ -954,47 +1199,77 @@ impl ChordNetwork {
     /// Returns the round's message count.
     pub fn fix_fingers(&mut self) -> u64 {
         let mut messages = 0u64;
-        let mut dirty = std::mem::take(&mut self.index.dirty);
+        let mut dirty = std::mem::take(&mut self.index.fingers.dirty);
         for &v in &dirty {
-            self.index.is_dirty[v as usize] = false;
+            self.index.fingers.is_dirty[v as usize] = false;
             if self.departed[v as usize] {
                 continue;
             }
+            // Targets rise with the bit, so a run of dangling fingers
+            // whose targets share a ring slot shares its resolution.
+            let mut last: Option<(usize, u32)> = None;
             for i in 0..FINGER_BITS {
                 let f = self.fingers_of(v)[i];
                 if !self.departed[f as usize] {
                     continue;
                 }
                 let target = self.ids[v as usize].wrapping_add(1u64 << i);
-                if let Some(nf) = self.first_live_successor_of_key(target) {
-                    self.set_finger(v, i, nf);
-                    messages += 1;
-                }
+                let nf = match last {
+                    Some((slot, nf)) if self.slot_holds(slot, target) => nf,
+                    _ => {
+                        let slot = self.key_slot(target);
+                        // v itself is live, so the scan finds a node.
+                        let Some(nf) = self
+                            .clockwise_from(slot)
+                            .find(|&w| !self.departed[w as usize])
+                        else {
+                            continue;
+                        };
+                        last = Some((slot, nf));
+                        nf
+                    }
+                };
+                self.set_finger(v, i, nf);
+                messages += 1;
             }
         }
         dirty.clear();
-        self.index.dirty = dirty;
+        self.index.fingers.dirty = dirty;
+        self.index.fingers.settle(&self.fingers);
         messages
+    }
+
+    /// Whether ring slot `slot` owns `key`: `key` lies in `(ids[slot -
+    /// 1], ids[slot]]`, the arc from the previous id, wrapping at slot 0.
+    fn slot_holds(&self, slot: usize, key: u64) -> bool {
+        let hi = self.ids[slot];
+        let lo = self.ids[slot.checked_sub(1).unwrap_or(self.len() - 1)];
+        if slot == 0 {
+            key <= hi || key > lo
+        } else {
+            lo < key && key <= hi
+        }
     }
 
     /// Number of table entries (fingers + successor lists) of live nodes
     /// that point at departed nodes. Decays to zero as maintenance
     /// rounds catch up; `repro soak` tracks the decay. Only dirty nodes
-    /// can hold a stale finger.
+    /// can hold a stale finger, and the list entries are a kept count.
     pub fn stale_entries(&self) -> usize {
-        let is_stale = |&&w: &&u32| self.departed[w as usize];
         let fingers: usize = self
             .index
+            .fingers
             .dirty
             .iter()
             .filter(|&&v| !self.departed[v as usize])
-            .map(|&v| self.fingers_of(v).iter().filter(is_stale).count())
+            .map(|&v| {
+                self.fingers_of(v)
+                    .iter()
+                    .filter(|&&w| self.departed[w as usize])
+                    .count()
+            })
             .sum();
-        let lists: usize = (0..self.len())
-            .filter(|&v| !self.departed[v])
-            .map(|v| self.succ_list(v as u32).iter().filter(is_stale).count())
-            .sum();
-        fingers + lists
+        fingers + self.index.lists.stale
     }
 
     /// Lookup over **possibly-stale local tables only** — no oracle in
@@ -1559,6 +1834,210 @@ mod faulty_tests {
         }
         assert_eq!(total.retries, 0, "fail-fast policy never retries");
         assert_eq!(total.dropped, total.timeouts);
+    }
+
+    /// [`ChordNetwork::stabilize`] as it was before the work set: every
+    /// live node takes its turn, in ascending index order, in place.
+    fn stabilize_full(net: &mut ChordNetwork) -> u64 {
+        let n = net.len();
+        let mut messages = 0u64;
+        let mut list = Vec::with_capacity(net.succ_len);
+        for v in 0..n as u32 {
+            if net.departed[v as usize] {
+                continue;
+            }
+            let mut found: Option<u32> = None;
+            for &w in net.succ_list(v) {
+                messages += 1; // liveness probe
+                if !net.departed[w as usize] {
+                    found = Some(w);
+                    break;
+                }
+            }
+            let s = match found {
+                Some(s) => s,
+                None => {
+                    messages += 1; // bootstrap rescue
+                    match net.live_others(v).next() {
+                        Some(s) => s,
+                        None => continue, // alone in the ring
+                    }
+                }
+            };
+            messages += 1; // fetch s's successor list
+            list.clear();
+            list.push(s);
+            let mut prev = s.wrapping_sub(v);
+            for &w in net.succ_list(s) {
+                let d = w.wrapping_sub(v);
+                if list.len() >= net.succ_len || d <= prev {
+                    break;
+                }
+                list.push(w);
+                prev = d;
+            }
+            net.set_succ_list(v, &list);
+            net.set_finger(v, 0, s);
+        }
+        messages
+    }
+
+    /// One random step of a churn sequence on a ring of at most
+    /// `max_len` nodes: depart, rejoin, stabilize, fix fingers, join or
+    /// leave. Departures outrun rejoins, so long runs of dead successors,
+    /// bootstrap rescues and rebuilds over departed nodes all occur.
+    fn churn_step(net: &mut ChordNetwork, rng: &mut qcp_util::rng::Pcg64, max_len: usize) {
+        let v = rng.index(net.len()) as u32;
+        match rng.index(12) {
+            0..=3 => {
+                if !net.is_departed(v) && net.live_count() > 1 {
+                    net.depart(v);
+                }
+            }
+            4 | 5 => {
+                if net.is_departed(v) {
+                    net.rejoin(v);
+                }
+            }
+            6 | 7 => {
+                net.stabilize();
+            }
+            8 | 9 => {
+                net.fix_fingers();
+            }
+            10 => {
+                if net.len() < max_len {
+                    net.join(rng.next());
+                }
+            }
+            _ => {
+                if net.len() > 1 && (net.is_departed(v) || net.live_count() > 1) {
+                    net.leave(v);
+                }
+            }
+        }
+    }
+
+    /// Runs the work-set round and the full round on two clones of `net`
+    /// and asserts they agree on everything a round can change.
+    fn assert_round_matches_full(net: &ChordNetwork, at: &str) {
+        let (mut fast, mut full) = (net.clone(), net.clone());
+        assert_eq!(
+            fast.stabilize(),
+            stabilize_full(&mut full),
+            "{at}: messages"
+        );
+        assert_eq!(fast.succ, full.succ, "{at}: successor rows");
+        assert_eq!(fast.fingers, full.fingers, "{at}: finger table");
+        assert_eq!(
+            fast.stale_entries(),
+            stale_entries_full(&full),
+            "{at}: stale"
+        );
+        assert_eq!(fast.live_count(), full.live_count(), "{at}: live count");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// After every step of a random churn sequence, the work-set
+        /// round equals the full round run on a clone of the same state,
+        /// and the kept stale count equals a full recount.
+        #[test]
+        fn work_set_stabilize_matches_the_full_round(
+            n in 1usize..200,
+            extra_r in 0usize..204,
+            steps in 1usize..160,
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let mut rng = qcp_util::rng::Pcg64::new(seed);
+            let r = 1 + extra_r % (n + 3);
+            let mut net = ChordNetwork::with_succ_len(n, seed, r);
+            for step in 0..steps {
+                churn_step(&mut net, &mut rng, 200);
+                let at = format!("n {n} r {r} seed {seed} step {step}");
+                proptest::prop_assert_eq!(net.stale_entries(), stale_entries_full(&net), "{}", at);
+                assert_round_matches_full(&net, &at);
+            }
+        }
+    }
+
+    #[test]
+    fn work_set_rounds_match_across_a_finger_log_compaction() {
+        // A quarter of a 200-node ring departs: the fix-finger round that
+        // follows writes more than n/2 log entries, overflows the log and
+        // compacts it once at its end. The rounds and the churn after it
+        // must still match the full rounds.
+        let mut net = ChordNetwork::with_succ_len(200, 9, 3);
+        for v in (0..200u32).filter(|v| v % 4 == 1) {
+            net.depart(v);
+        }
+        assert_round_matches_full(&net, "after departures");
+        let repaired = net.fix_fingers();
+        assert!(repaired > 100, "{repaired} repairs do not overflow the log");
+        assert!(!net.index.fingers.overflow && net.index.fingers.log.is_empty());
+        let mut rng = qcp_util::rng::Pcg64::new(0xc0c0);
+        for step in 0..400 {
+            churn_step(&mut net, &mut rng, 200);
+            assert_round_matches_full(&net, &format!("step {step}"));
+            assert_eq!(net.stale_entries(), stale_entries_full(&net), "step {step}");
+        }
+    }
+
+    /// The finger table as it was built before the monotone pointers:
+    /// one binary search per slot.
+    fn fingers_by_search(net: &ChordNetwork) -> Vec<u32> {
+        net.ids
+            .iter()
+            .flat_map(|&id| {
+                (0..FINGER_BITS).map(move |i| net.successor_of_key(id.wrapping_add(1u64 << i)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn monotone_finger_build_matches_the_binary_search_table() {
+        use qcp_util::rng::Pcg64;
+        for n in 1..=64 {
+            let net = ChordNetwork::new(n, n as u64 ^ 0x6f);
+            assert_eq!(net.fingers, fingers_by_search(&net), "n {n}");
+        }
+        let mut rng = Pcg64::new(0xf1);
+        for _ in 0..12 {
+            let n = 1 + rng.index(5_000);
+            let net = ChordNetwork::new(n, rng.next());
+            assert_eq!(net.fingers, fingers_by_search(&net), "n {n}");
+        }
+        // Ids packed against either end of the ring, where targets wrap
+        // past 2^64 for many bits at once, and the extremes themselves.
+        for trial in 0..40u64 {
+            let mut rng = Pcg64::new(trial);
+            let n = 1 + rng.index(80);
+            let mut ids = Vec::with_capacity(n);
+            for _ in 0..n {
+                let span = 1u64 << (rng.index(63) + 1);
+                ids.push(match rng.index(4) {
+                    0 => u64::MAX - rng.below(span),
+                    1 => rng.below(span),
+                    2 => [0, 1, u64::MAX, u64::MAX - 1][rng.index(4)],
+                    _ => rng.next(),
+                });
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            let net = ChordNetwork::from_sorted_ids(ids, 3);
+            assert_eq!(net.fingers, fingers_by_search(&net), "trial {trial}");
+        }
+        // Joins and leaves rebuild the table over shifted indices.
+        let mut net = ChordNetwork::new(30, 5);
+        for step in 0..120 {
+            if rng.index(2) == 0 || net.len() < 3 {
+                net.join(rng.next());
+            } else {
+                net.leave(rng.index(net.len()) as u32);
+            }
+            assert_eq!(net.fingers, fingers_by_search(&net), "step {step}");
+        }
     }
 
     /// [`ChordNetwork::stabilize`] as it was before it rebuilt lists in

@@ -32,6 +32,13 @@ pub struct Graph {
 /// corrupt every adjacency past the wrap point in release builds.
 fn prefix_offsets(degree: &[u32]) -> Vec<u32> {
     let mut offsets = Vec::with_capacity(degree.len() + 1);
+    fill_prefix_offsets(&mut offsets, degree);
+    offsets
+}
+
+/// [`prefix_offsets`] into an existing buffer.
+fn fill_prefix_offsets(offsets: &mut Vec<u32>, degree: &[u32]) {
+    offsets.clear();
     let mut total = 0u32;
     offsets.push(0u32);
     for &d in degree {
@@ -46,7 +53,6 @@ fn prefix_offsets(degree: &[u32]) -> Vec<u32> {
         });
         offsets.push(total);
     }
-    offsets
 }
 
 /// In-place dedup of unordered pairs, keeping the first occurrence and
@@ -144,6 +150,93 @@ impl Graph {
         );
         debug_assert!(cursor.iter().zip(&offsets[1..]).all(|(c, o)| c == o));
         Self { offsets, edges }
+    }
+
+    /// Rebuilds this graph into `out`, reusing its buffers. Node `u`'s
+    /// row gets `degree[u]` entries. The rows listed in `rewrite`
+    /// (ascending, each once) are written by `fill(u, row)`; every other
+    /// row is copied from `self`, in runs, and must keep its length.
+    pub(crate) fn rewrite_rows_into(
+        &self,
+        out: &mut Graph,
+        degree: &[u32],
+        rewrite: &[u32],
+        mut fill: impl FnMut(u32, &mut [u32]),
+    ) {
+        let n = self.num_nodes();
+        assert_eq!(degree.len(), n);
+        fill_prefix_offsets(&mut out.offsets, degree);
+        out.edges.clear();
+        out.edges.reserve(out.offsets[n] as usize);
+        let mut copied = 0usize; // rows before this one are in `out`
+        for &u in rewrite {
+            let u = u as usize;
+            out.edges.extend_from_slice(
+                &self.edges[self.offsets[copied] as usize..self.offsets[u] as usize],
+            );
+            let start = out.edges.len();
+            out.edges.resize(start + degree[u] as usize, 0);
+            fill(u as u32, &mut out.edges[start..]);
+            copied = u + 1;
+        }
+        out.edges
+            .extend_from_slice(&self.edges[self.offsets[copied] as usize..]);
+        assert_eq!(
+            out.edges.len(),
+            out.offsets[n] as usize,
+            "a copied row changed its length"
+        );
+    }
+
+    /// The entries of rows `lo..hi`, contiguous in the CSR.
+    fn rows(&self, lo: usize, hi: usize) -> &[u32] {
+        &self.edges[self.offsets[lo] as usize..self.offsets[hi] as usize]
+    }
+
+    /// Calls `f(u)` for every node `u` whose list differs between `self`
+    /// and `other` (same node count), in ascending order.
+    ///
+    /// Rows of equal length in both graphs, in a run, sit at the same
+    /// relative place in both CSRs, so a run compares as one slice; only
+    /// a run that differs is compared block by block, and only a block
+    /// that differs row by row.
+    pub(crate) fn for_each_changed_row(&self, other: &Graph, mut f: impl FnMut(u32)) {
+        let n = self.num_nodes();
+        assert_eq!(other.num_nodes(), n);
+        let shift = |u: usize| other.offsets[u].wrapping_sub(self.offsets[u]);
+        let mut lo = 0;
+        for u in 0..n {
+            if shift(u + 1) != shift(u) {
+                self.compare_rows(other, lo, u, &mut f);
+                f(u as u32);
+                lo = u + 1;
+            }
+        }
+        self.compare_rows(other, lo, n, &mut f);
+    }
+
+    /// [`Self::for_each_changed_row`] over rows `lo..hi`, which have the
+    /// same lengths in both graphs.
+    fn compare_rows(&self, other: &Graph, lo: usize, hi: usize, f: &mut impl FnMut(u32)) {
+        const BLOCK: u32 = 512;
+        if self.rows(lo, hi) == other.rows(lo, hi) {
+            return;
+        }
+        let mut from = lo;
+        while from < hi {
+            let mut to = from + 1;
+            while to < hi && self.offsets[to] - self.offsets[from] < BLOCK {
+                to += 1;
+            }
+            if self.rows(from, to) != other.rows(from, to) {
+                for u in from as u32..to as u32 {
+                    if self.neighbors(u) != other.neighbors(u) {
+                        f(u);
+                    }
+                }
+            }
+            from = to;
+        }
     }
 
     /// Number of nodes.
@@ -362,6 +455,48 @@ mod tests {
         // The exact boundary itself is representable.
         let ok = prefix_offsets(&[u32::MAX - 1, 1]);
         assert_eq!(*ok.last().expect("nonempty"), u32::MAX);
+    }
+
+    #[test]
+    fn changed_rows_are_the_rows_that_differ() {
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut next = |m: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % m as u64) as usize
+        };
+        for trial in 0..200 {
+            let n = 1 + next(300);
+            let lists: Vec<Vec<u32>> = (0..n)
+                .map(|_| (0..next(40)).map(|_| next(n) as u32).collect())
+                .collect();
+            let mut edited = lists.clone();
+            for _ in 0..next(6) {
+                let u = next(n);
+                match next(3) {
+                    0 => edited[u].push(next(n) as u32),
+                    1 => {
+                        edited[u].pop();
+                    }
+                    _ => {
+                        if let Some(w) = edited[u].first_mut() {
+                            *w = next(n) as u32;
+                        }
+                    }
+                }
+            }
+            let (a, b) = (
+                Graph::from_lists_unchecked(&lists),
+                Graph::from_lists_unchecked(&edited),
+            );
+            let mut changed = Vec::new();
+            a.for_each_changed_row(&b, |u| changed.push(u));
+            let expected: Vec<u32> = (0..n as u32)
+                .filter(|&u| a.neighbors(u) != b.neighbors(u))
+                .collect();
+            assert_eq!(changed, expected, "trial {trial}");
+        }
     }
 
     #[test]

@@ -211,7 +211,6 @@ fn plan_round(
 ) -> (Vec<(u32, u32)>, RepairStats) {
     let n = graph.num_nodes();
     assert_eq!(alive.len(), n, "alive mask must cover the graph");
-    let mut stats = RepairStats::default();
 
     // Phase 1: detect — prune edges with a dead endpoint, compute
     // surviving degrees.
@@ -222,20 +221,41 @@ fn plan_round(
         deg[v as usize] += 1;
         survivors += 1;
     });
-    stats.pruned = graph.num_edges() as u64 - survivors;
+    let deficient: Vec<u32> = (0..n as u32)
+        .filter(|&v| alive[v as usize] && (deg[v as usize] as usize) < policy.degree_min)
+        .collect();
+    let (added, stats) = rewire(pool, graph, alive, policy, round, &mut deg, &deficient);
+    let pruned = graph.num_edges() as u64 - survivors;
+    (added, RepairStats { pruned, ..stats })
+}
 
+/// Phases 2–3 of a round, from the surviving degrees `deg` and the
+/// `deficient` nodes (alive, below the floor, ascending): the edges the
+/// round adds, as `(min, max)` pairs in apply order, and the round's
+/// stats but `pruned`. Leaves `deg` at the repaired degrees.
+fn rewire(
+    pool: &Pool,
+    graph: &Graph,
+    alive: &[bool],
+    policy: &MaintenancePolicy,
+    round: u64,
+    deg: &mut [u32],
+    deficient: &[u32],
+) -> (Vec<(u32, u32)>, RepairStats) {
+    let mut stats = RepairStats {
+        deficient: deficient.len() as u64,
+        ..RepairStats::default()
+    };
+    if deficient.is_empty() {
+        return (Vec::new(), stats);
+    }
     // Candidate universe: alive nodes in ascending id order (deterministic
     // by construction), plus cumulative degree weights for preferential
     // sampling.
-    let alive_nodes: Vec<u32> = (0..n as u32).filter(|&v| alive[v as usize]).collect();
-    let deficient: Vec<u32> = alive_nodes
-        .iter()
-        .copied()
-        .filter(|&v| (deg[v as usize] as usize) < policy.degree_min)
+    let alive_nodes: Vec<u32> = (0..alive.len() as u32)
+        .filter(|&v| alive[v as usize])
         .collect();
-    stats.deficient = deficient.len() as u64;
-    if alive_nodes.len() <= 1 || deficient.is_empty() {
-        stats.messages = stats.probes + 2 * stats.added;
+    if alive_nodes.len() <= 1 {
         return (Vec::new(), stats);
     }
     // prefix[i] = total weight of alive_nodes[..=i]; weight = degree + 1.
@@ -255,8 +275,9 @@ fn plan_round(
 
     // Phase 2: re-wire — parallel proposal generation, one stateless RNG
     // stream per (policy seed, node, round).
-    let proposals: Vec<(Vec<u32>, u64)> = pool.par_map(&deficient, |&u| {
-        let need = policy.degree_min - deg[u as usize] as usize;
+    let surviving: &[u32] = deg;
+    let proposals: Vec<(Vec<u32>, u64)> = pool.par_map(deficient, |&u| {
+        let need = policy.degree_min - surviving[u as usize] as usize;
         let mut rng = Pcg64::with_stream(
             child_seed(policy.seed ^ mix64(u as u64), round),
             REPAIR_STREAM,
@@ -337,16 +358,20 @@ pub fn check_repair_invariants(
     check_round(before, after, alive, policy, stats, Probe::everywhere);
 }
 
-/// [`check_repair_invariants`] with the symmetry test run only where the
-/// round could have broken it; `before` must be symmetric.
+/// [`check_repair_invariants`] run only on the rows that could fail it;
+/// `before` must be symmetric.
 ///
-/// A one-way entry `v` in `u`'s list has `u` or `v` touched (its list
-/// differs from `before`): were neither, `before` would hold the same
-/// one-way entry. If only `v` is, `u`'s list is its old one, so `u` is an
-/// old neighbor of `v`. Probing the touched nodes and their old
-/// neighbors therefore finds every one-way entry, and the other
-/// assertions still run everywhere in the same order, so the verdict and
-/// the panic message are those of the full check.
+/// A row is checked when its list differs from `before` (it is
+/// *touched*), when it is an old neighbor of a touched node, or when it
+/// is an old neighbor of a dead node. Any other alive row `u` passes
+/// every assertion. Its list is its old one, and an old neighbor of no
+/// dead node, so every entry is alive and the surviving degree is the
+/// degree: the band holds. A one-way entry `v` in `u`'s list has `u` or
+/// `v` touched: were neither, `before` would hold the same one-way
+/// entry. `u` is not, so `v` is, and `u` is its old neighbor. Dead
+/// rows are checked everywhere, and every checked row runs the full
+/// check's assertions in the same order, so the verdict and the panic
+/// message are those of the full check.
 fn check_touched(
     before: &Graph,
     after: &Graph,
@@ -358,26 +383,30 @@ fn check_touched(
 }
 
 /// The one loop behind both invariant checks: nodes in index order, each
-/// checked for the dead-node degree, the band, then every entry for a
-/// dead end and, where the symmetry probe built by `probe(before, after)`
-/// tests the node, a missing mirror.
+/// checked for the dead-node degree, then, where the probe built by
+/// `probe(before, after, alive)` checks the row, the band and every
+/// entry for a dead end and a missing mirror.
 fn check_round(
     before: &Graph,
     after: &Graph,
     alive: &[bool],
     policy: &MaintenancePolicy,
     stats: &RepairStats,
-    probe: fn(&Graph, &Graph) -> Probe,
+    probe: fn(&Graph, &Graph, &[bool]) -> Probe,
 ) {
     assert_eq!(after.num_nodes(), before.num_nodes());
     assert_eq!(alive.len(), after.num_nodes());
-    let mut probe = probe(before, after);
+    let mut probe = probe(before, after, alive);
     for u in 0..after.num_nodes() as u32 {
-        let d = after.degree(u);
         if !alive[u as usize] {
+            let d = after.degree(u);
             assert!(d == 0, "dead node {u} kept {d} edges after repair");
             continue;
         }
+        if !probe.start(u) {
+            continue;
+        }
+        let d = after.degree(u);
         let surviving_before = before
             .neighbors(u)
             .iter()
@@ -388,11 +417,10 @@ fn check_round(
             "degree band violated at {u}: {d} > max({surviving_before}, {})",
             policy.degree_max
         );
-        let probed = probe.start(u);
         for &v in after.neighbors(u) {
             assert!(alive[v as usize], "repaired edge {u}-{v} touches dead node");
             assert!(
-                !probed || probe.mirrored(after, v, u),
+                probe.mirrored(after, v, u),
                 "repaired edge {u}-{v} is one-way"
             );
         }
@@ -400,36 +428,51 @@ fn check_round(
     stats.check_identity();
 }
 
-/// Where and how [`check_round`] tests that list entries are mirrored.
+/// Which alive rows [`check_round`] checks, and how it tests that their
+/// entries are mirrored.
 enum Probe {
-    /// At every node, through the transposed adjacency.
+    /// Every row, through the transposed adjacency.
     Everywhere(Transpose),
-    /// At the marked nodes only, by scanning the far end's list.
+    /// The marked rows only, by scanning the far end's list.
     Marked(Vec<bool>),
 }
 
 impl Probe {
-    fn everywhere(_before: &Graph, after: &Graph) -> Self {
+    fn everywhere(_before: &Graph, after: &Graph, _alive: &[bool]) -> Self {
         Probe::Everywhere(Transpose::new(after))
     }
 
-    /// Marks the nodes whose list differs from `before`, and their old
-    /// neighbors (see [`check_touched`]).
-    fn touched(before: &Graph, after: &Graph) -> Self {
-        let mut marked = vec![false; after.num_nodes()];
-        for u in 0..after.num_nodes() as u32 {
-            let old = before.neighbors(u);
-            if after.neighbors(u) != old {
-                marked[u as usize] = true;
-                for &w in old {
-                    marked[w as usize] = true;
-                }
+    /// Marks the touched nodes and the old neighbors of touched and of
+    /// dead nodes (see [`check_touched`]). When more than a quarter of
+    /// the rows are touched (a first round reorders most lists), the
+    /// transposed adjacency is cheaper, and checking every row is the
+    /// full check itself.
+    fn touched(before: &Graph, after: &Graph, alive: &[bool]) -> Self {
+        let n = after.num_nodes();
+        let mut touched = Vec::new();
+        before.for_each_changed_row(after, |u| touched.push(u));
+        if touched.len() > n / 4 {
+            return Probe::Everywhere(Transpose::new(after));
+        }
+        Self::marked(before, alive, &touched)
+    }
+
+    /// Marks the `touched` nodes and the old neighbors of touched and of
+    /// dead nodes.
+    fn marked(before: &Graph, alive: &[bool], touched: &[u32]) -> Self {
+        let n = before.num_nodes();
+        let mut marked = vec![false; n];
+        let dead = (0..n as u32).filter(|&u| !alive[u as usize]);
+        for u in touched.iter().copied().chain(dead) {
+            marked[u as usize] = true;
+            for &w in before.neighbors(u) {
+                marked[w as usize] = true;
             }
         }
         Probe::Marked(marked)
     }
 
-    /// Readies the test of `u`'s entries; false when `u` is not tested.
+    /// Readies the test of `u`'s entries; false when `u` is not checked.
     fn start(&mut self, u: u32) -> bool {
         match self {
             Probe::Everywhere(t) => {
@@ -505,12 +548,62 @@ impl Transpose {
 /// Drives [`repair_round`]s over an owned graph, carrying the evolving
 /// topology, the round counter, and cumulative [`RepairStats`] across an
 /// epoch schedule (the shape `repro soak` consumes).
+///
+/// Each step is the round [`repair_round`] would run, done in time
+/// proportional to what changed since the last step (see `Carry`) plus
+/// a few passes over the node table: the graph, the round's stats and its
+/// draws are the same.
 #[derive(Debug, Clone)]
 pub struct Maintainer {
     graph: Graph,
     policy: MaintenancePolicy,
     round: u64,
     totals: RepairStats,
+    carry: Carry,
+    /// The graph before the last step, whose buffers the next step
+    /// rebuilds into.
+    spare: Graph,
+}
+
+/// What a step leaves for the next one. Three invariants hold between
+/// steps:
+///
+/// * every node dead under `alive` is isolated in the graph, so the next
+///   step prunes only the edges of nodes that died since;
+/// * `deg[v]` is `v`'s degree in the graph;
+/// * a row of a node outside `appended` is in *survivor order* — its
+///   entries below the node ascending, then the rest — which is the
+///   order a round's survivor stream would give it again; an `appended`
+///   node's row ends with the edges the last step added.
+///
+/// `short` holds the alive nodes the last step left below the floor (its
+/// probe budget ran out or the band stopped it); a node can only fall
+/// below the floor otherwise by losing a neighbor or by coming back.
+#[derive(Debug, Clone)]
+struct Carry {
+    alive: Vec<bool>,
+    deg: Vec<u32>,
+    short: Vec<u32>,
+    appended: Vec<u32>,
+}
+
+/// Nodes whose liveness [`Maintainer::step`] compares as one slice.
+const CHUNK: usize = 256;
+
+/// Sorts `nodes` (ids below `n`) and drops repeats. A list long against
+/// `n` (the first step's) is deduplicated through a mask instead.
+fn sort_dedup(nodes: &mut Vec<u32>, n: usize) {
+    if nodes.len() <= n / 16 {
+        nodes.sort_unstable();
+        nodes.dedup();
+        return;
+    }
+    let mut seen = vec![false; n];
+    for &v in nodes.iter() {
+        seen[v as usize] = true;
+    }
+    nodes.clear();
+    nodes.extend((0..n as u32).filter(|&v| seen[v as usize]));
 }
 
 impl Maintainer {
@@ -521,18 +614,33 @@ impl Maintainer {
     /// the graph it starts from is symmetric, and a checked round keeps
     /// it so.
     pub fn new(graph: Graph, policy: MaintenancePolicy) -> Self {
+        let n = graph.num_nodes();
         let mut transpose = Transpose::new(&graph);
-        for u in 0..graph.num_nodes() as u32 {
+        for u in 0..n as u32 {
             transpose.stamp(u);
             for &v in graph.neighbors(u) {
                 assert!(transpose.lists(v, u), "maintained edge {u}-{v} is one-way");
             }
         }
+        drop(transpose);
+        // As if every node were alive before the first step, with no row
+        // known to be in survivor order.
+        let deg: Vec<u32> = (0..n as u32).map(|v| graph.degree(v) as u32).collect();
+        let carry = Carry {
+            alive: vec![true; n],
+            short: (0..n as u32)
+                .filter(|&v| (deg[v as usize] as usize) < policy.degree_min)
+                .collect(),
+            deg,
+            appended: (0..n as u32).collect(),
+        };
         Self {
             graph,
             policy,
             round: 0,
             totals: RepairStats::default(),
+            carry,
+            spare: Graph::from_edges(0, &[]),
         }
     }
 
@@ -561,9 +669,105 @@ impl Maintainer {
     /// round index feeds the draw keys, so step sequences are
     /// reproducible but rounds are not identical.
     pub fn step(&mut self, pool: &Pool, alive: &[bool]) -> RepairStats {
-        let (repaired, stats) = repair_round(pool, &self.graph, alive, &self.policy, self.round);
-        check_touched(&self.graph, &repaired, alive, &self.policy, &stats);
-        self.graph = repaired;
+        let n = self.graph.num_nodes();
+        assert_eq!(alive.len(), n, "alive mask must cover the graph");
+        let graph = &self.graph;
+        let carry = &mut self.carry;
+
+        // Phase 1, from the nodes that died since the last step: their
+        // edges are the only ones to prune. Rows to rewrite: theirs,
+        // their neighbors', and those ending in last step's additions.
+        let mut rewrite = std::mem::take(&mut carry.appended);
+        let mut candidates = std::mem::take(&mut carry.short);
+        let mut pruned = 0u64;
+        let changed = carry
+            .alive
+            .chunks(CHUNK)
+            .zip(alive.chunks(CHUNK))
+            .enumerate()
+            .filter(|(_, (was, is))| was != is)
+            .flat_map(|(c, _)| c * CHUNK..(c * CHUNK + CHUNK).min(n));
+        for v in changed {
+            let v = v as u32;
+            let (was, is) = (carry.alive[v as usize], alive[v as usize]);
+            if was && !is {
+                rewrite.push(v);
+                for &w in graph.neighbors(v) {
+                    if alive[w as usize] {
+                        carry.deg[w as usize] -= 1;
+                        rewrite.push(w);
+                        candidates.push(w);
+                        pruned += 1;
+                    } else if v < w {
+                        pruned += 1; // w died too; count the edge once
+                    }
+                }
+                carry.deg[v as usize] = 0;
+            } else if is && !was {
+                candidates.push(v); // isolated: back at degree zero
+            }
+        }
+        candidates.retain(|&v| {
+            alive[v as usize] && (carry.deg[v as usize] as usize) < self.policy.degree_min
+        });
+        sort_dedup(&mut candidates, n);
+        let deficient = candidates;
+
+        let (added, stats) = rewire(
+            pool,
+            graph,
+            alive,
+            &self.policy,
+            self.round,
+            &mut carry.deg,
+            &deficient,
+        );
+        let stats = RepairStats { pruned, ..stats };
+
+        // The repaired CSR: rewritten rows in survivor order, then their
+        // added edges in apply order, as `repair_round`'s stream lays
+        // them out; every other row is copied.
+        let mut adds: Vec<(u32, u32)> = added.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect();
+        adds.sort_by_key(|&(u, _)| u); // stable: apply order within a node
+        let mut appended: Vec<u32> = adds.iter().map(|&(u, _)| u).collect();
+        appended.dedup();
+        rewrite.extend_from_slice(&appended);
+        sort_dedup(&mut rewrite, n);
+        let mut next_add = 0;
+        graph.rewrite_rows_into(&mut self.spare, &carry.deg, &rewrite, |u, row| {
+            if !alive[u as usize] {
+                return;
+            }
+            let old = graph.neighbors(u);
+            let mut k = 0;
+            for &w in old.iter().filter(|&&w| w < u && alive[w as usize]) {
+                row[k] = w;
+                k += 1;
+            }
+            row[..k].sort_unstable();
+            for &w in old.iter().filter(|&&w| w > u && alive[w as usize]) {
+                row[k] = w;
+                k += 1;
+            }
+            while next_add < adds.len() && adds[next_add].0 == u {
+                row[k] = adds[next_add].1;
+                k += 1;
+                next_add += 1;
+            }
+            debug_assert_eq!(k, row.len(), "row {u} filled short");
+        });
+        std::mem::swap(&mut self.graph, &mut self.spare);
+        check_touched(&self.spare, &self.graph, alive, &self.policy, &stats);
+
+        let carry = &mut self.carry;
+        carry.alive.copy_from_slice(alive);
+        carry.short = deficient;
+        carry
+            .short
+            .retain(|&v| (carry.deg[v as usize] as usize) < self.policy.degree_min);
+        rewrite.clear();
+        carry.appended = rewrite;
+        carry.appended.extend_from_slice(&appended);
         self.round += 1;
         self.totals.absorb(&stats);
         stats
@@ -806,6 +1010,29 @@ mod tests {
 
     type Check = fn(&Graph, &Graph, &[bool], &MaintenancePolicy, &RepairStats);
 
+    /// [`check_touched`] without its fallback to the full check when most
+    /// rows are touched, so the marked rows alone give the verdict.
+    fn check_marked(
+        before: &Graph,
+        after: &Graph,
+        alive: &[bool],
+        policy: &MaintenancePolicy,
+        stats: &RepairStats,
+    ) {
+        check_round(
+            before,
+            after,
+            alive,
+            policy,
+            stats,
+            |before, after, alive| {
+                let mut touched = Vec::new();
+                before.for_each_changed_row(after, |u| touched.push(u));
+                Probe::marked(before, alive, &touched)
+            },
+        );
+    }
+
     /// `None` when `check` passes, else its panic message.
     fn verdict(
         check: Check,
@@ -849,15 +1076,25 @@ mod tests {
 
     /// `graph` with `corruptions` random edits between nodes drawn from
     /// `nodes`: a dropped entry (one-way), a pushed entry (one-way, or to
-    /// a dead node) or a pushed pair (past the band, or to a dead node).
-    fn corrupt(graph: &Graph, nodes: &[u32], corruptions: usize, rng: &mut Pcg64) -> Graph {
+    /// a dead node), a pushed pair (past the band, or to a dead node), a
+    /// replaced entry (same length, one-way or to a dead node) or a node
+    /// whose repair the round missed: its list and its old neighbors'
+    /// reverted to their state in `before`, keeping edges to a node that
+    /// died.
+    fn corrupt(
+        before: &Graph,
+        graph: &Graph,
+        nodes: &[u32],
+        corruptions: usize,
+        rng: &mut Pcg64,
+    ) -> Graph {
         let mut lists: Vec<Vec<u32>> = (0..graph.num_nodes() as u32)
             .map(|v| graph.neighbors(v).to_vec())
             .collect();
         for _ in 0..corruptions {
             let u = nodes[rng.index(nodes.len())] as usize;
             let v = nodes[rng.index(nodes.len())];
-            match rng.index(3) {
+            match rng.index(5) {
                 0 => {
                     if !lists[u].is_empty() {
                         let at = rng.index(lists[u].len());
@@ -865,9 +1102,21 @@ mod tests {
                     }
                 }
                 1 => lists[u].push(v),
-                _ => {
+                2 => {
                     lists[u].push(v);
                     lists[v as usize].push(u as u32);
+                }
+                3 => {
+                    if !lists[u].is_empty() {
+                        let at = rng.index(lists[u].len());
+                        lists[u][at] = v;
+                    }
+                }
+                _ => {
+                    let old = before.neighbors(u as u32);
+                    for w in std::iter::once(u as u32).chain(old.iter().copied()) {
+                        lists[w as usize] = before.neighbors(w).to_vec();
+                    }
                 }
             }
         }
@@ -946,6 +1195,47 @@ mod tests {
             }
         }
 
+        /// Chained maintainer steps are chained reference rounds, graph
+        /// and stats, at pool widths 1 and 4: nodes die and come back
+        /// between rounds, and a budget of one or two probes keeps nodes
+        /// below the floor across rounds.
+        #[test]
+        fn incremental_steps_match_the_reference_rounds(
+            two_tier in proptest::prelude::any::<bool>(),
+            n in 4usize..300,
+            dead_pct in 0u64..46,
+            preferential in proptest::prelude::any::<bool>(),
+            tiny_budget in proptest::prelude::any::<bool>(),
+            wide in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let pool = Pool::new(if wide { 4 } else { 1 });
+            let mut policy = oracle_policy(preferential, seed);
+            if tiny_budget {
+                policy.probe_budget = 1 + (seed >> 40) as usize % 2;
+            }
+            let world = oracle_world(two_tier, n, seed);
+            let mut maintainer = Maintainer::new(world.clone(), policy);
+            let mut reference = world;
+            for round in 0..6 {
+                // Some rounds keep the last mask, so deficient nodes carry
+                // over without any liveness change.
+                let alive = oracle_mask(seed, round - round % 2 * (seed & 1), n, dead_pct);
+                let stats = maintainer.step(&pool, &alive);
+                let (r, r_stats) = repair_round_reference(&pool, &reference, &alive, &policy, round);
+                proptest::prop_assert_eq!(stats, r_stats, "round {}", round);
+                let g = maintainer.graph();
+                proptest::prop_assert_eq!(g.num_edges(), r.num_edges(), "round {}", round);
+                for v in 0..n as u32 {
+                    proptest::prop_assert_eq!(
+                        g.neighbors(v), r.neighbors(v), "round {} node {}", round, v
+                    );
+                }
+                reference = r;
+            }
+            proptest::prop_assert_eq!(maintainer.rounds_run(), 6);
+        }
+
         /// On repaired graphs with random corruptions (one-way entries,
         /// edges to dead nodes, extra edges past the band), the linear
         /// check panics exactly when the quadratic one does, with the
@@ -965,7 +1255,7 @@ mod tests {
             let (after, stats) = repair_round(&pool, &before, &alive, &policy, 0);
             let nodes: Vec<u32> = (0..n as u32).collect();
             let mut rng = Pcg64::new(seed ^ 0xc0ff);
-            let corrupted = corrupt(&after, &nodes, corruptions, &mut rng);
+            let corrupted = corrupt(&before, &after, &nodes, corruptions, &mut rng);
             let verdict = both_checks(&before, &corrupted, &alive, &policy, &stats);
             if corruptions == 0 {
                 proptest::prop_assert_eq!(verdict, None);
@@ -973,9 +1263,9 @@ mod tests {
         }
 
         /// Over chained rounds, with 0–3 corruptions among the nodes each
-        /// round touched and their old and new neighbors, the touched
-        /// check panics exactly when the full check does, with the same
-        /// message.
+        /// round touched, the dead nodes, and the old and new neighbors
+        /// of both, the touched check panics exactly when the full check
+        /// does, with the same message.
         #[test]
         fn touched_check_matches_the_full_check(
             two_tier in proptest::prelude::any::<bool>(),
@@ -992,7 +1282,7 @@ mod tests {
                 let alive = oracle_mask(seed, round, n, dead_pct);
                 let (after, stats) = repair_round(&pool, &before, &alive, &policy, round);
                 let mut near: Vec<u32> = (0..n as u32)
-                    .filter(|&u| after.neighbors(u) != before.neighbors(u))
+                    .filter(|&u| after.neighbors(u) != before.neighbors(u) || !alive[u as usize])
                     .flat_map(|u| {
                         let lists = before.neighbors(u).iter().chain(after.neighbors(u));
                         std::iter::once(u).chain(lists.copied())
@@ -1003,11 +1293,13 @@ mod tests {
                 if near.is_empty() {
                     near = (0..n as u32).collect();
                 }
-                let corrupted = corrupt(&after, &near, corruptions, &mut rng);
+                let corrupted = corrupt(&before, &after, &near, corruptions, &mut rng);
                 let touched = verdict(check_touched, &before, &corrupted, &alive, &policy, &stats);
+                let marked = verdict(check_marked, &before, &corrupted, &alive, &policy, &stats);
                 let full =
                     verdict(check_repair_invariants, &before, &corrupted, &alive, &policy, &stats);
                 proptest::prop_assert_eq!(&touched, &full, "round {}", round);
+                proptest::prop_assert_eq!(&marked, &full, "round {}", round);
                 if corruptions == 0 {
                     proptest::prop_assert_eq!(touched, None);
                 }
