@@ -317,7 +317,7 @@ fn fig8_churn_zero_fault_cell_reproduces_fig8() {
 // owner-only anchor must be bitwise the fault-free Figure-8 Zipf curve.
 // ---------------------------------------------------------------------
 
-use qcp2p::overlay::ReplicationScheme;
+use qcp2p::overlay::{ReplicationPlan, ReplicationScheme};
 use qcp_bench::fig8repl::{fig8_repl_data, Fig8ReplCell};
 
 fn repl_session() -> Repro {
@@ -1306,21 +1306,7 @@ const GOLDEN_SYNC_SEARCH_DIGESTS: [u64; 6] = [
 ];
 
 fn sync_search_digests() -> Vec<u64> {
-    let world = SearchWorld::generate(&WorldConfig {
-        num_peers: 1_000,
-        num_objects: 6_000,
-        num_terms: 6_000,
-        head_size: 120,
-        seed: 0x5eed,
-        ..Default::default()
-    });
-    let queries = gen_queries(
-        &world,
-        &WorkloadConfig {
-            num_queries: 200,
-            seed: 0x5eee,
-        },
-    );
+    let (world, queries) = golden_search_world();
     let plan = FaultPlan::build(
         world.num_peers(),
         &FaultConfig {
@@ -1333,12 +1319,7 @@ fn sync_search_digests() -> Vec<u64> {
         },
     );
     let mut digests = Vec::new();
-    let specs: [fn() -> SearchSpec; 3] = [
-        || SearchSpec::flood(3),
-        || SearchSpec::walk(4, 20),
-        || SearchSpec::expanding_ring(4),
-    ];
-    for (i, make) in specs.into_iter().enumerate() {
+    for (i, make) in SYNC_SEARCH_SPECS.into_iter().enumerate() {
         for faulty in [false, true] {
             let spec = if faulty {
                 let ctx = FaultContext::new(
@@ -1351,39 +1332,55 @@ fn sync_search_digests() -> Vec<u64> {
                 make()
             };
             let mut system = spec.recorder(MetricsRecorder::new()).build(&world);
-            let mut words = Vec::new();
-            for (q, query) in queries.iter().enumerate() {
-                let mut rng = Pcg64::new(child_seed(0x5ef1, q as u64));
-                let out = system.search(&world, query, &mut rng);
-                let f = out.faults;
-                let o = out.overload;
-                words.extend([
-                    u64::from(out.success),
-                    out.messages,
-                    out.hops.map_or(u64::MAX, u64::from),
-                    f.dropped,
-                    f.dead_targets,
-                    f.retries,
-                    f.timeouts,
-                    f.stale_misses,
-                    f.ticks,
-                    out.elapsed,
-                    u64::from(out.deadline_exceeded),
-                    o.enqueued,
-                    o.served,
-                    o.shed,
-                    o.admission_rejected,
-                    u64::from(o.overloaded),
-                ]);
-                // Next-draw probe: the system must leave the query RNG
-                // exactly where it always has.
-                words.push(rng.next());
-            }
-            words.extend(recorder_words(system.recorder()));
-            digests.push(digest(words));
+            digests.push(digest(sync_outcome_words(&mut system, &world, &queries)));
         }
     }
     digests
+}
+
+/// The unstructured specs the synchronous and layered goldens cover.
+const SYNC_SEARCH_SPECS: [fn() -> SearchSpec; 3] = [
+    || SearchSpec::flood(3),
+    || SearchSpec::walk(4, 20),
+    || SearchSpec::expanding_ring(4),
+];
+
+/// Runs every query through `system`: per query the outcome's fields
+/// and the next query-RNG draw (the system must leave the query RNG
+/// exactly where it always has), then the system's recorder contents.
+fn sync_outcome_words(
+    system: &mut qcp2p::search::Built<MetricsRecorder>,
+    world: &SearchWorld,
+    queries: &[qcp2p::search::QuerySpec],
+) -> Vec<u64> {
+    let mut words = Vec::new();
+    for (q, query) in queries.iter().enumerate() {
+        let mut rng = Pcg64::new(child_seed(0x5ef1, q as u64));
+        let out = system.search(world, query, &mut rng);
+        let f = out.faults;
+        let o = out.overload;
+        words.extend([
+            u64::from(out.success),
+            out.messages,
+            out.hops.map_or(u64::MAX, u64::from),
+            f.dropped,
+            f.dead_targets,
+            f.retries,
+            f.timeouts,
+            f.stale_misses,
+            f.ticks,
+            out.elapsed,
+            u64::from(out.deadline_exceeded),
+            o.enqueued,
+            o.served,
+            o.shed,
+            o.admission_rejected,
+            u64::from(o.overloaded),
+        ]);
+        words.push(rng.next());
+    }
+    words.extend(recorder_words(system.recorder()));
+    words
 }
 
 #[test]
@@ -1393,6 +1390,111 @@ fn synchronous_search_systems_match_golden() {
         GOLDEN_SYNC_SEARCH_DIGESTS.to_vec(),
         "synchronous flood/walk/expanding-ring outcomes or recorder \
          contents drifted from the golden capture"
+    );
+}
+
+/// Digests of the [`GOLDEN_SYNC_SEARCH_DIGESTS`] words (200 outcomes,
+/// their next-draw probes, the recorder) for flood(3), walk(4, 20) and
+/// expanding_ring(4), each under four layer sets in this order: faults +
+/// deadline; faults + deadline + a shedding capacity plan; a `Path`
+/// replication plan alone; replication + faults + deadline.
+const GOLDEN_LAYERED_SEARCH_DIGESTS: [u64; 12] = [
+    0xa8556583f3bd5616,
+    0x0e05e728b5f92348,
+    0x56b60f36209e0688,
+    0xdb10b931df8649c0,
+    0x7b426ab2135edd0f,
+    0x1a55f8f01f09c86d,
+    0x130db499bd9013c7,
+    0x08ffc36c0559956f,
+    0x26b0c825bdcbf004,
+    0xf7c66dd693e7c35b,
+    0x12f7399be20a4a9b,
+    0xfaa7ebb758987cbc,
+];
+
+/// The layer sets [`GOLDEN_LAYERED_SEARCH_DIGESTS`] covers, in order.
+const SEARCH_LAYER_SETS: [&str; 4] = [
+    "faults+deadline",
+    "faults+deadline+capacity",
+    "replication",
+    "replication+faults+deadline",
+];
+
+fn layered_search_digests() -> Vec<u64> {
+    let (world, queries) = golden_search_world();
+    let plan = FaultPlan::build(
+        world.num_peers(),
+        &FaultConfig {
+            loss: 0.15,
+            churn: 0.20,
+            horizon: 64,
+            rejoin: true,
+            mean_latency: 3,
+            seed: 0x1a7e,
+        },
+    );
+    let capacity = CapacityPlan::build(&CapacityConfig {
+        offered_load: 12.0,
+        queue_bound: 3,
+        policy: ShedPolicy::DropNewest,
+        model: CapacityModel::GiaLadder,
+        seed: 0xca9,
+    });
+    let replication = ReplicationPlan::new(ReplicationScheme::Path, 3_000, 0x1a7f);
+    let kernels = [Kernel::Flood, Kernel::Walk, Kernel::ExpandingRing];
+    let mut digests = Vec::new();
+    let (mut shed, mut rejected, mut missed) = (0u64, 0u64, 0u64);
+    for (i, make) in SYNC_SEARCH_SPECS.into_iter().enumerate() {
+        let mut rescued = 0u64;
+        for layers in SEARCH_LAYER_SETS {
+            let mut spec = make();
+            if layers.contains("faults") {
+                spec = spec
+                    .faults(FaultContext::new(
+                        plan.clone(),
+                        qcp2p::faults::RetryPolicy::default(),
+                        child_seed(0x1a80, i as u64),
+                    ))
+                    .deadline(Deadline::after(40));
+            }
+            if layers.contains("capacity") {
+                spec = spec.capacity(capacity.clone());
+            }
+            if layers.contains("replication") {
+                spec = spec.replication(replication);
+            }
+            let mut system = spec.recorder(MetricsRecorder::new()).build(&world);
+            digests.push(digest(sync_outcome_words(&mut system, &world, &queries)));
+            let rec = system.recorder();
+            shed += rec.total(kernels[i], Counter::Shed);
+            rejected += rec.total(kernels[i], Counter::AdmissionRejected);
+            missed += rec.event_count(kernels[i], Event::DeadlineExceeded);
+            rescued += rec.total(kernels[i], Counter::CopiesHit);
+        }
+        assert!(
+            rescued > 0,
+            "guard: replication must rescue some {:?} query",
+            kernels[i]
+        );
+    }
+    assert!(shed > 0, "guard: the capacity plan must shed real messages");
+    assert!(
+        rejected > 0,
+        "guard: admission control must refuse some query"
+    );
+    assert!(missed > 0, "guard: the deadline must end some query");
+    digests
+}
+
+#[test]
+fn layered_search_systems_match_golden() {
+    assert_eq!(
+        layered_search_digests(),
+        GOLDEN_LAYERED_SEARCH_DIGESTS.to_vec(),
+        "flood/walk/expanding-ring outcomes or recorder contents under \
+         deadline, capacity or replication layers drifted from the golden \
+         capture"
     );
 }
 
