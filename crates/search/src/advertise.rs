@@ -187,7 +187,7 @@ mod tests {
         let mut rng = Pcg64::new(4);
         let queries: Vec<QuerySpec> = (0..300).map(|_| w.sample_query(&mut rng)).collect();
         let mut ads = AdvertiseSearch::new(&w, 8, 20, 5);
-        let mut walk = crate::spec::SearchSpec::walk(1, 20).build(&w).into_walk();
+        let mut walk = crate::spec::SearchSpec::walk(1, 20).build(&w);
         let mut ad_hits = 0;
         let mut walk_hits = 0;
         for q in &queries {

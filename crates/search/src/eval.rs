@@ -125,8 +125,8 @@ mod tests {
                 seed: 1,
             },
         );
-        let mut flood = crate::spec::SearchSpec::flood(3).build(&w).into_flood();
-        let mut walk = crate::spec::SearchSpec::walk(4, 20).build(&w).into_walk();
+        let mut flood = crate::spec::SearchSpec::flood(3).build(&w);
+        let mut walk = crate::spec::SearchSpec::walk(4, 20).build(&w);
         let rows = evaluate(&w, &mut [&mut flood, &mut walk], &queries, 7);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].system, "flood(ttl=3)");
@@ -146,7 +146,7 @@ mod tests {
             },
         );
         let run = |seed| {
-            let mut walk = crate::spec::SearchSpec::walk(2, 15).build(&w).into_walk();
+            let mut walk = crate::spec::SearchSpec::walk(2, 15).build(&w);
             evaluate(&w, &mut [&mut walk], &queries, seed)
         };
         assert_eq!(run(3), run(3));
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn empty_workload_is_safe() {
         let w = world();
-        let mut flood = crate::spec::SearchSpec::flood(2).build(&w).into_flood();
+        let mut flood = crate::spec::SearchSpec::flood(2).build(&w);
         let rows = evaluate(&w, &mut [&mut flood], &[], 1);
         assert_eq!(rows[0].queries, 0);
         assert_eq!(rows[0].success_rate, 0.0);

@@ -177,7 +177,7 @@ mod tests {
         let mut rng = Pcg64::new(3);
         let queries: Vec<QuerySpec> = (0..300).map(|_| w.sample_query(&mut rng)).collect();
         let mut gia = GiaSearch::new(&w, 30, 4);
-        let mut walk = crate::spec::SearchSpec::walk(1, 30).build(&w).into_walk();
+        let mut walk = crate::spec::SearchSpec::walk(1, 30).build(&w);
         let mut gia_hits = 0;
         let mut walk_hits = 0;
         for q in &queries {

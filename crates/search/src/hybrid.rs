@@ -127,9 +127,7 @@ pub struct HybridSearch<R: Recorder = NoopRecorder> {
     pub flood_ttl: u32,
     /// Result-count threshold below which the query is "rare".
     pub rare_threshold: u32,
-    /// Boxed, as in [`DhtOnlySearch`]: `Built` holds each system inline,
-    /// and the ring would make these two variants its largest.
-    net: Box<ChordNetwork>,
+    net: ChordNetwork,
     index: DhtIndex,
     engine: FloodEngine,
     events: EventEngine,
@@ -161,7 +159,7 @@ impl<R: Recorder> HybridSearch<R> {
         capacity: Option<CapacityPlan>,
         recorder: R,
     ) -> Self {
-        let net = Box::new(ChordNetwork::new(world.num_peers(), seed ^ 0xcd));
+        let net = ChordNetwork::new(world.num_peers(), seed ^ 0xcd);
         let index = build_index(world, &net);
         Self {
             flood_ttl,
@@ -453,8 +451,7 @@ impl<R: Recorder> SearchSystem for HybridSearch<R> {
 /// [`Kernel::ChordLookup`], repair passes under [`Kernel::Repair`].
 #[derive(Debug)]
 pub struct DhtOnlySearch<R: Recorder = NoopRecorder> {
-    /// Boxed, as in [`HybridSearch`].
-    net: Box<ChordNetwork>,
+    net: ChordNetwork,
     index: DhtIndex,
     faults: Option<FaultContext>,
     maintenance: Option<MaintenanceSchedule>,
@@ -474,7 +471,7 @@ impl<R: Recorder> DhtOnlySearch<R> {
         capacity: Option<CapacityPlan>,
         recorder: R,
     ) -> Self {
-        let net = Box::new(ChordNetwork::new(world.num_peers(), seed ^ 0xcd));
+        let net = ChordNetwork::new(world.num_peers(), seed ^ 0xcd);
         let index = build_index(world, &net);
         Self {
             net,

@@ -6,8 +6,9 @@
 //! * [`world`] — the shared simulation world: topology, object placement,
 //!   per-object term sets, inverted posting lists, and a query workload
 //!   model with the planted query/file popularity mismatch;
-//! * [`systems`] — the [`SearchSystem`] trait and baseline
-//!   implementations: TTL flooding, k-walker random walks;
+//! * [`systems`] — the [`SearchSystem`] trait and the unstructured
+//!   baselines (TTL flooding, k-walker random walks, expanding ring) as
+//!   one [`UnstructuredSearch`] system;
 //! * [`spec`] — the unified [`SearchSpec`] builder: the sole entry
 //!   point for every baseline system, with optional fault contexts,
 //!   maintenance schedules, replication plans, and instrumentation
@@ -51,7 +52,7 @@ pub use qrp::QrpFloodSearch;
 pub use spec::{Built, SearchSpec};
 pub use synopsis::{SynopsisPolicy, SynopsisSearch};
 pub use systems::{
-    ExpandingRingSearch, FaultContext, FloodSearch, MaintenanceSchedule, OverloadStats,
-    RandomWalkSearch, SearchOutcome, SearchSystem,
+    FaultContext, MaintenanceSchedule, OverloadStats, SearchOutcome, SearchSystem,
+    UnstructuredSearch,
 };
 pub use world::{QuerySpec, SearchWorld, WorldConfig};

@@ -197,7 +197,7 @@ mod tests {
         let mut rng = Pcg64::new(1);
         let queries: Vec<QuerySpec> = (0..250).map(|_| w.sample_query(&mut rng)).collect();
         let mut qrp = QrpFloodSearch::new(&w, 3, 4096);
-        let mut flood = crate::spec::SearchSpec::flood(3).build(&w).into_flood();
+        let mut flood = crate::spec::SearchSpec::flood(3).build(&w);
         let mut qrp_success = 0u32;
         let mut flood_success = 0u32;
         let mut qrp_msgs = 0u64;

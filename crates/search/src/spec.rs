@@ -46,8 +46,7 @@
 
 use crate::hybrid::{DhtOnlySearch, HybridSearch};
 use crate::systems::{
-    ExpandingRingSearch, FaultContext, FloodSearch, MaintenanceSchedule, RandomWalkSearch,
-    ReplicaSet, SearchOutcome, SearchSystem,
+    FaultContext, MaintenanceSchedule, SearchOutcome, SearchSystem, Strategy, UnstructuredSearch,
 };
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_faults::CapacityPlan;
@@ -59,12 +58,8 @@ use qcp_vtime::Deadline;
 /// Which system a [`SearchSpec`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
-    /// TTL-limited flooding.
-    Flood { ttl: u32 },
-    /// k-walker random walks.
-    Walk { walkers: usize, ttl: u32 },
-    /// Iterative-deepening ring floods.
-    ExpandingRing { max_ttl: u32 },
+    /// Flooding, k-walker random walks or iterative-deepening rings.
+    Unstructured(Strategy),
     /// Flood-then-DHT hybrid.
     Hybrid {
         flood_ttl: u32,
@@ -78,9 +73,7 @@ enum Kind {
 impl Kind {
     fn name(self) -> &'static str {
         match self {
-            Kind::Flood { .. } => "flood",
-            Kind::Walk { .. } => "walk",
-            Kind::ExpandingRing { .. } => "expanding-ring",
+            Kind::Unstructured(strategy) => strategy.kind_name(),
             Kind::Hybrid { .. } => "hybrid",
             Kind::DhtOnly { .. } => "dht-only",
         }
@@ -121,17 +114,17 @@ impl SearchSpec<NoopRecorder> {
 
     /// Gnutella-style flooding with the given TTL.
     pub fn flood(ttl: u32) -> Self {
-        Self::of(Kind::Flood { ttl })
+        Self::of(Kind::Unstructured(Strategy::Flood { ttl }))
     }
 
     /// `walkers` random walkers of `ttl` steps each.
     pub fn walk(walkers: usize, ttl: u32) -> Self {
-        Self::of(Kind::Walk { walkers, ttl })
+        Self::of(Kind::Unstructured(Strategy::Walk { walkers, ttl }))
     }
 
     /// Expanding-ring (iterative deepening) floods up to `max_ttl`.
     pub fn expanding_ring(max_ttl: u32) -> Self {
-        Self::of(Kind::ExpandingRing { max_ttl })
+        Self::of(Kind::Unstructured(Strategy::Ring { max_ttl }))
     }
 
     /// Flood-then-DHT hybrid (Loo et al. rare-query rule).
@@ -247,11 +240,7 @@ impl<R: Recorder> SearchSpec<R> {
             kind.name()
         );
         assert!(
-            replication.is_none()
-                || matches!(
-                    kind,
-                    Kind::Flood { .. } | Kind::Walk { .. } | Kind::ExpandingRing { .. }
-                ),
+            replication.is_none() || matches!(kind, Kind::Unstructured(_)),
             "replication plans apply only to the unstructured systems, not {}",
             kind.name()
         );
@@ -265,16 +254,15 @@ impl<R: Recorder> SearchSpec<R> {
             "a capacity plan runs on the calendar engine: attach a fault \
              context and a deadline first"
         );
-        let replicas = replication.map(|plan| ReplicaSet::build(world, &plan));
         match kind {
-            Kind::Flood { ttl } => Built::Flood(FloodSearch::assemble(
-                world, ttl, faults, deadline, capacity, replicas, recorder,
-            )),
-            Kind::Walk { walkers, ttl } => Built::Walk(RandomWalkSearch::assemble(
-                walkers, ttl, faults, deadline, capacity, replicas, recorder,
-            )),
-            Kind::ExpandingRing { max_ttl } => Built::ExpandingRing(ExpandingRingSearch::assemble(
-                world, max_ttl, faults, deadline, capacity, replicas, recorder,
+            Kind::Unstructured(strategy) => Built::Unstructured(UnstructuredSearch::assemble(
+                world,
+                strategy,
+                faults,
+                deadline,
+                capacity,
+                replication,
+                recorder,
             )),
             Kind::Hybrid {
                 flood_ttl,
@@ -309,17 +297,15 @@ impl<R: Recorder> SearchSpec<R> {
 }
 
 /// A system built from a [`SearchSpec`]: use it directly through
-/// [`SearchSystem`] (it delegates to the inner system), or unwrap the
-/// concrete type with the `into_*` extractors when system-specific
-/// reporting fields are needed.
+/// [`SearchSystem`] (it delegates to the inner system) and read its
+/// metrics back with [`Self::recorder`]. [`Self::into_hybrid`] and
+/// [`Self::into_dht_only`] unwrap the DHT-backed systems for their
+/// reporting fields (fallback and maintenance-pass counts).
 #[derive(Debug)]
 pub enum Built<R: Recorder = NoopRecorder> {
-    /// [`SearchSpec::flood`].
-    Flood(FloodSearch<R>),
-    /// [`SearchSpec::walk`].
-    Walk(RandomWalkSearch<R>),
+    /// [`SearchSpec::flood`], [`SearchSpec::walk`] or
     /// [`SearchSpec::expanding_ring`].
-    ExpandingRing(ExpandingRingSearch<R>),
+    Unstructured(UnstructuredSearch<R>),
     /// [`SearchSpec::hybrid`].
     Hybrid(HybridSearch<R>),
     /// [`SearchSpec::dht_only`].
@@ -327,50 +313,12 @@ pub enum Built<R: Recorder = NoopRecorder> {
 }
 
 impl<R: Recorder> Built<R> {
-    fn kind_name(&self) -> &'static str {
-        match self {
-            Built::Flood(_) => "flood",
-            Built::Walk(_) => "walk",
-            Built::ExpandingRing(_) => "expanding-ring",
-            Built::Hybrid(_) => "hybrid",
-            Built::DhtOnly(_) => "dht-only",
-        }
-    }
-
-    /// Unwraps a [`SearchSpec::flood`] build.
-    pub fn into_flood(self) -> FloodSearch<R> {
-        match self {
-            Built::Flood(s) => s,
-            // qcplint: allow(panic) — extractor misuse is a programming
-            // error; fail fast with the actual kind.
-            other => panic!("built system is {}, not flood", other.kind_name()),
-        }
-    }
-
-    /// Unwraps a [`SearchSpec::walk`] build.
-    pub fn into_walk(self) -> RandomWalkSearch<R> {
-        match self {
-            Built::Walk(s) => s,
-            // qcplint: allow(panic) — extractor misuse fails fast.
-            other => panic!("built system is {}, not walk", other.kind_name()),
-        }
-    }
-
-    /// Unwraps a [`SearchSpec::expanding_ring`] build.
-    pub fn into_expanding_ring(self) -> ExpandingRingSearch<R> {
-        match self {
-            Built::ExpandingRing(s) => s,
-            // qcplint: allow(panic) — extractor misuse fails fast.
-            other => panic!("built system is {}, not expanding-ring", other.kind_name()),
-        }
-    }
-
     /// Unwraps a [`SearchSpec::hybrid`] build.
     pub fn into_hybrid(self) -> HybridSearch<R> {
         match self {
             Built::Hybrid(s) => s,
             // qcplint: allow(panic) — extractor misuse fails fast.
-            other => panic!("built system is {}, not hybrid", other.kind_name()),
+            other => panic!("built system is {}, not hybrid", other.name()),
         }
     }
 
@@ -379,16 +327,14 @@ impl<R: Recorder> Built<R> {
         match self {
             Built::DhtOnly(s) => s,
             // qcplint: allow(panic) — extractor misuse fails fast.
-            other => panic!("built system is {}, not dht-only", other.kind_name()),
+            other => panic!("built system is {}, not dht-only", other.name()),
         }
     }
 
     /// The recorder the inner system has been writing into.
     pub fn recorder(&self) -> &R {
         match self {
-            Built::Flood(s) => s.recorder(),
-            Built::Walk(s) => s.recorder(),
-            Built::ExpandingRing(s) => s.recorder(),
+            Built::Unstructured(s) => s.recorder(),
             Built::Hybrid(s) => s.recorder(),
             Built::DhtOnly(s) => s.recorder(),
         }
@@ -397,9 +343,7 @@ impl<R: Recorder> Built<R> {
     /// Consumes the system, returning its recorder.
     pub fn into_recorder(self) -> R {
         match self {
-            Built::Flood(s) => s.into_recorder(),
-            Built::Walk(s) => s.into_recorder(),
-            Built::ExpandingRing(s) => s.into_recorder(),
+            Built::Unstructured(s) => s.into_recorder(),
             Built::Hybrid(s) => s.into_recorder(),
             Built::DhtOnly(s) => s.into_recorder(),
         }
@@ -409,9 +353,7 @@ impl<R: Recorder> Built<R> {
 impl<R: Recorder> SearchSystem for Built<R> {
     fn name(&self) -> String {
         match self {
-            Built::Flood(s) => s.name(),
-            Built::Walk(s) => s.name(),
-            Built::ExpandingRing(s) => s.name(),
+            Built::Unstructured(s) => s.name(),
             Built::Hybrid(s) => s.name(),
             Built::DhtOnly(s) => s.name(),
         }
@@ -419,9 +361,7 @@ impl<R: Recorder> SearchSystem for Built<R> {
 
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
         match self {
-            Built::Flood(s) => s.search(world, query, rng),
-            Built::Walk(s) => s.search(world, query, rng),
-            Built::ExpandingRing(s) => s.search(world, query, rng),
+            Built::Unstructured(s) => s.search(world, query, rng),
             Built::Hybrid(s) => s.search(world, query, rng),
             Built::DhtOnly(s) => s.search(world, query, rng),
         }
@@ -429,9 +369,7 @@ impl<R: Recorder> SearchSystem for Built<R> {
 
     fn maintenance_messages(&self) -> u64 {
         match self {
-            Built::Flood(s) => s.maintenance_messages(),
-            Built::Walk(s) => s.maintenance_messages(),
-            Built::ExpandingRing(s) => s.maintenance_messages(),
+            Built::Unstructured(s) => s.maintenance_messages(),
             Built::Hybrid(s) => s.maintenance_messages(),
             Built::DhtOnly(s) => s.maintenance_messages(),
         }
@@ -546,29 +484,21 @@ mod tests {
         }
     }
 
-    /// Extractors hand back the concrete system with its reporting
-    /// fields intact.
+    /// Extractors hand back the DHT-backed systems with their
+    /// reporting fields intact.
     #[test]
     fn extractors_return_concrete_systems() {
         let w = world();
-        let flood = SearchSpec::flood(3).build(&w).into_flood();
-        assert_eq!(flood.ttl, 3);
-        let walk = SearchSpec::walk(2, 9).build(&w).into_walk();
-        assert_eq!((walk.walkers, walk.ttl), (2, 9));
-        let ring = SearchSpec::expanding_ring(5)
-            .build(&w)
-            .into_expanding_ring();
-        assert_eq!(ring.max_ttl, 5);
         let hybrid = SearchSpec::hybrid(2, 5, 1).build(&w).into_hybrid();
         assert_eq!((hybrid.flood_ttl, hybrid.rare_threshold), (2, 5));
         let _ = SearchSpec::dht_only(1).build(&w).into_dht_only();
     }
 
     #[test]
-    #[should_panic(expected = "not flood")]
+    #[should_panic(expected = "built system is walk(k=1,ttl=5), not hybrid")]
     fn wrong_extractor_fails_fast() {
         let w = world();
-        let _ = SearchSpec::walk(1, 5).build(&w).into_flood();
+        let _ = SearchSpec::walk(1, 5).build(&w).into_hybrid();
     }
 
     #[test]
@@ -660,8 +590,7 @@ mod tests {
         let mut flood = SearchSpec::flood(3)
             .faults(ctx(31))
             .recorder(MetricsRecorder::new())
-            .build(&w)
-            .into_flood();
+            .build(&w);
         let out = outcomes(&mut flood, &w, &qs);
         let total: u64 = out.iter().map(|o| o.messages).sum();
         let rec = flood.recorder();
@@ -678,8 +607,7 @@ mod tests {
         let mut walk = SearchSpec::walk(4, 20)
             .faults(ctx(32))
             .recorder(MetricsRecorder::new())
-            .build(&w)
-            .into_walk();
+            .build(&w);
         let out = outcomes(&mut walk, &w, &qs);
         let total: u64 = out.iter().map(|o| o.messages).sum();
         assert_eq!(
@@ -761,7 +689,7 @@ mod deadline_tests {
     use super::*;
     use crate::world::WorldConfig;
     use qcp_faults::{FaultConfig, FaultPlan, RetryPolicy};
-    use qcp_obs::{Event, Kernel, MetricsRecorder};
+    use qcp_obs::{Counter, Event, Kernel, MetricsRecorder};
     use qcp_vtime::Deadline;
 
     fn world() -> SearchWorld {
@@ -1000,10 +928,11 @@ mod deadline_tests {
             let mut sys = SearchSpec::expanding_ring(5)
                 .faults(latent_ctx(4, 0.0, 29))
                 .deadline(Deadline::after(ticks))
-                .build(&w)
-                .into_expanding_ring();
+                .recorder(MetricsRecorder::new())
+                .build(&w);
             let out = outcomes(&mut sys, &w, &qs);
-            (out, sys.rings_attempted)
+            let rings = sys.recorder().total(Kernel::ExpandingRing, Counter::Rings);
+            (out, rings)
         };
         let (tight, rings_tight) = run(12);
         let (loose, rings_loose) = run(100_000);

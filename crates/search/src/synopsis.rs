@@ -302,7 +302,7 @@ mod tests {
         let test = queries(&w, 400, 7);
         let mut qc = SynopsisSearch::new(&w, SynopsisPolicy::QueryCentric, 12, 40);
         qc.observe_queries(&w, &train, 0.5);
-        let mut walk = crate::spec::SearchSpec::walk(1, 40).build(&w).into_walk();
+        let mut walk = crate::spec::SearchSpec::walk(1, 40).build(&w);
         let mut rng = Pcg64::new(8);
         let mut qc_hits = 0;
         let mut walk_hits = 0;

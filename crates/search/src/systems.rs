@@ -1,61 +1,18 @@
-//! The search-system interface and the two classic baselines.
+//! The search-system interface and the unstructured baselines of §V:
+//! flooding, k-walker random walks and expanding ring, as one system.
 
 #[cfg(any(test, doc))]
 use crate::spec::SearchSpec;
-use crate::world::{QuerySpec, SearchWorld};
+use crate::world::{holders_in, QuerySpec, SearchWorld};
 use qcp_faults::{CapacityPlan, FaultPlan, FaultStats, RetryPolicy};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
 use qcp_overlay::expanding::expanding_ring_search;
 use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
 use qcp_overlay::walk::random_walk_search;
-use qcp_overlay::{EventEngine, OverloadOutcome, Placement, ReplicationPlan};
+use qcp_overlay::{EventEngine, Graph, OverloadOutcome, Placement, ReplicationPlan};
 use qcp_util::hash::mix64;
 use qcp_util::rng::{child_seed, Pcg64};
 use qcp_vtime::Deadline;
-
-/// The replicated placement a [`SearchSpec::replication`] build searches
-/// over: the plan applied once against the world's base placement at
-/// build time, plus the copy count for the `CopiesPlaced` counter.
-///
-/// Holder lookups go through [`Self::holders_of`] instead of
-/// [`SearchWorld::holders_of`]; the world's own placement stays the
-/// owner-only ground truth, which the copies-hit shadow runs replay
-/// against.
-#[derive(Debug)]
-pub(crate) struct ReplicaSet {
-    placement: Placement,
-    /// Extra copies the plan placed (== the plan's budget, exactly).
-    copies: u64,
-}
-
-impl ReplicaSet {
-    pub(crate) fn build(world: &SearchWorld, plan: &ReplicationPlan) -> Self {
-        Self {
-            placement: plan.apply(&world.topology.graph, &world.placement),
-            copies: plan.budget,
-        }
-    }
-
-    /// Sorted, deduplicated union of the replicated holder lists
-    /// (mirrors [`SearchWorld::holders_of`] over the grown placement).
-    pub(crate) fn holders_of(&self, objects: &[u32]) -> Vec<u32> {
-        let mut peers: Vec<u32> = objects
-            .iter()
-            .flat_map(|&o| self.placement.holders(o).iter().copied())
-            .collect();
-        peers.sort_unstable();
-        peers.dedup();
-        peers
-    }
-}
-
-/// Records the one-time `CopiesPlaced` total at assemble time and hands
-/// the recorder back (shared by the three unstructured assembles).
-fn note_copies_placed<R: Recorder>(kernel: Kernel, replication: Option<&ReplicaSet>, rec: &mut R) {
-    if let Some(r) = replication {
-        rec.rec_count(kernel, Counter::CopiesPlaced, r.copies);
-    }
-}
 
 /// Result of one query through one system.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -164,27 +121,6 @@ pub(crate) fn reject_admission<R: Recorder>(kernel: Kernel, rec: &mut R) -> Sear
         overload: OverloadStats::rejected(),
         ..SearchOutcome::default()
     }
-}
-
-/// Closes a deadline-path kernel run: a `truncated` run that found
-/// nothing was ended by the clock, and a run that shed work is
-/// overloaded. Sets both flags on `out` and records them.
-fn close_timed<R: Recorder>(
-    kernel: Kernel,
-    mut out: SearchOutcome,
-    truncated: bool,
-    over: &OverloadOutcome,
-    rec: &mut R,
-) -> SearchOutcome {
-    out.deadline_exceeded = truncated && !out.success;
-    if out.deadline_exceeded {
-        rec.rec_event(kernel, Event::DeadlineExceeded);
-    }
-    out.overload = OverloadStats::from_outcome(over);
-    if out.overload.overloaded {
-        rec.rec_event(kernel, Event::Overloaded);
-    }
-    out
 }
 
 /// Per-system fault context: the shared [`FaultPlan`], the retry policy
@@ -304,46 +240,116 @@ pub trait SearchSystem {
     }
 }
 
-/// Gnutella-style TTL-limited flooding.
+/// Which search an [`UnstructuredSearch`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Strategy {
+    /// Gnutella-style TTL-limited flooding ([`SearchSpec::flood`]).
+    Flood { ttl: u32 },
+    /// `walkers` random walkers of `ttl` steps each ([`SearchSpec::walk`]).
+    Walk { walkers: usize, ttl: u32 },
+    /// Expanding-ring (iterative-deepening) search
+    /// ([`SearchSpec::expanding_ring`]): floods with TTL 1, 2, …
+    /// `max_ttl`, stopping at the first ring that finds a match. Cheap
+    /// for nearby content, wasteful for distant content — §V's
+    /// observation that "lower TTL values … rapidly identify rare
+    /// queries" is this strategy's failure mode under Zipf placement.
+    Ring { max_ttl: u32 },
+}
+
+impl Strategy {
+    /// The kernel this strategy records under.
+    fn kernel(self) -> Kernel {
+        match self {
+            Strategy::Flood { .. } => Kernel::Flood,
+            Strategy::Walk { .. } => Kernel::Walk,
+            Strategy::Ring { .. } => Kernel::ExpandingRing,
+        }
+    }
+
+    /// The builder's name for this kind of system.
+    pub(crate) fn kind_name(self) -> &'static str {
+        match self {
+            Strategy::Flood { .. } => "flood",
+            Strategy::Walk { .. } => "walk",
+            Strategy::Ring { .. } => "expanding-ring",
+        }
+    }
+}
+
+/// The unstructured baselines of §V — TTL flooding, k-walker random
+/// walks and expanding ring — as one system: a strategy, one copy of
+/// each layer (faults, deadline, capacity, replication, recorder) and
+/// one search frame. Built by [`SearchSpec::flood`],
+/// [`SearchSpec::walk`] and [`SearchSpec::expanding_ring`].
 ///
 /// Generic over an instrumentation [`Recorder`]; the default
 /// [`NoopRecorder`] monomorphizes every recording call away, so the
 /// uninstrumented system is exactly the pre-recorder code.
 #[derive(Debug)]
-pub struct FloodSearch<R: Recorder = NoopRecorder> {
-    /// Flood TTL.
-    pub ttl: u32,
-    engine: FloodEngine,
-    events: EventEngine,
-    forwarders: Vec<bool>,
+pub struct UnstructuredSearch<R: Recorder = NoopRecorder> {
+    runner: Runner,
     faults: Option<FaultContext>,
-    deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
-    replication: Option<ReplicaSet>,
+    /// The placement a [`SearchSpec::replication`] build searches over:
+    /// the plan applied once to the world's placement at build time. The
+    /// world's own placement stays the owner-only ground truth, which
+    /// the copies-hit shadow runs replay against.
+    replicated: Option<Placement>,
     recorder: R,
 }
 
-impl<R: Recorder> FloodSearch<R> {
-    /// Builder-internal constructor (see [`SearchSpec::flood`]).
+/// What an engine run reads besides its [`QueryRun`] and recorder: the
+/// strategy, its engines, and the deadline and capacity layers.
+#[derive(Debug)]
+struct Runner {
+    strategy: Strategy,
+    engine: FloodEngine,
+    events: EventEngine,
+    forwarders: Vec<bool>,
+    deadline: Option<Deadline>,
+    capacity: Option<CapacityPlan>,
+}
+
+/// One engine run's inputs: the overlay, the issuing peer, the holders
+/// searched for and the fault plan at the query's clock draw. The
+/// copies-hit shadow reruns the primary's inputs with only the holders
+/// swapped.
+#[derive(Clone, Copy)]
+struct QueryRun<'a> {
+    graph: &'a Graph,
+    source: u32,
+    holders: &'a [u32],
+    plan: Option<FloodFaults<'a>>,
+}
+
+impl<R: Recorder> UnstructuredSearch<R> {
+    /// Builder-internal constructor (see [`SearchSpec::build`]): applies
+    /// the replication plan, if any, and records its `CopiesPlaced`.
     pub(crate) fn assemble(
         world: &SearchWorld,
-        ttl: u32,
+        strategy: Strategy,
         faults: Option<FaultContext>,
         deadline: Option<Deadline>,
         capacity: Option<CapacityPlan>,
-        replication: Option<ReplicaSet>,
+        replication: Option<ReplicationPlan>,
         mut recorder: R,
     ) -> Self {
-        note_copies_placed(Kernel::Flood, replication.as_ref(), &mut recorder);
+        // The plan places exactly its budget of extra copies.
+        if let Some(plan) = replication {
+            recorder.rec_count(strategy.kernel(), Counter::CopiesPlaced, plan.budget);
+        }
+        let replicated =
+            replication.map(|plan| plan.apply(&world.topology.graph, &world.placement));
         Self {
-            ttl,
-            engine: FloodEngine::new(world.num_peers()),
-            events: EventEngine::new(),
-            forwarders: world.topology.forwarders(),
+            runner: Runner {
+                strategy,
+                engine: FloodEngine::new(world.num_peers()),
+                events: EventEngine::new(),
+                forwarders: world.topology.forwarders(),
+                deadline,
+                capacity,
+            },
             faults,
-            deadline,
-            capacity,
-            replication,
+            replicated,
             recorder,
         }
     }
@@ -359,319 +365,282 @@ impl<R: Recorder> FloodSearch<R> {
     }
 }
 
-/// One flood query against an explicit holder set: the engine body
-/// shared by the recorded primary run and the owner-only shadow run
-/// that [`SearchSpec::replication`] uses for copies-hit accounting.
-/// Admission control, engine selection (calendar on the deadline path,
-/// census otherwise) and event recording all happen here, against
-/// whichever recorder is passed.
-#[allow(clippy::too_many_arguments)]
-fn flood_once<R: Recorder>(
-    engine: &mut FloodEngine,
-    events: &mut EventEngine,
-    forwarders: &[bool],
-    faults: Option<&FaultContext>,
-    deadline: Option<Deadline>,
-    capacity: Option<&CapacityPlan>,
-    ttl: u32,
-    world: &SearchWorld,
-    query: &QuerySpec,
-    holders: &[u32],
-    draw: Option<(u64, u64)>,
-    rec: &mut R,
-) -> SearchOutcome {
-    let plan = query_faults(faults, draw);
-    if let (Some(deadline), Some(plan)) = (deadline, plan) {
-        // Deadline path: the event-driven flood on real link latencies,
-        // cut off at the deadline; a capacity plan queues arrivals
-        // (bitwise direct delivery when unlimited) behind ingress
-        // admission control.
-        if capacity.is_some_and(|cap| !cap.admit(query.source, plan.nonce)) {
-            return reject_admission(Kernel::Flood, rec);
-        }
-        let (out, stats, over) = events.flood(
-            &world.topology.graph,
-            query.source,
-            ttl,
-            holders,
-            Some(forwarders),
-            plan,
-            capacity,
-            Some(deadline.ticks),
-            rec,
-        );
-        let timed = SearchOutcome {
-            success: out.flood.found,
-            messages: out.flood.messages,
-            hops: out.flood.found_at_hop,
-            faults: stats,
-            elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-            ..SearchOutcome::default()
-        };
-        return close_timed(Kernel::Flood, timed, out.truncated, &over, rec);
-    }
-    let spec = FloodSpec {
-        plan,
-        ..FloodSpec::new(ttl)
-    };
-    let (census, stats) = engine.run(
-        &world.topology.graph,
-        query.source,
-        holders,
-        Some(forwarders),
-        &spec,
-        rec,
-    );
-    let out = census.at(ttl);
-    let level = ttl.min(census.levels()) as usize;
-    SearchOutcome {
-        success: out.found,
-        messages: out.messages,
-        hops: out.found_at_hop,
-        faults: stats[level],
-        elapsed: stats[level].ticks,
-        ..SearchOutcome::default()
-    }
-}
-
-impl<R: Recorder> SearchSystem for FloodSearch<R> {
+impl<R: Recorder> SearchSystem for UnstructuredSearch<R> {
     fn name(&self) -> String {
-        format!("flood(ttl={})", self.ttl)
+        match self.runner.strategy {
+            Strategy::Flood { ttl } => format!("flood(ttl={ttl})"),
+            Strategy::Walk { walkers, ttl } => format!("walk(k={walkers},ttl={ttl})"),
+            Strategy::Ring { max_ttl } => format!("expanding-ring(max={max_ttl})"),
+        }
     }
 
-    fn search(
-        &mut self,
-        world: &SearchWorld,
-        query: &QuerySpec,
-        _rng: &mut Pcg64,
-    ) -> SearchOutcome {
+    fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
         let matching = world.matching_objects(&query.terms);
-        let holders = match &self.replication {
-            Some(r) => r.holders_of(&matching),
-            None => world.holders_of(&matching),
-        };
-        // Draw the fault clock first (field-disjoint from engine/recorder),
-        // then run the one unified flood entry point: the census at
-        // `ttl` reconstructs the standalone flood bitwise (the BFS
-        // prefix property, pinned in qcp-overlay).
+        let placement = self.replicated.as_ref().unwrap_or(&world.placement);
+        let holders = holders_in(placement, &matching);
         let draw = self.faults.as_mut().map(FaultContext::next_query);
-        let out = flood_once(
-            &mut self.engine,
-            &mut self.events,
-            &self.forwarders,
-            self.faults.as_ref(),
-            self.deadline,
-            self.capacity.as_ref(),
-            self.ttl,
-            world,
-            query,
-            &holders,
-            draw,
-            &mut self.recorder,
-        );
-        if out.success && self.replication.is_some() {
+        let primary = QueryRun {
+            graph: &world.topology.graph,
+            source: query.source,
+            holders: &holders,
+            plan: query_faults(self.faults.as_ref(), draw),
+        };
+        // Snapshot the walker RNG before the primary run so the shadow
+        // replays the identical trajectories (floods and rings never draw
+        // from it; the clone is dropped unused when the query fails).
+        let walk = matches!(self.runner.strategy, Strategy::Walk { .. });
+        let mut shadow_rng = (walk && self.replicated.is_some()).then(|| rng.clone());
+        let out = self.runner.run(&primary, rng, &mut self.recorder);
+        if out.success && self.replicated.is_some() {
             // Copies-hit accounting: replay the identical engine run
             // (same draws, same deadline/capacity path) over the
             // owner-only holders, recorder-free. A miss there means
             // replication rescued this query.
             let base = world.holders_of(&matching);
-            let mut noop = NoopRecorder;
-            let shadow = flood_once(
-                &mut self.engine,
-                &mut self.events,
-                &self.forwarders,
-                self.faults.as_ref(),
-                self.deadline,
-                self.capacity.as_ref(),
-                self.ttl,
-                world,
-                query,
-                &base,
-                draw,
-                &mut noop,
-            );
+            let owner_only = QueryRun {
+                holders: &base,
+                ..primary
+            };
+            let shadow_rng = shadow_rng.as_mut().unwrap_or(rng);
+            let shadow = self.runner.run(&owner_only, shadow_rng, &mut NoopRecorder);
             if !shadow.success {
-                self.recorder
-                    .rec_count(Kernel::Flood, Counter::CopiesHit, 1);
+                let kernel = self.runner.strategy.kernel();
+                self.recorder.rec_count(kernel, Counter::CopiesHit, 1);
             }
         }
         out
     }
 }
 
-/// k-walker random walk search.
-#[derive(Debug)]
-pub struct RandomWalkSearch<R: Recorder = NoopRecorder> {
-    /// Number of walkers.
-    pub walkers: usize,
-    /// Steps per walker.
-    pub ttl: u32,
-    events: EventEngine,
-    faults: Option<FaultContext>,
-    deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
-    replication: Option<ReplicaSet>,
-    recorder: R,
-}
-
-impl<R: Recorder> RandomWalkSearch<R> {
-    /// Builder-internal constructor (see [`SearchSpec::walk`]).
-    pub(crate) fn assemble(
-        walkers: usize,
-        ttl: u32,
-        faults: Option<FaultContext>,
-        deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
-        replication: Option<ReplicaSet>,
-        mut recorder: R,
-    ) -> Self {
-        note_copies_placed(Kernel::Walk, replication.as_ref(), &mut recorder);
-        Self {
-            walkers,
-            ttl,
-            events: EventEngine::new(),
-            faults,
-            deadline,
-            capacity,
-            replication,
-            recorder,
-        }
-    }
-
-    /// The recorder this system has been writing into.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    /// Consumes the system, returning its recorder.
-    pub fn into_recorder(self) -> R {
-        self.recorder
-    }
-}
-
-/// One walk query against an explicit holder set (see [`flood_once`]):
-/// draws the walk seed (deadline path) or walker steps (sync paths)
-/// from `rng`, so the copies-hit shadow passes a pre-primary clone to
-/// replay the exact walker trajectories over the owner-only holders.
-#[allow(clippy::too_many_arguments)]
-fn walk_once<R: Recorder>(
-    events: &mut EventEngine,
-    walkers: usize,
-    ttl: u32,
-    faults: Option<&FaultContext>,
-    deadline: Option<Deadline>,
-    capacity: Option<&CapacityPlan>,
-    world: &SearchWorld,
-    query: &QuerySpec,
-    holders: &[u32],
-    draw: Option<(u64, u64)>,
-    rng: &mut Pcg64,
-    rec: &mut R,
-) -> SearchOutcome {
-    let plan = query_faults(faults, draw);
-    if let (Some(deadline), Some(plan)) = (deadline, plan) {
-        // Deadline path: walkers race over real link latencies on the
-        // event calendar; each walker draws from its own seeded
-        // stream, so this path's one extra `rng` draw (the walk seed)
-        // is its only RNG footprint. The seed is drawn before the
-        // admission gate, so rejection never shifts later queries'
+impl Runner {
+    /// One engine run, recorded into `rec`. With a deadline (and so a
+    /// fault context) attached, the strategy runs on the calendar engine
+    /// behind the admission gate, cut off at the deadline, with a
+    /// capacity plan queueing its arrivals (bitwise direct delivery when
+    /// unlimited); otherwise it takes the synchronous path.
+    fn run<R: Recorder>(
+        &mut self,
+        run: &QueryRun<'_>,
+        rng: &mut Pcg64,
+        rec: &mut R,
+    ) -> SearchOutcome {
+        let Some((deadline, plan)) = self.deadline.zip(run.plan) else {
+            return self.run_sync(run, rng, rec);
+        };
+        let kernel = self.strategy.kernel();
+        // The walk's one draw on this path is its calendar seed (each
+        // walker then draws from its own seeded stream). It comes before
+        // the admission gate, so a rejection never shifts later queries'
         // draws.
-        let walk_seed = rng.next();
-        if capacity.is_some_and(|cap| !cap.admit(query.source, plan.nonce)) {
-            return reject_admission(Kernel::Walk, rec);
+        let walk_seed = match self.strategy {
+            Strategy::Walk { .. } => rng.next(),
+            _ => 0,
+        };
+        let capacity = self.capacity.as_ref();
+        if capacity.is_some_and(|cap| !cap.admit(run.source, plan.nonce)) {
+            return reject_admission(kernel, rec);
         }
-        let (out, stats, over) = events.walk(
-            &world.topology.graph,
-            query.source,
-            walkers,
-            ttl,
-            holders,
-            walk_seed,
-            plan,
-            capacity,
-            Some(deadline.ticks),
-            rec,
-        );
-        let timed = SearchOutcome {
-            success: out.walk.found,
-            messages: out.walk.messages,
-            hops: out.walk.found_at_step,
-            faults: stats,
-            elapsed: out.first_hit_time.unwrap_or(out.completion_time),
-            ..SearchOutcome::default()
-        };
-        return close_timed(Kernel::Walk, timed, out.truncated, &over, rec);
-    }
-    let (out, stats) = random_walk_search(
-        &world.topology.graph,
-        query.source,
-        walkers,
-        ttl,
-        holders,
-        rng,
-        plan,
-        rec,
-    );
-    SearchOutcome {
-        success: out.found,
-        messages: out.messages,
-        hops: out.found_at_step,
-        faults: stats,
-        elapsed: stats.ticks,
-        ..SearchOutcome::default()
-    }
-}
-
-impl<R: Recorder> SearchSystem for RandomWalkSearch<R> {
-    fn name(&self) -> String {
-        format!("walk(k={},ttl={})", self.walkers, self.ttl)
-    }
-
-    fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
-        let matching = world.matching_objects(&query.terms);
-        let holders = match &self.replication {
-            Some(r) => r.holders_of(&matching),
-            None => world.holders_of(&matching),
-        };
-        let draw = self.faults.as_mut().map(FaultContext::next_query);
-        // Snapshot the walker RNG before the primary run so the shadow
-        // replays the identical trajectories (the clone is dropped
-        // unused when the query fails or replication is off).
-        let mut shadow_rng = self.replication.as_ref().map(|_| rng.clone());
-        let out = walk_once(
-            &mut self.events,
-            self.walkers,
-            self.ttl,
-            self.faults.as_ref(),
-            self.deadline,
-            self.capacity.as_ref(),
-            world,
-            query,
-            &holders,
-            draw,
-            rng,
-            &mut self.recorder,
-        );
-        if let (true, Some(srng)) = (out.success, shadow_rng.as_mut()) {
-            let base = world.holders_of(&matching);
-            let mut noop = NoopRecorder;
-            let shadow = walk_once(
-                &mut self.events,
-                self.walkers,
-                self.ttl,
-                self.faults.as_ref(),
-                self.deadline,
-                self.capacity.as_ref(),
-                world,
-                query,
-                &base,
-                draw,
-                srng,
-                &mut noop,
-            );
-            if !shadow.success {
-                self.recorder.rec_count(Kernel::Walk, Counter::CopiesHit, 1);
+        let cutoff = Some(deadline.ticks);
+        let (mut out, truncated, over) = match self.strategy {
+            Strategy::Flood { ttl } => {
+                let (o, stats, over) = self.events.flood(
+                    run.graph,
+                    run.source,
+                    ttl,
+                    run.holders,
+                    Some(&self.forwarders),
+                    plan,
+                    capacity,
+                    cutoff,
+                    rec,
+                );
+                let out = SearchOutcome {
+                    success: o.flood.found,
+                    messages: o.flood.messages,
+                    hops: o.flood.found_at_hop,
+                    faults: stats,
+                    elapsed: o.first_hit_time.unwrap_or(o.completion_time),
+                    ..SearchOutcome::default()
+                };
+                (out, o.truncated, over)
             }
+            Strategy::Walk { walkers, ttl } => {
+                let (o, stats, over) = self.events.walk(
+                    run.graph,
+                    run.source,
+                    walkers,
+                    ttl,
+                    run.holders,
+                    walk_seed,
+                    plan,
+                    capacity,
+                    cutoff,
+                    rec,
+                );
+                let out = SearchOutcome {
+                    success: o.walk.found,
+                    messages: o.walk.messages,
+                    hops: o.walk.found_at_step,
+                    faults: stats,
+                    elapsed: o.first_hit_time.unwrap_or(o.completion_time),
+                    ..SearchOutcome::default()
+                };
+                (out, o.truncated, over)
+            }
+            Strategy::Ring { max_ttl } => {
+                return self.ring_timed(max_ttl, run, plan, deadline, rec)
+            }
+        };
+        // A truncated run that found nothing was ended by the clock; a
+        // run that shed work is overloaded.
+        out.deadline_exceeded = truncated && !out.success;
+        if out.deadline_exceeded {
+            rec.rec_event(kernel, Event::DeadlineExceeded);
+        }
+        out.overload = OverloadStats::from_outcome(&over);
+        if out.overload.overloaded {
+            rec.rec_event(kernel, Event::Overloaded);
+        }
+        out
+    }
+
+    /// The synchronous path: the flood census (whose level `ttl`
+    /// reconstructs the standalone flood bitwise — the BFS prefix
+    /// property, pinned in qcp-overlay), stepped walkers drawing from
+    /// `rng`, or the census-backed ring schedule.
+    fn run_sync<R: Recorder>(
+        &mut self,
+        run: &QueryRun<'_>,
+        rng: &mut Pcg64,
+        rec: &mut R,
+    ) -> SearchOutcome {
+        let QueryRun {
+            graph,
+            source,
+            holders,
+            plan,
+        } = *run;
+        let (success, messages, hops, faults) = match self.strategy {
+            Strategy::Flood { ttl } => {
+                let spec = FloodSpec {
+                    plan,
+                    ..FloodSpec::new(ttl)
+                };
+                let forwarders = Some(self.forwarders.as_slice());
+                let (census, stats) = self
+                    .engine
+                    .run(graph, source, holders, forwarders, &spec, rec);
+                let out = census.at(ttl);
+                let level = ttl.min(census.levels()) as usize;
+                (out.found, out.messages, out.found_at_hop, stats[level])
+            }
+            Strategy::Walk { walkers, ttl } => {
+                let (out, stats) =
+                    random_walk_search(graph, source, walkers, ttl, holders, rng, plan, rec);
+                (out.found, out.messages, out.found_at_step, stats)
+            }
+            Strategy::Ring { max_ttl } => {
+                let (out, stats) = expanding_ring_search(
+                    &mut self.engine,
+                    graph,
+                    source,
+                    max_ttl,
+                    holders,
+                    Some(&self.forwarders),
+                    plan,
+                    rec,
+                );
+                (out.found, out.messages, out.found_at_ttl, stats)
+            }
+        };
+        SearchOutcome {
+            success,
+            messages,
+            hops,
+            faults,
+            elapsed: faults.ticks,
+            ..SearchOutcome::default()
+        }
+    }
+
+    /// The ring schedule on the deadline path, past the admission gate:
+    /// rings run as sequential event floods on one virtual timeline,
+    /// each cut off at whatever budget the earlier rings left. The
+    /// schedule closes itself: its counters sum every ring, and it
+    /// exceeds the deadline when a ring was cut off or the rings used up
+    /// the budget before a hit. Iterative deepening under a clock is
+    /// exactly the paper's trade-off — cheap rings first, but every miss
+    /// burns time the deeper rings no longer have.
+    fn ring_timed<R: Recorder>(
+        &mut self,
+        max_ttl: u32,
+        run: &QueryRun<'_>,
+        plan: FloodFaults<'_>,
+        deadline: Deadline,
+        rec: &mut R,
+    ) -> SearchOutcome {
+        let kernel = Kernel::ExpandingRing;
+        rec.rec_span(kernel);
+        if !plan.plan.alive_at(run.source, plan.time) {
+            rec.rec_event(kernel, Event::DeadSource);
+            return SearchOutcome::default();
+        }
+        let mut out = SearchOutcome::default();
+        let mut spent = 0u64;
+        let mut rings = 0u64;
+        for ttl in 1..=max_ttl {
+            // Each ring is an independent flood with its own drop-stream
+            // position, as in the synchronous schedule's re-floods.
+            let ring = FloodFaults {
+                nonce: mix64(plan.nonce ^ u64::from(ttl)),
+                ..plan
+            };
+            let (flood, ring_stats, over) = self.events.flood(
+                run.graph,
+                run.source,
+                ttl,
+                run.holders,
+                Some(&self.forwarders),
+                ring,
+                self.capacity.as_ref(),
+                Some(deadline.ticks - spent),
+                rec,
+            );
+            rings += 1;
+            out.messages += flood.flood.messages;
+            out.faults.absorb(&ring_stats);
+            out.overload.absorb_outcome(&over);
+            if flood.flood.found {
+                out.success = true;
+                out.hops = flood.flood.found_at_hop;
+                out.elapsed = spent + flood.first_hit_time.unwrap_or(flood.completion_time);
+                break;
+            }
+            spent += flood.completion_time;
+            out.elapsed = spent;
+            if flood.truncated || spent >= deadline.ticks {
+                out.deadline_exceeded = true;
+                break;
+            }
+        }
+        // Answer-time semantics: the schedule stops at the hit, so its
+        // consumed time is `elapsed`, not the sum of full ring drains.
+        out.faults.ticks = out.elapsed;
+        rec.rec_count(kernel, Counter::Messages, out.messages);
+        rec.rec_count(kernel, Counter::Rings, rings);
+        rec.rec_faults(kernel, &out.faults);
+        if let Some(h) = out.hops {
+            rec.rec_hop(kernel, h, 1);
+        }
+        if out.success {
+            rec.rec_time(kernel, out.elapsed, 1);
+        }
+        rec.rec_event(kernel, if out.success { Event::Hit } else { Event::Miss });
+        if out.deadline_exceeded {
+            rec.rec_event(kernel, Event::DeadlineExceeded);
+        }
+        if out.overload.overloaded {
+            rec.rec_event(kernel, Event::Overloaded);
         }
         out
     }
@@ -681,6 +650,9 @@ impl<R: Recorder> SearchSystem for RandomWalkSearch<R> {
 mod tests {
     use super::*;
     use crate::world::{SearchWorld, WorldConfig};
+    use qcp_faults::FaultConfig;
+    use qcp_obs::MetricsRecorder;
+    use qcp_overlay::ReplicationScheme;
 
     fn world() -> SearchWorld {
         SearchWorld::generate(&WorldConfig {
@@ -706,7 +678,7 @@ mod tests {
         let w = world();
         let obj = 5u32;
         let holder = w.placement.holders(obj)[0];
-        let mut sys = SearchSpec::flood(0).build(&w).into_flood();
+        let mut sys = SearchSpec::flood(0).build(&w);
         let q = QuerySpec {
             terms: w.object_terms[obj as usize].clone(),
             source: holder,
@@ -724,8 +696,8 @@ mod tests {
         let queries: Vec<QuerySpec> = (0..150).map(|_| w.sample_query(&mut rng)).collect();
         let mut hits_low = 0;
         let mut hits_high = 0;
-        let mut low = SearchSpec::flood(1).build(&w).into_flood();
-        let mut high = SearchSpec::flood(5).build(&w).into_flood();
+        let mut low = SearchSpec::flood(1).build(&w);
+        let mut high = SearchSpec::flood(5).build(&w);
         for q in &queries {
             if low.search(&w, q, &mut rng).success {
                 hits_low += 1;
@@ -746,8 +718,8 @@ mod tests {
             source: 3,
         };
         let mut rng = Pcg64::new(3);
-        let mut flood = SearchSpec::flood(6).build(&w).into_flood();
-        let mut walk = SearchSpec::walk(8, 100).build(&w).into_walk();
+        let mut flood = SearchSpec::flood(6).build(&w);
+        let mut walk = SearchSpec::walk(8, 100).build(&w);
         assert!(!flood.search(&w, &q, &mut rng).success);
         assert!(!walk.search(&w, &q, &mut rng).success);
     }
@@ -757,8 +729,8 @@ mod tests {
         let w = world();
         let mut rng = Pcg64::new(4);
         let q = query_for_object(&w, 100);
-        let mut flood = SearchSpec::flood(5).build(&w).into_flood();
-        let mut walk = SearchSpec::walk(4, 20).build(&w).into_walk();
+        let mut flood = SearchSpec::flood(5).build(&w);
+        let mut walk = SearchSpec::walk(4, 20).build(&w);
         let f = flood.search(&w, &q, &mut rng);
         let wk = walk.search(&w, &q, &mut rng);
         assert!(
@@ -772,286 +744,12 @@ mod tests {
     #[test]
     fn names_describe_parameters() {
         let w = world();
+        assert_eq!(SearchSpec::flood(3).build(&w).name(), "flood(ttl=3)");
+        assert_eq!(SearchSpec::walk(2, 7).build(&w).name(), "walk(k=2,ttl=7)");
         assert_eq!(
-            SearchSpec::flood(3).build(&w).into_flood().name(),
-            "flood(ttl=3)"
+            SearchSpec::expanding_ring(5).build(&w).name(),
+            "expanding-ring(max=5)"
         );
-        assert_eq!(
-            SearchSpec::walk(2, 7).build(&w).into_walk().name(),
-            "walk(k=2,ttl=7)"
-        );
-    }
-}
-
-/// Expanding-ring (iterative-deepening) search: floods with TTL 1, 2, …
-/// `max_ttl`, stopping at the first ring that finds a match. Cheap for
-/// nearby content, wasteful for distant content — §V's observation that
-/// "lower TTL values … rapidly identify rare queries" is this system's
-/// failure mode under Zipf placement.
-#[derive(Debug)]
-pub struct ExpandingRingSearch<R: Recorder = NoopRecorder> {
-    /// Deepest ring to try.
-    pub max_ttl: u32,
-    engine: FloodEngine,
-    events: EventEngine,
-    forwarders: Vec<bool>,
-    faults: Option<FaultContext>,
-    deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
-    replication: Option<ReplicaSet>,
-    recorder: R,
-    /// Total rings attempted across every query served (for reports):
-    /// `rings_attempted / queries` is the mean iterative-deepening depth,
-    /// the knob §V's "rapidly identify rare queries" observation turns on.
-    pub rings_attempted: u64,
-    /// Total queries served.
-    pub queries: u64,
-}
-
-impl<R: Recorder> ExpandingRingSearch<R> {
-    /// Builder-internal constructor (see [`SearchSpec::expanding_ring`]).
-    pub(crate) fn assemble(
-        world: &SearchWorld,
-        max_ttl: u32,
-        faults: Option<FaultContext>,
-        deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
-        replication: Option<ReplicaSet>,
-        mut recorder: R,
-    ) -> Self {
-        note_copies_placed(Kernel::ExpandingRing, replication.as_ref(), &mut recorder);
-        Self {
-            max_ttl,
-            engine: FloodEngine::new(world.num_peers()),
-            events: EventEngine::new(),
-            forwarders: world.topology.forwarders(),
-            faults,
-            deadline,
-            capacity,
-            replication,
-            recorder,
-            rings_attempted: 0,
-            queries: 0,
-        }
-    }
-
-    /// Mean number of rings a query needed (0.0 before any query).
-    pub fn mean_rings(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.rings_attempted as f64 / self.queries as f64
-    }
-
-    /// The recorder this system has been writing into.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    /// Consumes the system, returning its recorder.
-    pub fn into_recorder(self) -> R {
-        self.recorder
-    }
-}
-
-/// One expanding-ring query against an explicit holder set (see
-/// [`flood_once`]): returns the outcome plus the number of rings
-/// attempted, which only the recorded primary run folds into the
-/// system's depth accounting.
-///
-/// The deadline path runs rings as sequential event floods on one
-/// virtual timeline, each cut off at whatever budget the earlier rings
-/// left. Iterative deepening under a clock is exactly the paper's
-/// trade-off — cheap rings first, but every miss burns time the deeper
-/// rings no longer have.
-#[allow(clippy::too_many_arguments)]
-fn ring_once<R: Recorder>(
-    engine: &mut FloodEngine,
-    events: &mut EventEngine,
-    forwarders: &[bool],
-    faults: Option<&FaultContext>,
-    deadline: Option<Deadline>,
-    capacity: Option<&CapacityPlan>,
-    max_ttl: u32,
-    world: &SearchWorld,
-    query: &QuerySpec,
-    holders: &[u32],
-    draw: Option<(u64, u64)>,
-    rec: &mut R,
-) -> (SearchOutcome, u64) {
-    let plan = query_faults(faults, draw);
-    if let (Some(deadline), Some(plan)) = (deadline, plan) {
-        // Admission control gates the whole deepening schedule: a
-        // rejected query never issues its first ring.
-        if capacity.is_some_and(|cap| !cap.admit(query.source, plan.nonce)) {
-            return (reject_admission(Kernel::ExpandingRing, rec), 0);
-        }
-        rec.rec_span(Kernel::ExpandingRing);
-        if !plan.plan.alive_at(query.source, plan.time) {
-            rec.rec_event(Kernel::ExpandingRing, Event::DeadSource);
-            return (SearchOutcome::default(), 0);
-        }
-        let mut out = SearchOutcome::default();
-        let mut spent = 0u64;
-        let mut rings = 0u64;
-        for ttl in 1..=max_ttl {
-            // Each ring is an independent flood with its own drop-stream
-            // position, as in the synchronous schedule's re-floods.
-            let ring = FloodFaults {
-                nonce: mix64(plan.nonce ^ u64::from(ttl)),
-                ..plan
-            };
-            let (flood, ring_stats, over) = events.flood(
-                &world.topology.graph,
-                query.source,
-                ttl,
-                holders,
-                Some(forwarders),
-                ring,
-                capacity,
-                Some(deadline.ticks - spent),
-                rec,
-            );
-            rings += 1;
-            out.messages += flood.flood.messages;
-            out.faults.absorb(&ring_stats);
-            out.overload.absorb_outcome(&over);
-            if flood.flood.found {
-                out.success = true;
-                out.hops = flood.flood.found_at_hop;
-                out.elapsed = spent + flood.first_hit_time.unwrap_or(flood.completion_time);
-                break;
-            }
-            spent += flood.completion_time;
-            out.elapsed = spent;
-            if flood.truncated || spent >= deadline.ticks {
-                out.deadline_exceeded = true;
-                break;
-            }
-        }
-        // Answer-time semantics: the schedule stops at the hit, so its
-        // consumed time is `elapsed`, not the sum of full ring drains.
-        out.faults.ticks = out.elapsed;
-        rec.rec_count(Kernel::ExpandingRing, Counter::Messages, out.messages);
-        rec.rec_count(Kernel::ExpandingRing, Counter::Rings, rings);
-        rec.rec_faults(Kernel::ExpandingRing, &out.faults);
-        if let Some(h) = out.hops {
-            rec.rec_hop(Kernel::ExpandingRing, h, 1);
-        }
-        if out.success {
-            rec.rec_time(Kernel::ExpandingRing, out.elapsed, 1);
-        }
-        rec.rec_event(
-            Kernel::ExpandingRing,
-            if out.success { Event::Hit } else { Event::Miss },
-        );
-        if out.deadline_exceeded {
-            rec.rec_event(Kernel::ExpandingRing, Event::DeadlineExceeded);
-        }
-        if out.overload.overloaded {
-            rec.rec_event(Kernel::ExpandingRing, Event::Overloaded);
-        }
-        return (out, rings);
-    }
-    let (out, stats) = expanding_ring_search(
-        engine,
-        &world.topology.graph,
-        query.source,
-        max_ttl,
-        holders,
-        Some(forwarders),
-        plan,
-        rec,
-    );
-    (
-        SearchOutcome {
-            success: out.found,
-            messages: out.messages,
-            hops: out.found_at_ttl,
-            faults: stats,
-            elapsed: stats.ticks,
-            ..SearchOutcome::default()
-        },
-        out.rings as u64,
-    )
-}
-
-impl<R: Recorder> SearchSystem for ExpandingRingSearch<R> {
-    fn name(&self) -> String {
-        format!("expanding-ring(max={})", self.max_ttl)
-    }
-
-    fn search(
-        &mut self,
-        world: &SearchWorld,
-        query: &QuerySpec,
-        _rng: &mut Pcg64,
-    ) -> SearchOutcome {
-        self.queries += 1;
-        let matching = world.matching_objects(&query.terms);
-        let holders = match &self.replication {
-            Some(r) => r.holders_of(&matching),
-            None => world.holders_of(&matching),
-        };
-        let draw = self.faults.as_mut().map(FaultContext::next_query);
-        let (out, rings) = ring_once(
-            &mut self.engine,
-            &mut self.events,
-            &self.forwarders,
-            self.faults.as_ref(),
-            self.deadline,
-            self.capacity.as_ref(),
-            self.max_ttl,
-            world,
-            query,
-            &holders,
-            draw,
-            &mut self.recorder,
-        );
-        self.rings_attempted += rings;
-        if out.success && self.replication.is_some() {
-            // Copies-hit accounting (see FloodSearch::search): the
-            // shadow's rings are not depth accounting, so they are
-            // dropped along with its recording.
-            let base = world.holders_of(&matching);
-            let mut noop = NoopRecorder;
-            let (shadow, _) = ring_once(
-                &mut self.engine,
-                &mut self.events,
-                &self.forwarders,
-                self.faults.as_ref(),
-                self.deadline,
-                self.capacity.as_ref(),
-                self.max_ttl,
-                world,
-                query,
-                &base,
-                draw,
-                &mut noop,
-            );
-            if !shadow.success {
-                self.recorder
-                    .rec_count(Kernel::ExpandingRing, Counter::CopiesHit, 1);
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod expanding_tests {
-    use super::*;
-    use crate::world::{SearchWorld, WorldConfig};
-
-    fn world() -> SearchWorld {
-        SearchWorld::generate(&WorldConfig {
-            num_peers: 400,
-            num_objects: 3_000,
-            num_terms: 4_000,
-            head_size: 80,
-            seed: 99,
-            ..Default::default()
-        })
     }
 
     #[test]
@@ -1059,10 +757,8 @@ mod expanding_tests {
         let w = world();
         let mut rng = Pcg64::new(1);
         let queries: Vec<QuerySpec> = (0..150).map(|_| w.sample_query(&mut rng)).collect();
-        let mut ring = SearchSpec::expanding_ring(4)
-            .build(&w)
-            .into_expanding_ring();
-        let mut flood = SearchSpec::flood(4).build(&w).into_flood();
+        let mut ring = SearchSpec::expanding_ring(4).build(&w);
+        let mut flood = SearchSpec::flood(4).build(&w);
         for q in &queries {
             let a = ring.search(&w, q, &mut rng);
             let b = flood.search(&w, q, &mut rng);
@@ -1085,10 +781,8 @@ mod expanding_tests {
             terms: w.object_terms[obj as usize].clone(),
             source: neighbor,
         };
-        let mut ring = SearchSpec::expanding_ring(5)
-            .build(&w)
-            .into_expanding_ring();
-        let mut flood = SearchSpec::flood(5).build(&w).into_flood();
+        let mut ring = SearchSpec::expanding_ring(5).build(&w);
+        let mut flood = SearchSpec::flood(5).build(&w);
         let a = ring.search(&w, &q, &mut rng);
         let b = flood.search(&w, &q, &mut rng);
         assert!(a.success);
@@ -1100,22 +794,78 @@ mod expanding_tests {
         );
     }
 
+    /// The recorder's `Rings` total is the iterative-deepening depth
+    /// accounting: every query tries at least one ring and at most
+    /// `max_ttl`.
     #[test]
     fn ring_depth_accounting_tracks_queries() {
         let w = world();
         let mut rng = Pcg64::new(3);
         let mut ring = SearchSpec::expanding_ring(4)
-            .build(&w)
-            .into_expanding_ring();
-        assert_eq!(ring.mean_rings(), 0.0, "no queries yet");
+            .recorder(MetricsRecorder::new())
+            .build(&w);
+        let rings = |r: &MetricsRecorder| r.total(Kernel::ExpandingRing, Counter::Rings);
+        assert_eq!(rings(ring.recorder()), 0, "no queries yet");
         let queries: Vec<QuerySpec> = (0..50).map(|_| w.sample_query(&mut rng)).collect();
         for q in &queries {
             ring.search(&w, q, &mut rng);
         }
-        assert_eq!(ring.queries, 50);
-        assert!(ring.rings_attempted >= 50, "every query tries >=1 ring");
-        assert!(ring.rings_attempted <= 50 * 4, "bounded by max_ttl");
-        let mean = ring.mean_rings();
-        assert!((1.0..=4.0).contains(&mean), "mean depth {mean}");
+        let rec = ring.recorder();
+        assert_eq!(rec.spans(Kernel::ExpandingRing), 50);
+        assert!(rings(rec) >= 50, "every query tries >=1 ring");
+        assert!(rings(rec) <= 50 * 4, "bounded by max_ttl");
+    }
+
+    /// The copies-hit shadow runs recorder-free, so it adds no rings: a
+    /// replicated build records exactly the rings of a plain build over
+    /// a world whose placement already holds the copies — on the
+    /// synchronous path and on the deadline path, with rescues to
+    /// replay in both.
+    #[test]
+    fn copies_hit_shadow_adds_no_rings() {
+        let w = world();
+        let plan = ReplicationPlan::new(ReplicationScheme::Path, 6_000, 0xf1f8);
+        let mut grown = world();
+        grown.placement = plan.apply(&w.topology.graph, &w.placement);
+        let mut rng = Pcg64::new(5);
+        let queries: Vec<QuerySpec> = (0..120).map(|_| w.sample_query(&mut rng)).collect();
+        let ctx = || {
+            let cfg = FaultConfig {
+                loss: 0.1,
+                mean_latency: 4,
+                seed: 7,
+                ..Default::default()
+            };
+            FaultContext::new(FaultPlan::build(400, &cfg), RetryPolicy::default(), 8)
+        };
+        for timed in [false, true] {
+            let layered = |spec: SearchSpec| match timed {
+                true => spec.faults(ctx()).deadline(Deadline::after(40)),
+                false => spec,
+            };
+            let mut repl = layered(SearchSpec::expanding_ring(2))
+                .replication(plan)
+                .recorder(MetricsRecorder::new())
+                .build(&w);
+            let mut plain = layered(SearchSpec::expanding_ring(2))
+                .recorder(MetricsRecorder::new())
+                .build(&grown);
+            for (i, q) in queries.iter().enumerate() {
+                let a = repl.search(&w, q, &mut Pcg64::new(i as u64));
+                let b = plain.search(&grown, q, &mut Pcg64::new(i as u64));
+                assert_eq!(a, b, "the replicated build searches the grown placement");
+            }
+            let (repl, plain) = (repl.recorder(), plain.recorder());
+            let total = |r: &MetricsRecorder, c| r.total(Kernel::ExpandingRing, c);
+            assert!(
+                total(repl, Counter::CopiesHit) > 0,
+                "timed={timed}: shadows must run"
+            );
+            assert_eq!(
+                total(repl, Counter::Rings),
+                total(plain, Counter::Rings),
+                "timed={timed}: shadow rings leaked into the depth accounting"
+            );
+        }
     }
 }

@@ -239,13 +239,7 @@ impl SearchWorld {
 
     /// Sorted union of holder peers over `objects`.
     pub fn holders_of(&self, objects: &[u32]) -> Vec<u32> {
-        let mut peers: Vec<u32> = objects
-            .iter()
-            .flat_map(|&o| self.placement.holders(o).iter().copied())
-            .collect();
-        peers.sort_unstable();
-        peers.dedup();
-        peers
+        holders_in(&self.placement, objects)
     }
 
     /// True if `peer` holds an object matching all `terms`.
@@ -291,6 +285,17 @@ impl SearchWorld {
         terms.dedup();
         QuerySpec { terms, source }
     }
+}
+
+/// Sorted union of holder peers over `objects` in `placement`.
+pub(crate) fn holders_in(placement: &Placement, objects: &[u32]) -> Vec<u32> {
+    let mut peers: Vec<u32> = objects
+        .iter()
+        .flat_map(|&o| placement.holders(o).iter().copied())
+        .collect();
+    peers.sort_unstable();
+    peers.dedup();
+    peers
 }
 
 fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {

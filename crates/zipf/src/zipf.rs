@@ -7,9 +7,7 @@
 //! exactly this flattened-head, straight-tail shape).
 //!
 //! Both samplers are thin wrappers over an [`AliasTable`], so sampling is
-//! O(1) after O(n) setup. For supports too large for a table (hundreds of
-//! millions of ranks) use [`Zipf::sample_approx`], an inverse-CDF
-//! approximation that needs no per-rank state.
+//! O(1) after O(n) setup.
 
 use crate::alias::AliasTable;
 use qcp_util::rng::Pcg64;
@@ -75,26 +73,6 @@ impl Zipf {
         assert!((1..=self.n).contains(&k));
         let h: f64 = (1..=self.n).map(|j| (j as f64).powf(-self.s)).sum();
         (k as f64).powf(-self.s) / h
-    }
-
-    /// Table-free approximate sampler for huge supports.
-    ///
-    /// Uses the continuous inverse CDF of the bounded Pareto with the same
-    /// exponent, rounded to an integer rank; accurate to within a rank or
-    /// two everywhere except the extreme head, and O(1) memory.
-    pub fn sample_approx(n: usize, s: f64, rng: &mut Pcg64) -> usize {
-        assert!(n >= 1 && s > 0.0);
-        let u = rng.next_f64();
-        let rank = if (s - 1.0).abs() < 1e-9 {
-            // H(x) ~ ln(x); invert u = ln(x)/ln(n+1).
-            ((n as f64 + 1.0).powf(u)).floor()
-        } else {
-            let a = 1.0 - s;
-            // Continuous CDF on [1, n+1): F(x) = (x^a - 1) / ((n+1)^a - 1).
-            let top = (n as f64 + 1.0).powf(a) - 1.0;
-            ((u * top + 1.0).powf(1.0 / a)).floor()
-        };
-        (rank as usize).clamp(1, n)
     }
 }
 
@@ -206,33 +184,6 @@ mod tests {
         let z = Zipf::new(50, 1.3);
         let total: f64 = (1..=50).map(|k| z.pmf(k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sample_approx_within_support_and_head_heavy() {
-        let mut rng = Pcg64::new(9);
-        let n = 1_000_000;
-        let mut head = 0u64;
-        let draws = 100_000;
-        for _ in 0..draws {
-            let k = Zipf::sample_approx(n, 1.0, &mut rng);
-            assert!((1..=n).contains(&k));
-            if k <= 10 {
-                head += 1;
-            }
-        }
-        // For s=1, P(rank <= 10) ≈ ln(11)/ln(n+1) ≈ 0.17.
-        let frac = head as f64 / draws as f64;
-        assert!((0.10..0.25).contains(&frac), "head fraction {frac}");
-    }
-
-    #[test]
-    fn sample_approx_s_equal_one_boundary() {
-        let mut rng = Pcg64::new(10);
-        for _ in 0..1000 {
-            let k = Zipf::sample_approx(100, 1.0, &mut rng);
-            assert!((1..=100).contains(&k));
-        }
     }
 
     #[test]
