@@ -1745,7 +1745,9 @@ fn figures_1_to_7_findings_match_golden() {
 // walker resume). The smoke-scale `repro latency` and `repro overload`
 // grids are pinned as digests too, recorder contents included. The
 // synchronous hybrid (fault-free and faulty with a maintenance
-// schedule) completes the set.
+// schedule), the DHT-only system under each layer and the hybrid under
+// a deadline and a maintenance schedule complete the set; a zero-
+// threshold hybrid is pinned to be the flood system.
 // ---------------------------------------------------------------------
 
 use qcp2p::faults::{CapacityConfig, CapacityModel, CapacityPlan, ShedPolicy};
@@ -1781,6 +1783,16 @@ fn outcome_digest(
     world: &SearchWorld,
     queries: &[qcp2p::search::QuerySpec],
 ) -> u64 {
+    digest(outcome_words(&mut system, world, queries))
+}
+
+/// The words [`outcome_digest`] folds: per query every outcome field and
+/// the next query-RNG draw, then the system's recorder contents.
+fn outcome_words(
+    system: &mut qcp2p::search::Built<MetricsRecorder>,
+    world: &SearchWorld,
+    queries: &[qcp2p::search::QuerySpec],
+) -> Vec<u64> {
     let mut words = Vec::new();
     for (q, query) in queries.iter().enumerate() {
         let mut rng = Pcg64::new(child_seed(0x5ef1, q as u64));
@@ -1811,7 +1823,7 @@ fn outcome_digest(
         words.push(rng.next());
     }
     words.extend(recorder_words(system.recorder()));
-    digest(words)
+    words
 }
 
 /// Digests of 200 deadline-path outcomes plus the system's recorder, in
@@ -1985,6 +1997,163 @@ fn synchronous_hybrid_matches_golden() {
         "synchronous hybrid outcomes or recorder contents drifted from the \
          golden capture"
     );
+}
+
+/// Digests of 200 DHT-backed outcomes plus the system's recorder, in the
+/// order of [`DHT_SEARCH_CASES`].
+const GOLDEN_DHT_SEARCH_DIGESTS: [u64; 5] = [
+    0xefd4e1c39453c747,
+    0x6d28f5a6437ed18b,
+    0x72f2098e94dc9d83,
+    0xcf38dca6c91d41af,
+    0x0998a9b0d72e4c35,
+];
+
+/// The DHT-backed systems and layer sets [`GOLDEN_DHT_SEARCH_DIGESTS`]
+/// covers, in order.
+const DHT_SEARCH_CASES: [&str; 5] = [
+    "dht-only",
+    "dht-only+faults+maintenance",
+    "dht-only+faults+deadline",
+    "dht-only+faults+deadline+capacity",
+    "hybrid+faults+deadline+maintenance",
+];
+
+fn dht_search_digests() -> Vec<u64> {
+    let (world, queries) = golden_search_world();
+    let plan = FaultPlan::build(
+        world.num_peers(),
+        &FaultConfig {
+            loss: 0.10,
+            churn: 0.25,
+            horizon: 64,
+            rejoin: true,
+            mean_latency: 3,
+            seed: 0xd4a0,
+        },
+    );
+    let capacity = CapacityPlan::build(&CapacityConfig {
+        offered_load: 12.0,
+        queue_bound: 3,
+        policy: ShedPolicy::DropNewest,
+        model: CapacityModel::GiaLadder,
+        seed: 0xca9,
+    });
+    let mut digests = Vec::new();
+    let (mut rejected, mut repairs, mut stale) = (0u64, 0u64, 0u64);
+    for (i, case) in DHT_SEARCH_CASES.into_iter().enumerate() {
+        let mut spec = match case.starts_with("hybrid") {
+            true => SearchSpec::hybrid(2, 3, 4),
+            false => SearchSpec::dht_only(4),
+        };
+        if case.contains("faults") {
+            spec = spec.faults(FaultContext::new(
+                plan.clone(),
+                qcp2p::faults::RetryPolicy::default(),
+                child_seed(0xd4a1, i as u64),
+            ));
+        }
+        if case.contains("deadline") {
+            spec = spec.deadline(Deadline::after(60));
+        }
+        if case.contains("capacity") {
+            spec = spec.capacity(capacity.clone());
+        }
+        if case.contains("maintenance") {
+            spec = spec.maintenance(MaintenanceSchedule::every(25));
+        }
+        let mut system = spec.recorder(MetricsRecorder::new()).build(&world);
+        digests.push(digest(outcome_words(&mut system, &world, &queries)));
+        let rec = system.recorder();
+        rejected += rec.total(Kernel::ChordLookup, Counter::AdmissionRejected);
+        repairs += rec.spans(Kernel::Repair);
+        stale += rec.fault_stats(Kernel::ChordLookup).stale_misses;
+    }
+    assert!(
+        rejected > 0,
+        "guard: admission control must refuse some query"
+    );
+    assert!(repairs > 0, "guard: maintenance passes must run");
+    assert!(stale > 0, "guard: churn must strand some posting list");
+    digests
+}
+
+#[test]
+fn dht_search_systems_match_golden() {
+    assert_eq!(
+        dht_search_digests(),
+        GOLDEN_DHT_SEARCH_DIGESTS.to_vec(),
+        "DHT-only or hybrid outcomes or recorder contents under fault, \
+         deadline, capacity or maintenance layers drifted from the golden \
+         capture"
+    );
+}
+
+/// A hybrid whose rare threshold is 0 never falls back, so it is its
+/// flood phase alone: bitwise the flood system at the same TTL in every
+/// outcome field, the next query-RNG draw and every recorder word, with
+/// no layers, under faults, faults + deadline, and faults + deadline + a
+/// shedding capacity plan.
+#[test]
+fn zero_threshold_hybrid_is_the_flood_system() {
+    let (world, queries) = golden_search_world();
+    let plan = FaultPlan::build(
+        world.num_peers(),
+        &FaultConfig {
+            loss: 0.15,
+            churn: 0.20,
+            horizon: 64,
+            rejoin: true,
+            mean_latency: 3,
+            seed: 0x1a7e,
+        },
+    );
+    let capacity = CapacityPlan::build(&CapacityConfig {
+        offered_load: 12.0,
+        queue_bound: 3,
+        policy: ShedPolicy::DropNewest,
+        model: CapacityModel::GiaLadder,
+        seed: 0xca9,
+    });
+    let layers = ["", "faults", "faults+deadline", "faults+deadline+capacity"];
+    let (mut dead, mut rejected, mut missed) = (0u64, 0u64, 0u64);
+    for ttl in 1..=3 {
+        for (l, layer) in layers.into_iter().enumerate() {
+            let layered = |mut spec: SearchSpec| {
+                if layer.contains("faults") {
+                    spec = spec.faults(FaultContext::new(
+                        plan.clone(),
+                        qcp2p::faults::RetryPolicy::default(),
+                        child_seed(0x1a81, l as u64),
+                    ));
+                }
+                if layer.contains("deadline") {
+                    spec = spec.deadline(Deadline::after(40));
+                }
+                if layer.contains("capacity") {
+                    spec = spec.capacity(capacity.clone());
+                }
+                spec.recorder(MetricsRecorder::new()).build(&world)
+            };
+            let mut flood = layered(SearchSpec::flood(ttl));
+            let mut hybrid = layered(SearchSpec::hybrid(ttl, 0, 0x1a82));
+            assert_eq!(
+                outcome_words(&mut hybrid, &world, &queries),
+                outcome_words(&mut flood, &world, &queries),
+                "hybrid(ttl={ttl},rare<0) is not flood(ttl={ttl}) under {layer:?}"
+            );
+            let rec = flood.recorder();
+            dead += rec.event_count(Kernel::Flood, Event::DeadSource);
+            rejected += rec.total(Kernel::Flood, Counter::AdmissionRejected);
+            missed += rec.event_count(Kernel::Flood, Event::DeadlineExceeded);
+        }
+    }
+    assert!(dead > 0, "guard: some query must come from a departed peer");
+    assert!(
+        rejected > 0,
+        "guard: admission control must refuse some query"
+    );
+    assert!(missed > 0, "guard: the deadline must end some query");
 }
 
 /// The `repro latency --scale smoke` session.
