@@ -1,28 +1,29 @@
-//! Hybrid flood + DHT search (Loo et al., IPTPS'04 — the paper's ref \[5\]).
+//! DHT-backed search: the pure structured baseline and the flood-then-DHT
+//! hybrid of Loo et al., IPTPS'04 (the paper's ref \[5\]), as one system.
 //!
 //! The hybrid strategy: flood with a small TTL first (cheap for popular
-//! content); if the flood returns fewer than `rare_threshold` results the
+//! content); if the flood reaches fewer than `rare_threshold` holders the
 //! query is deemed *rare* and re-issued over the structured overlay, whose
 //! global inverted index always finds published content in `O(log n)` hops
-//! per term.
+//! per term. The flood phase is the flood strategy's own run; a
+//! [`DhtSearch`] without one is the pure DHT.
 //!
 //! The paper's §V claim, which `repro table3` reproduces: under the real
 //! (Zipf) replica distribution almost every query is "rare", so the hybrid
 //! pays the flood *and* the DHT cost and ends up strictly worse than a
-//! pure DHT. The [`DhtOnlySearch`] baseline makes that comparison direct.
+//! pure DHT ([`SearchSpec::dht_only`]), which makes that comparison
+//! direct.
 
 #[cfg(any(test, doc))]
 use crate::spec::SearchSpec;
 use crate::systems::{
-    query_faults, reject_admission, FaultContext, MaintenanceSchedule, OverloadStats,
-    SearchOutcome, SearchSystem,
+    query_faults, reject_admission, FaultContext, MaintenanceSchedule, QueryRun, Ran, Runner,
+    SearchOutcome, SearchSystem, Strategy,
 };
 use crate::world::{QuerySpec, SearchWorld};
-use qcp_dht::{ChordNetwork, DhtIndex};
+use qcp_dht::{ChordNetwork, DhtIndex, DhtQueryOutcome, TimedQueryOutcome};
 use qcp_faults::{CapacityPlan, FaultPlan, FaultStats};
 use qcp_obs::{Counter, Event, Kernel, NoopRecorder, Recorder};
-use qcp_overlay::flood::{FloodEngine, FloodFaults, FloodSpec};
-use qcp_overlay::EventEngine;
 use qcp_util::hash::mix64;
 use qcp_util::rng::Pcg64;
 use qcp_vtime::Deadline;
@@ -114,69 +115,83 @@ fn record_lookup<R: Recorder>(
     }
 }
 
-/// Flood-then-DHT hybrid search.
+/// A lookup with no clock, in the timed outcome's shape: it consumes no
+/// time and is never cut short.
+fn untimed(out: DhtQueryOutcome) -> TimedQueryOutcome {
+    TimedQueryOutcome {
+        results: out.results,
+        hops: out.hops,
+        messages: out.messages,
+        elapsed: 0,
+        deadline_exceeded: false,
+    }
+}
+
+/// A hybrid's flood phase: the flood answers a query when it reaches at
+/// least `rare_threshold` holders.
+#[derive(Debug)]
+struct FloodPhase {
+    rare_threshold: u32,
+    runner: Runner,
+}
+
+/// Search over a Chord inverted index: the pure DHT
+/// ([`SearchSpec::dht_only`]), or the flood-then-DHT hybrid
+/// ([`SearchSpec::hybrid`]) when it has a flood phase.
 ///
 /// Generic over an instrumentation [`Recorder`] (default
 /// [`NoopRecorder`], which compiles recording away): the flood phase
-/// records in-kernel under [`Kernel::Flood`]; the structured fallback
-/// and repair passes record after the fact under
-/// [`Kernel::ChordLookup`] / [`Kernel::Repair`].
+/// records in-kernel under [`Kernel::Flood`]; lookups and repair passes
+/// record after the fact under [`Kernel::ChordLookup`] (a hybrid's as
+/// `Fallback` events, a pure DHT's as hits and misses) and
+/// [`Kernel::Repair`].
 #[derive(Debug)]
-pub struct HybridSearch<R: Recorder = NoopRecorder> {
-    /// Unstructured phase TTL.
-    pub flood_ttl: u32,
-    /// Result-count threshold below which the query is "rare".
-    pub rare_threshold: u32,
+pub struct DhtSearch<R: Recorder = NoopRecorder> {
     net: ChordNetwork,
     index: DhtIndex,
-    engine: FloodEngine,
-    events: EventEngine,
-    forwarders: Vec<bool>,
+    flood: Option<FloodPhase>,
     faults: Option<FaultContext>,
     maintenance: Option<MaintenanceSchedule>,
     deadline: Option<Deadline>,
+    /// The lookups' admission plan. A hybrid's flood phase holds the
+    /// plan instead: the flood is what it gates and queues.
     capacity: Option<CapacityPlan>,
     repair_messages: u64,
     recorder: R,
-    /// Queries that fell back to the DHT (for reports).
-    pub fallbacks: u64,
-    /// Total queries served.
-    pub queries: u64,
 }
 
-impl<R: Recorder> HybridSearch<R> {
-    /// Builder-internal constructor (see [`SearchSpec::hybrid`]). The
-    /// parameter list mirrors the spec's fields one-to-one; callers go
-    /// through the builder, never this signature.
+impl<R: Recorder> DhtSearch<R> {
+    /// Builder-internal constructor (see [`SearchSpec::build`]); `flood`
+    /// is a hybrid's `(flood_ttl, rare_threshold)`. The parameter list
+    /// mirrors the spec's fields one-to-one; callers go through the
+    /// builder, never this signature.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         world: &SearchWorld,
-        flood_ttl: u32,
-        rare_threshold: u32,
         seed: u64,
+        flood: Option<(u32, u32)>,
         faults: Option<FaultContext>,
+        maintenance: Option<MaintenanceSchedule>,
         deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
+        mut capacity: Option<CapacityPlan>,
         recorder: R,
     ) -> Self {
         let net = ChordNetwork::new(world.num_peers(), seed ^ 0xcd);
         let index = build_index(world, &net);
-        Self {
-            flood_ttl,
+        let flood = flood.map(|(ttl, rare_threshold)| FloodPhase {
             rare_threshold,
+            runner: Runner::new(world, Strategy::Flood { ttl }, deadline, capacity.take()),
+        });
+        Self {
             net,
             index,
-            engine: FloodEngine::new(world.num_peers()),
-            events: EventEngine::new(),
-            forwarders: world.topology.forwarders(),
+            flood,
             faults,
-            maintenance: None,
+            maintenance,
             deadline,
             capacity,
             repair_messages: 0,
             recorder,
-            fallbacks: 0,
-            queries: 0,
         }
     }
 
@@ -190,236 +205,122 @@ impl<R: Recorder> HybridSearch<R> {
         self.recorder
     }
 
-    /// Attaches a maintenance schedule: before every `schedule`-th query
-    /// the index re-replicates posting lists stranded on departed owners
-    /// (against the plan's alive mask at that query's tick), so stale
-    /// misses decay mid-workload. Only meaningful together with a fault
-    /// context ([`SearchSpec::faults`]); without one there is no alive
-    /// mask and no pass runs.
-    pub fn with_maintenance(mut self, schedule: MaintenanceSchedule) -> Self {
-        self.maintenance = Some(schedule);
-        self
-    }
-
-    /// Maintenance passes fired so far (0 without a schedule).
-    pub fn maintenance_passes(&self) -> u64 {
-        self.maintenance.as_ref().map_or(0, |m| m.passes)
-    }
-
-    /// Fraction of queries that needed the structured fallback.
-    pub fn fallback_rate(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.fallbacks as f64 / self.queries as f64
-    }
-
-    /// The synchronous query path, fault-free or faulty: the flood phase
-    /// is one census at `flood_ttl`; rare queries fall back to the DHT,
-    /// with retry/backoff per hop under faults.
-    fn search_sync(
-        &mut self,
-        world: &SearchWorld,
+    /// The DHT phase: the query's term keys looked up from its source.
+    /// Fault-free without a clock draw; with one, each hop retries under
+    /// the plan at the draw's tick and nonce, and with a `budget` the
+    /// lookups race it on the virtual clock, degrading to a per-term
+    /// best-so-far intersection when it runs out.
+    fn lookup(
+        &self,
         query: &QuerySpec,
         draw: Option<(u64, u64)>,
-    ) -> SearchOutcome {
-        let plan = query_faults(self.faults.as_ref(), draw);
-        if plan.is_some_and(|f| !f.plan.alive_at(query.source, f.time)) {
-            // A departed peer issues nothing.
-            self.recorder.rec_span(Kernel::Flood);
-            self.recorder.rec_event(Kernel::Flood, Event::DeadSource);
-            return SearchOutcome::default();
-        }
-        let matching = world.matching_objects(&query.terms);
-        let holders = world.holders_of(&matching);
-        // The census at `flood_ttl` is the standalone flood at that TTL,
-        // bitwise (BFS prefix property).
-        let spec = FloodSpec {
-            plan,
-            ..FloodSpec::new(self.flood_ttl)
+        budget: Option<u64>,
+    ) -> (TimedQueryOutcome, FaultStats) {
+        let (net, source, keys) = (&self.net, query.source, query_keys(query));
+        let Some((ctx, (time, nonce))) = self.faults.as_ref().zip(draw) else {
+            let out = self.index.query_keys(net, source, &keys);
+            return (untimed(out), FaultStats::default());
         };
-        let (census, level_stats) = self.engine.run(
-            &world.topology.graph,
-            query.source,
-            &holders,
-            Some(&self.forwarders),
-            &spec,
-            &mut self.recorder,
-        );
-        let flood = census.at(self.flood_ttl);
-        let mut stats = level_stats[self.flood_ttl.min(census.levels()) as usize];
-        if self.engine.hits_in_last_flood(&holders) >= self.rare_threshold {
-            return SearchOutcome {
-                success: flood.found,
-                messages: flood.messages,
-                hops: flood.found_at_hop,
-                faults: stats,
-                elapsed: stats.ticks,
-                ..SearchOutcome::default()
-            };
+        let (plan, policy) = (&ctx.plan, &ctx.policy);
+        if budget.is_some() {
+            return self
+                .index
+                .query_keys_timed(net, source, &keys, plan, policy, time, nonce, budget);
         }
-        // Rare query: re-issue over the DHT.
-        self.fallbacks += 1;
-        let keys = query_keys(query);
-        let (dht, dht_stats) = match self.faults.as_ref().zip(draw) {
-            Some((ctx, (time, nonce))) => self.index.query_keys_faulty(
-                &self.net,
-                query.source,
-                &keys,
-                &ctx.plan,
-                &ctx.policy,
-                time,
-                mix64(nonce ^ DHT_PHASE_TAG),
-            ),
-            None => (
-                self.index.query_keys(&self.net, query.source, &keys),
-                FaultStats::default(),
-            ),
-        };
-        stats.absorb(&dht_stats);
+        let (out, stats) = self
+            .index
+            .query_keys_faulty(net, source, &keys, plan, policy, time, nonce);
+        (untimed(out), stats)
+    }
+
+    /// A pure DHT query: straight to the index, behind the admission
+    /// gate under a capacity plan, racing the whole deadline when one is
+    /// attached. The system makes no source check of its own.
+    fn dht_only(&mut self, query: &QuerySpec, draw: Option<(u64, u64)>) -> SearchOutcome {
+        if let (Some(cap), Some((_, nonce))) = (&self.capacity, draw) {
+            // The DHT is provisioned infrastructure: no queueing model,
+            // but the ingress admission gate still applies.
+            if !cap.admit(query.source, nonce) {
+                return reject_admission(Kernel::ChordLookup, &mut self.recorder);
+            }
+        }
+        let (dht, faults) = self.lookup(query, draw, self.deadline.map(|d| d.ticks));
+        let success = !dht.results.is_empty();
         record_lookup(
             &mut self.recorder,
-            Event::Fallback,
+            if success { Event::Hit } else { Event::Miss },
             (dht.messages, dht.hops),
-            &dht_stats,
-            None,
-            false,
+            &faults,
+            // A deadline implies a fault plan (the builder rejects one
+            // without it), so this is the timed path's answer time.
+            (success && self.deadline.is_some()).then_some(faults.ticks),
+            dht.deadline_exceeded,
         );
+        // A query's virtual time is its fault tally's `ticks`.
         SearchOutcome {
-            success: flood.found || !dht.results.is_empty(),
-            messages: flood.messages + dht.messages,
-            hops: flood.found_at_hop.or(Some(dht.hops)),
-            faults: stats,
-            elapsed: stats.ticks,
+            success,
+            messages: dht.messages,
+            hops: Some(dht.hops),
+            faults,
+            elapsed: faults.ticks,
+            deadline_exceeded: dht.deadline_exceeded,
             ..SearchOutcome::default()
         }
     }
 
-    /// The deadline query path: an event-driven flood phase cut off at
-    /// the deadline, then — for rare queries — the timed DHT fallback
-    /// against whatever budget the flood left. A query that runs out of
-    /// time degrades to its best-so-far answer: the flood's hit if it
-    /// had one, or the DHT's partial intersection, with
-    /// `deadline_exceeded` marking that the clock ended the search.
-    fn search_deadline(
+    /// A rare query's DHT phase, on its own nonce. Under a deadline the
+    /// lookups start when the flood drains and get only the budget it
+    /// left, and the query answers at the flood's hit if it had one,
+    /// else when the DHT answered; `deadline_exceeded` is the DHT's.
+    fn fallback(
         &mut self,
-        world: &SearchWorld,
         query: &QuerySpec,
-        deadline: Deadline,
-        (time, nonce): (u64, u64),
+        draw: Option<(u64, u64)>,
+        flood: Ran,
     ) -> SearchOutcome {
-        // qcplint: allow(panic) — build() rejects deadline sans faults.
-        let ctx = self.faults.as_ref().expect("deadline requires faults");
-        if let Some(cap) = &self.capacity {
-            // Ingress admission control: a refused query pays nothing
-            // and skips both phases.
-            if !cap.admit(query.source, nonce) {
-                return reject_admission(Kernel::Flood, &mut self.recorder);
-            }
-        }
-        if !ctx.plan.alive_at(query.source, time) {
-            self.recorder.rec_span(Kernel::Flood);
-            self.recorder.rec_event(Kernel::Flood, Event::DeadSource);
-            return SearchOutcome::default();
-        }
-        let matching = world.matching_objects(&query.terms);
-        let holders = world.holders_of(&matching);
-        // The flood phase alone is capacity-bound; the structured
-        // fallback models provisioned infrastructure and keeps its
-        // retry/timeout semantics.
-        let (flood, mut stats, over) = self.events.flood(
-            &world.topology.graph,
-            query.source,
-            self.flood_ttl,
-            &holders,
-            Some(&self.forwarders),
-            FloodFaults {
-                plan: &ctx.plan,
-                time,
-                nonce,
-            },
-            self.capacity.as_ref(),
-            Some(deadline.ticks),
-            &mut self.recorder,
-        );
-        let overload = OverloadStats::from_outcome(&over);
-        if overload.overloaded {
-            self.recorder.rec_event(Kernel::Flood, Event::Overloaded);
-        }
-        if flood.holders_reached >= self.rare_threshold {
-            let exceeded = flood.truncated && !flood.flood.found;
-            if exceeded {
-                self.recorder
-                    .rec_event(Kernel::Flood, Event::DeadlineExceeded);
-            }
-            return SearchOutcome {
-                success: flood.flood.found,
-                messages: flood.flood.messages,
-                hops: flood.flood.found_at_hop,
-                faults: stats,
-                elapsed: flood.first_hit_time.unwrap_or(flood.completion_time),
-                deadline_exceeded: exceeded,
-                overload,
-            };
-        }
-        // Rare query: the timed DHT phase starts when the flood drains
-        // (or is cut off) and inherits only the remaining budget.
-        self.fallbacks += 1;
-        let keys = query_keys(query);
-        let budget = deadline.ticks.saturating_sub(flood.completion_time);
-        let (dht, dht_stats) = self.index.query_keys_timed(
-            &self.net,
-            query.source,
-            &keys,
-            &ctx.plan,
-            &ctx.policy,
-            time,
-            mix64(nonce ^ DHT_PHASE_TAG),
-            Some(budget),
-        );
-        stats.absorb(&dht_stats);
-        let success = flood.flood.found || !dht.results.is_empty();
-        let elapsed = if flood.flood.found {
-            // qcplint: allow(panic) — `found` implies a hit time.
-            flood.first_hit_time.expect("flood hit carries a time")
-        } else {
-            flood.completion_time + dht.elapsed
+        let budget = self.deadline.map(|d| d.ticks.saturating_sub(flood.drained));
+        let draw = draw.map(|(time, nonce)| (time, mix64(nonce ^ DHT_PHASE_TAG)));
+        let (dht, dht_stats) = self.lookup(query, draw, budget);
+        let mut out = flood.out;
+        let found = out.success;
+        out.success |= !dht.results.is_empty();
+        out.messages += dht.messages;
+        out.hops = out.hops.or(Some(dht.hops));
+        out.faults.absorb(&dht_stats);
+        out.elapsed = match budget {
+            None => out.faults.ticks,
+            Some(_) if found => out.elapsed,
+            Some(_) => flood.drained + dht.elapsed,
         };
+        out.deadline_exceeded = dht.deadline_exceeded;
         record_lookup(
             &mut self.recorder,
             Event::Fallback,
             (dht.messages, dht.hops),
             &dht_stats,
-            (success && !flood.flood.found).then_some(elapsed),
+            (budget.is_some() && out.success && !found).then_some(out.elapsed),
             dht.deadline_exceeded,
         );
-        SearchOutcome {
-            success,
-            messages: flood.flood.messages + dht.messages,
-            hops: flood.flood.found_at_hop.or(Some(dht.hops)),
-            faults: stats,
-            elapsed,
-            deadline_exceeded: dht.deadline_exceeded,
-            overload,
-        }
+        out
     }
 }
 
-impl<R: Recorder> SearchSystem for HybridSearch<R> {
+impl<R: Recorder> SearchSystem for DhtSearch<R> {
     fn name(&self) -> String {
-        format!(
-            "hybrid(ttl={},rare<{})",
-            self.flood_ttl, self.rare_threshold
-        )
+        match &self.flood {
+            Some(FloodPhase {
+                rare_threshold,
+                runner:
+                    Runner {
+                        strategy: Strategy::Flood { ttl },
+                        ..
+                    },
+            }) => format!("hybrid(ttl={ttl},rare<{rare_threshold})"),
+            _ => "dht-only".to_string(),
+        }
     }
 
-    fn search(
-        &mut self,
-        world: &SearchWorld,
-        query: &QuerySpec,
-        _rng: &mut Pcg64,
-    ) -> SearchOutcome {
-        self.queries += 1;
+    fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
         let draw = self.faults.as_mut().map(FaultContext::next_query);
         if let (Some(ctx), Some((time, _))) = (&self.faults, draw) {
             // The repair daemon runs on the query clock, independent of
@@ -433,170 +334,31 @@ impl<R: Recorder> SearchSystem for HybridSearch<R> {
                 &mut self.recorder,
             );
         }
-        match (self.deadline, draw) {
-            (Some(deadline), Some(draw)) => self.search_deadline(world, query, deadline, draw),
-            _ => self.search_sync(world, query, draw),
-        }
-    }
-
-    fn maintenance_messages(&self) -> u64 {
-        self.index.publish_hops() + self.repair_messages
-    }
-}
-
-/// Pure structured search: every query goes straight to the DHT index.
-///
-/// Generic over an instrumentation [`Recorder`] (default
-/// [`NoopRecorder`]); lookups record after the fact under
-/// [`Kernel::ChordLookup`], repair passes under [`Kernel::Repair`].
-#[derive(Debug)]
-pub struct DhtOnlySearch<R: Recorder = NoopRecorder> {
-    net: ChordNetwork,
-    index: DhtIndex,
-    faults: Option<FaultContext>,
-    maintenance: Option<MaintenanceSchedule>,
-    deadline: Option<Deadline>,
-    capacity: Option<CapacityPlan>,
-    repair_messages: u64,
-    recorder: R,
-}
-
-impl<R: Recorder> DhtOnlySearch<R> {
-    /// Builder-internal constructor (see [`SearchSpec::dht_only`]).
-    pub(crate) fn assemble(
-        world: &SearchWorld,
-        seed: u64,
-        faults: Option<FaultContext>,
-        deadline: Option<Deadline>,
-        capacity: Option<CapacityPlan>,
-        recorder: R,
-    ) -> Self {
-        let net = ChordNetwork::new(world.num_peers(), seed ^ 0xcd);
-        let index = build_index(world, &net);
-        Self {
-            net,
-            index,
-            faults,
-            maintenance: None,
-            deadline,
-            capacity,
-            repair_messages: 0,
-            recorder,
-        }
-    }
-
-    /// The recorder this system has been writing into.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    /// Consumes the system, returning its recorder.
-    pub fn into_recorder(self) -> R {
-        self.recorder
-    }
-
-    /// Attaches a maintenance schedule (see
-    /// [`HybridSearch::with_maintenance`]): the index heals mid-workload
-    /// by re-replicating orphaned posting lists every `schedule`-th query.
-    pub fn with_maintenance(mut self, schedule: MaintenanceSchedule) -> Self {
-        self.maintenance = Some(schedule);
-        self
-    }
-
-    /// Maintenance passes fired so far (0 without a schedule).
-    pub fn maintenance_passes(&self) -> u64 {
-        self.maintenance.as_ref().map_or(0, |m| m.passes)
-    }
-}
-
-impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
-    fn name(&self) -> String {
-        "dht-only".to_string()
-    }
-
-    fn search(
-        &mut self,
-        world: &SearchWorld,
-        query: &QuerySpec,
-        _rng: &mut Pcg64,
-    ) -> SearchOutcome {
-        let _ = world;
-        let keys = query_keys(query);
-        // (messages, hops, found, faults, deadline exceeded); a query's
-        // virtual time is its fault tally's `ticks` on every path.
-        let (messages, hops, success, faults, deadline_exceeded) = match &mut self.faults {
-            None => {
-                let out = self.index.query_keys(&self.net, query.source, &keys);
-                let found = !out.results.is_empty();
-                (out.messages, out.hops, found, FaultStats::default(), false)
-            }
-            Some(ctx) => {
-                let (time, nonce) = ctx.next_query();
-                self.repair_messages += maintain(
-                    self.maintenance.as_mut(),
-                    &mut self.index,
-                    &self.net,
-                    &ctx.plan,
-                    time,
-                    &mut self.recorder,
-                );
-                if let Some(deadline) = self.deadline {
-                    // The DHT is provisioned infrastructure: no queueing
-                    // model, but the ingress admission gate still applies.
-                    if let Some(cap) = &self.capacity {
-                        if !cap.admit(query.source, nonce) {
-                            return reject_admission(Kernel::ChordLookup, &mut self.recorder);
-                        }
-                    }
-                    // Deadline path: per-hop timeouts race replies on the
-                    // virtual clock, degrading to a partial (per-term
-                    // best-so-far) intersection when the budget runs out.
-                    let (out, stats) = self.index.query_keys_timed(
-                        &self.net,
-                        query.source,
-                        &keys,
-                        &ctx.plan,
-                        &ctx.policy,
-                        time,
-                        nonce,
-                        Some(deadline.ticks),
-                    );
-                    let found = !out.results.is_empty();
-                    (out.messages, out.hops, found, stats, out.deadline_exceeded)
-                } else {
-                    let (out, stats) = self.index.query_keys_faulty(
-                        &self.net,
-                        query.source,
-                        &keys,
-                        &ctx.plan,
-                        &ctx.policy,
-                        time,
-                        nonce,
-                    );
-                    let found = !out.results.is_empty();
-                    (out.messages, out.hops, found, stats, false)
-                }
-            }
+        let Some(phase) = self.flood.as_mut() else {
+            return self.dht_only(query, draw);
         };
-        record_lookup(
-            &mut self.recorder,
-            if success { Event::Hit } else { Event::Miss },
-            (messages, hops),
-            &faults,
-            // A deadline implies a fault plan (the builder rejects one
-            // without it), so this is the timed path's answer time.
-            (success && self.deadline.is_some()).then_some(faults.ticks),
-            deadline_exceeded,
-        );
-        SearchOutcome {
-            success,
-            messages,
-            hops: Some(hops),
-            faults,
-            elapsed: faults.ticks,
-            deadline_exceeded,
-            ..SearchOutcome::default()
+        let holders = world.holders_of(&world.matching_objects(&query.terms));
+        let run = QueryRun {
+            graph: &world.topology.graph,
+            source: query.source,
+            holders: &holders,
+            plan: query_faults(self.faults.as_ref(), draw),
+        };
+        let flood = phase.runner.run(&run, rng, &mut self.recorder);
+        // The flood ends a query it answered, and one it could not issue:
+        // refused at admission, or from a departed peer.
+        let unissued = flood.out.overload.admission_rejected > 0
+            || run
+                .plan
+                .is_some_and(|f| !f.plan.alive_at(query.source, f.time));
+        if unissued || flood.reached >= phase.rare_threshold {
+            if flood.out.deadline_exceeded {
+                self.recorder
+                    .rec_event(Kernel::Flood, Event::DeadlineExceeded);
+            }
+            return flood.out;
         }
+        self.fallback(query, draw, flood)
     }
 
     fn maintenance_messages(&self) -> u64 {
@@ -608,6 +370,12 @@ impl<R: Recorder> SearchSystem for DhtOnlySearch<R> {
 mod tests {
     use super::*;
     use crate::world::WorldConfig;
+    use qcp_obs::MetricsRecorder;
+
+    /// Queries a hybrid re-issued over the DHT: one `Fallback` event each.
+    fn fallbacks(rec: &MetricsRecorder) -> u64 {
+        rec.event_count(Kernel::ChordLookup, Event::Fallback)
+    }
 
     fn world() -> SearchWorld {
         SearchWorld::generate(&WorldConfig {
@@ -623,7 +391,7 @@ mod tests {
     #[test]
     fn dht_only_always_finds_published_content() {
         let w = world();
-        let mut dht = SearchSpec::dht_only(1).build(&w).into_dht_only();
+        let mut dht = SearchSpec::dht_only(1).build(&w);
         let mut rng = Pcg64::new(2);
         for obj in [3u32, 77, 512] {
             let q = QuerySpec {
@@ -638,7 +406,7 @@ mod tests {
     #[test]
     fn dht_only_fails_cleanly_for_absent_terms() {
         let w = world();
-        let mut dht = SearchSpec::dht_only(1).build(&w).into_dht_only();
+        let mut dht = SearchSpec::dht_only(1).build(&w);
         let mut rng = Pcg64::new(3);
         let out = dht.search(
             &w,
@@ -658,7 +426,9 @@ mod tests {
         let rare_obj = (0..w.num_objects() as u32)
             .find(|&o| w.placement.replicas(o) == 1)
             .expect("zipf placement has singletons");
-        let mut hybrid = SearchSpec::hybrid(2, 5, 4).build(&w).into_hybrid();
+        let mut hybrid = SearchSpec::hybrid(2, 5, 4)
+            .recorder(MetricsRecorder::new())
+            .build(&w);
         let mut rng = Pcg64::new(5);
         let q = QuerySpec {
             terms: w.object_terms[rare_obj as usize].clone(),
@@ -666,14 +436,16 @@ mod tests {
         };
         let out = hybrid.search(&w, &q, &mut rng);
         assert!(out.success, "hybrid must find rare content via the DHT");
-        assert_eq!(hybrid.fallbacks, 1);
+        assert_eq!(fallbacks(hybrid.recorder()), 1);
     }
 
     #[test]
     fn hybrid_pays_more_than_dht_when_floods_fail() {
         let w = world();
-        let mut hybrid = SearchSpec::hybrid(3, 20, 6).build(&w).into_hybrid();
-        let mut dht = SearchSpec::dht_only(6).build(&w).into_dht_only();
+        let mut hybrid = SearchSpec::hybrid(3, 20, 6)
+            .recorder(MetricsRecorder::new())
+            .build(&w);
+        let mut dht = SearchSpec::dht_only(6).build(&w);
         let mut rng = Pcg64::new(7);
         let queries: Vec<QuerySpec> = (0..150).map(|_| w.sample_query(&mut rng)).collect();
         let mut hybrid_msgs = 0u64;
@@ -684,11 +456,8 @@ mod tests {
         }
         // Under Zipf replicas + Loo's threshold, nearly every query falls
         // back: hybrid cost strictly dominates pure DHT (the paper's §V).
-        assert!(
-            hybrid.fallback_rate() > 0.8,
-            "fallback {}",
-            hybrid.fallback_rate()
-        );
+        let fallback_rate = fallbacks(hybrid.recorder()) as f64 / queries.len() as f64;
+        assert!(fallback_rate > 0.8, "fallback {fallback_rate}");
         assert!(
             hybrid_msgs > dht_msgs,
             "hybrid {hybrid_msgs} must exceed dht {dht_msgs}"
@@ -703,7 +472,9 @@ mod tests {
             .max_by_key(|&o| w.placement.replicas(o))
             .unwrap();
         assert!(w.placement.replicas(popular) >= 10, "need a popular object");
-        let mut hybrid = SearchSpec::hybrid(4, 3, 8).build(&w).into_hybrid();
+        let mut hybrid = SearchSpec::hybrid(4, 3, 8)
+            .recorder(MetricsRecorder::new())
+            .build(&w);
         let mut rng = Pcg64::new(9);
         let q = QuerySpec {
             terms: w.object_terms[popular as usize].clone(),
@@ -712,7 +483,8 @@ mod tests {
         let out = hybrid.search(&w, &q, &mut rng);
         assert!(out.success);
         assert_eq!(
-            hybrid.fallbacks, 0,
+            fallbacks(hybrid.recorder()),
+            0,
             "popular content should resolve in the flood phase"
         );
     }
@@ -735,26 +507,26 @@ mod tests {
             )
         };
         let systems = [
-            SearchSpec::hybrid(2, 0, 4).build(&w),
-            SearchSpec::hybrid(2, 0, 4).faults(none()).build(&w),
+            SearchSpec::hybrid(2, 0, 4),
+            SearchSpec::hybrid(2, 0, 4).faults(none()),
             SearchSpec::hybrid(2, 0, 4)
                 .faults(none())
-                .deadline(Deadline::after(50))
-                .build(&w),
-        ];
+                .deadline(Deadline::after(50)),
+        ]
+        .map(|spec| spec.recorder(MetricsRecorder::new()).build(&w));
         let mut rng = Pcg64::new(4);
         for mut sys in systems {
             let out = sys.search(&w, &q, &mut rng);
             assert!(!out.success, "{}: nothing matched", sys.name());
             assert_eq!(out.hops, None);
-            assert_eq!(sys.into_hybrid().fallbacks, 0, "threshold 0: never rare");
+            assert_eq!(fallbacks(sys.recorder()), 0, "threshold 0: never rare");
         }
     }
 
     #[test]
     fn maintenance_cost_reported() {
         let w = world();
-        let hybrid = SearchSpec::hybrid(2, 10, 10).build(&w).into_hybrid();
+        let hybrid = SearchSpec::hybrid(2, 10, 10).build(&w);
         assert!(hybrid.maintenance_messages() > 0);
     }
 }
@@ -764,6 +536,12 @@ mod faulty_tests {
     use super::*;
     use crate::world::WorldConfig;
     use qcp_faults::{FaultConfig, FaultPlan, FaultStats, RetryPolicy};
+    use qcp_obs::MetricsRecorder;
+
+    /// Repair passes fired so far: one `Repair` span each.
+    fn passes(rec: &MetricsRecorder) -> u64 {
+        rec.spans(Kernel::Repair)
+    }
 
     fn world() -> SearchWorld {
         SearchWorld::generate(&WorldConfig {
@@ -818,15 +596,17 @@ mod faulty_tests {
     fn none_plan_hybrid_matches_fault_free_success() {
         let w = world();
         let qs = queries(&w, 120);
-        let mut plain = SearchSpec::hybrid(2, 5, 4).build(&w).into_hybrid();
+        let mut plain = SearchSpec::hybrid(2, 5, 4)
+            .recorder(MetricsRecorder::new())
+            .build(&w);
         let mut faulty = SearchSpec::hybrid(2, 5, 4)
             .faults(FaultContext::new(
                 FaultPlan::none(500),
                 RetryPolicy::default(),
                 1,
             ))
-            .build(&w)
-            .into_hybrid();
+            .recorder(MetricsRecorder::new())
+            .build(&w);
         let mut rng = Pcg64::new(9);
         for q in &qs {
             let a = plain.search(&w, q, &mut rng);
@@ -839,7 +619,9 @@ mod faulty_tests {
             assert_eq!(b.faults.timeouts, 0);
             assert_eq!(b.faults.stale_misses, 0);
         }
-        assert_eq!(plain.fallbacks, faulty.fallbacks);
+        let fallbacks =
+            |rec: &MetricsRecorder| rec.event_count(Kernel::ChordLookup, Event::Fallback);
+        assert_eq!(fallbacks(plain.recorder()), fallbacks(faulty.recorder()));
     }
 
     #[test]
@@ -850,8 +632,7 @@ mod faulty_tests {
         for loss in [0.0f64, 0.25, 0.6] {
             let mut sys = SearchSpec::hybrid(2, 5, 4)
                 .faults(ctx(500, loss, 0.0, 21))
-                .build(&w)
-                .into_hybrid();
+                .build(&w);
             rates.push(run(&mut sys, &w, &qs).0);
         }
         for wnd in rates.windows(2) {
@@ -874,8 +655,7 @@ mod faulty_tests {
         for churn in [0.0f64, 0.25, 0.6] {
             let mut sys = SearchSpec::hybrid(2, 5, 4)
                 .faults(ctx(500, 0.0, churn, 22))
-                .build(&w)
-                .into_hybrid();
+                .build(&w);
             rates.push(run(&mut sys, &w, &qs).0);
         }
         for wnd in rates.windows(2) {
@@ -896,8 +676,7 @@ mod faulty_tests {
         let qs = queries(&w, 150);
         let mut sys = SearchSpec::hybrid(2, 5, 4)
             .faults(ctx(500, 0.3, 0.2, 23))
-            .build(&w)
-            .into_hybrid();
+            .build(&w);
         let (_, stats) = run(&mut sys, &w, &qs);
         assert!(stats.dropped > 0, "30% loss must drop");
         assert!(stats.retries > 0, "DHT fallback must retry");
@@ -918,8 +697,7 @@ mod faulty_tests {
         let qs = queries(&w, 120);
         let mut sys = SearchSpec::dht_only(6)
             .faults(ctx(500, 0.3, 0.0, 24))
-            .build(&w)
-            .into_dht_only();
+            .build(&w);
         let (rate, stats) = run(&mut sys, &w, &qs);
         assert!(stats.dropped > 0);
         assert_eq!(
@@ -928,7 +706,7 @@ mod faulty_tests {
             "request/response engine: every drop is retried or times out"
         );
         // Retries keep the DHT useful under 30% loss.
-        let mut clean = SearchSpec::dht_only(6).build(&w).into_dht_only();
+        let mut clean = SearchSpec::dht_only(6).build(&w);
         let (clean_rate, _) = run(&mut clean, &w, &qs);
         assert!(rate > clean_rate * 0.5, "{rate} vs clean {clean_rate}");
     }
@@ -939,8 +717,7 @@ mod faulty_tests {
         let qs = queries(&w, 250);
         let mut sys = SearchSpec::dht_only(6)
             .faults(ctx(500, 0.0, 0.5, 25))
-            .build(&w)
-            .into_dht_only();
+            .build(&w);
         let (_, stats) = run(&mut sys, &w, &qs);
         assert!(
             stats.stale_misses > 0,
@@ -956,13 +733,12 @@ mod faulty_tests {
         // runs the repair daemon.
         let mut plain = SearchSpec::dht_only(6)
             .faults(ctx(500, 0.0, 0.5, 25))
-            .build(&w)
-            .into_dht_only();
+            .build(&w);
         let mut healed = SearchSpec::dht_only(6)
             .faults(ctx(500, 0.0, 0.5, 25))
-            .maintenance(crate::systems::MaintenanceSchedule::every(20))
-            .build(&w)
-            .into_dht_only();
+            .maintenance(MaintenanceSchedule::every(20))
+            .recorder(MetricsRecorder::new())
+            .build(&w);
         let (rate_plain, stats_plain) = run(&mut plain, &w, &qs);
         let (rate_healed, stats_healed) = run(&mut healed, &w, &qs);
         assert!(stats_plain.stale_misses > 0, "churn must strand postings");
@@ -976,7 +752,7 @@ mod faulty_tests {
             rate_healed >= rate_plain,
             "healing cannot hurt success: {rate_healed} vs {rate_plain}"
         );
-        assert_eq!(healed.maintenance_passes(), (qs.len() as u64 - 1) / 20);
+        assert_eq!(passes(healed.recorder()), (qs.len() as u64 - 1) / 20);
         assert!(
             healed.maintenance_messages() > plain.maintenance_messages(),
             "repair transfers are accounted as maintenance cost"
@@ -989,12 +765,12 @@ mod faulty_tests {
         let qs = queries(&w, 200);
         let mut sys = SearchSpec::hybrid(2, 5, 4)
             .faults(ctx(500, 0.0, 0.5, 27))
-            .maintenance(crate::systems::MaintenanceSchedule::every(25))
-            .build(&w)
-            .into_hybrid();
+            .maintenance(MaintenanceSchedule::every(25))
+            .recorder(MetricsRecorder::new())
+            .build(&w);
         let publish_cost = sys.maintenance_messages();
         let (_, stats) = run(&mut sys, &w, &qs);
-        assert!(sys.maintenance_passes() > 0);
+        assert!(passes(sys.recorder()) > 0);
         assert!(
             sys.maintenance_messages() > publish_cost,
             "passes under churn must move at least one list"
@@ -1010,15 +786,12 @@ mod faulty_tests {
         let w = world();
         let qs = queries(&w, 80);
         let none = || FaultContext::new(FaultPlan::none(500), RetryPolicy::default(), 1);
-        let mut bare = SearchSpec::dht_only(9)
-            .faults(none())
-            .build(&w)
-            .into_dht_only();
+        let mut bare = SearchSpec::dht_only(9).faults(none()).build(&w);
         let mut scheduled = SearchSpec::dht_only(9)
             .faults(none())
-            .maintenance(crate::systems::MaintenanceSchedule::every(10))
-            .build(&w)
-            .into_dht_only();
+            .maintenance(MaintenanceSchedule::every(10))
+            .recorder(MetricsRecorder::new())
+            .build(&w);
         let mut rng = Pcg64::new(31);
         for q in &qs {
             let a = bare.search(&w, q, &mut rng);
@@ -1029,13 +802,13 @@ mod faulty_tests {
             bare.maintenance_messages(),
             scheduled.maintenance_messages()
         );
-        assert!(scheduled.maintenance_passes() > 0, "schedule still fires");
+        assert!(passes(scheduled.recorder()) > 0, "schedule still fires");
     }
 
     #[test]
     #[should_panic(expected = "maintenance period must be positive")]
     fn zero_period_schedule_rejected() {
-        let _ = crate::systems::MaintenanceSchedule::every(0);
+        let _ = MaintenanceSchedule::every(0);
     }
 
     #[test]
@@ -1044,9 +817,8 @@ mod faulty_tests {
         let qs = queries(&w, 60);
         let mut faulty = SearchSpec::hybrid(2, 5, 4)
             .faults(ctx(500, 0.3, 0.2, 26))
-            .build(&w)
-            .into_hybrid();
-        let mut plain = SearchSpec::hybrid(2, 5, 4).build(&w).into_hybrid();
+            .build(&w);
+        let mut plain = SearchSpec::hybrid(2, 5, 4).build(&w);
         let rows = crate::eval::evaluate(
             &w,
             &mut [&mut faulty as &mut dyn SearchSystem, &mut plain],

@@ -15,8 +15,10 @@
 //!   recorders;
 //! * [`gia`] — the Gia baseline (paper ref \[17\]): capacity-weighted
 //!   topology roles, one-hop replication, biased walks;
-//! * [`hybrid`] — flood-then-DHT hybrid search with the Loo et al.
-//!   rare-query rule (paper ref \[5\]);
+//! * [`hybrid`] — the DHT-backed systems as one [`DhtSearch`]: pure
+//!   Chord inverted-index search, and flood-then-DHT hybrid search with
+//!   the Loo et al. rare-query rule (paper ref \[5\]), whose flood phase
+//!   is the flood strategy's run;
 //! * [`advertise`] — ASAP-style advertisement-based search (paper ref
 //!   \[21\]): content pushed ahead of queries, the content-centric push
 //!   counterpart to the synopsis pull;
@@ -45,7 +47,7 @@ pub mod world;
 pub use advertise::AdvertiseSearch;
 pub use eval::{evaluate, gen_queries, ComparisonRow, WorkloadConfig};
 pub use gia::GiaSearch;
-pub use hybrid::{DhtOnlySearch, HybridSearch};
+pub use hybrid::DhtSearch;
 pub use qcp_faults::{CapacityConfig, CapacityModel, CapacityPlan, ShedPolicy};
 pub use qcp_overlay::{Popularity, ReplicationPlan, ReplicationScheme};
 pub use qrp::QrpFloodSearch;

@@ -23,14 +23,42 @@
 //!
 //! Attach a fault context with [`SearchSpec::faults`], a repair schedule
 //! with [`SearchSpec::maintenance`] (DHT-backed systems only), and an
-//! instrumentation recorder with [`SearchSpec::recorder`]:
+//! instrumentation recorder with [`SearchSpec::recorder`], which is where
+//! a system's counts are read back:
 //!
-//! ```ignore
-//! let sys = SearchSpec::hybrid(2, 5, 42)
+//! ```
+//! # use qcp_search::{SearchSpec, SearchSystem};
+//! # use qcp_search::world::{SearchWorld, WorldConfig};
+//! # use qcp_util::rng::Pcg64;
+//! # let world = SearchWorld::generate(&WorldConfig {
+//! #     num_peers: 200,
+//! #     num_objects: 1_000,
+//! #     num_terms: 2_000,
+//! #     head_size: 40,
+//! #     seed: 7,
+//! #     ..Default::default()
+//! # });
+//! use qcp_faults::{FaultConfig, FaultPlan, RetryPolicy};
+//! use qcp_obs::{Event, Kernel, MetricsRecorder};
+//! use qcp_search::{FaultContext, MaintenanceSchedule};
+//!
+//! let plan = FaultPlan::build(200, &FaultConfig { churn: 0.3, seed: 3, ..Default::default() });
+//! let ctx = FaultContext::new(plan, RetryPolicy::default(), 4);
+//! let mut sys = SearchSpec::hybrid(2, 5, 42)
 //!     .faults(ctx)
 //!     .maintenance(MaintenanceSchedule::every(20))
 //!     .recorder(MetricsRecorder::new())
 //!     .build(&world);
+//! let mut rng = Pcg64::new(1);
+//! for _ in 0..100 {
+//!     let q = world.sample_query(&mut rng);
+//!     sys.search(&world, &q, &mut rng);
+//! }
+//! let rec = sys.recorder();
+//! // Queries re-issued over the DHT, and repair passes (before queries
+//! // 21, 41, 61 and 81).
+//! assert!(rec.event_count(Kernel::ChordLookup, Event::Fallback) > 0);
+//! assert_eq!(rec.spans(Kernel::Repair), 4);
 //! ```
 //!
 //! The builder is the sole entry point (the `new`/`with_faults`
@@ -44,7 +72,7 @@
 //! and counts `CopiesHit` — queries that succeed against the replicated
 //! placement but would have missed against the owner-only base.
 
-use crate::hybrid::{DhtOnlySearch, HybridSearch};
+use crate::hybrid::DhtSearch;
 use crate::systems::{
     FaultContext, MaintenanceSchedule, SearchOutcome, SearchSystem, Strategy, UnstructuredSearch,
 };
@@ -60,22 +88,20 @@ use qcp_vtime::Deadline;
 enum Kind {
     /// Flooding, k-walker random walks or iterative-deepening rings.
     Unstructured(Strategy),
-    /// Flood-then-DHT hybrid.
-    Hybrid {
-        flood_ttl: u32,
-        rare_threshold: u32,
+    /// Pure structured search, or with `flood = Some((flood_ttl,
+    /// rare_threshold))` the flood-then-DHT hybrid.
+    Dht {
         seed: u64,
+        flood: Option<(u32, u32)>,
     },
-    /// Pure structured search.
-    DhtOnly { seed: u64 },
 }
 
 impl Kind {
     fn name(self) -> &'static str {
         match self {
             Kind::Unstructured(strategy) => strategy.kind_name(),
-            Kind::Hybrid { .. } => "hybrid",
-            Kind::DhtOnly { .. } => "dht-only",
+            Kind::Dht { flood: Some(_), .. } => "hybrid",
+            Kind::Dht { flood: None, .. } => "dht-only",
         }
     }
 }
@@ -129,16 +155,15 @@ impl SearchSpec<NoopRecorder> {
 
     /// Flood-then-DHT hybrid (Loo et al. rare-query rule).
     pub fn hybrid(flood_ttl: u32, rare_threshold: u32, seed: u64) -> Self {
-        Self::of(Kind::Hybrid {
-            flood_ttl,
-            rare_threshold,
+        Self::of(Kind::Dht {
             seed,
+            flood: Some((flood_ttl, rare_threshold)),
         })
     }
 
     /// Pure structured (Chord inverted-index) search.
     pub fn dht_only(seed: u64) -> Self {
-        Self::of(Kind::DhtOnly { seed })
+        Self::of(Kind::Dht { seed, flood: None })
     }
 }
 
@@ -235,7 +260,7 @@ impl<R: Recorder> SearchSpec<R> {
             recorder,
         } = self;
         assert!(
-            maintenance.is_none() || matches!(kind, Kind::Hybrid { .. } | Kind::DhtOnly { .. }),
+            maintenance.is_none() || matches!(kind, Kind::Dht { .. }),
             "maintenance schedules apply only to the DHT-backed systems, not {}",
             kind.name()
         );
@@ -264,79 +289,39 @@ impl<R: Recorder> SearchSpec<R> {
                 replication,
                 recorder,
             )),
-            Kind::Hybrid {
-                flood_ttl,
-                rare_threshold,
+            Kind::Dht { seed, flood } => Built::Dht(DhtSearch::assemble(
+                world,
                 seed,
-            } => {
-                let mut sys = HybridSearch::assemble(
-                    world,
-                    flood_ttl,
-                    rare_threshold,
-                    seed,
-                    faults,
-                    deadline,
-                    capacity,
-                    recorder,
-                );
-                if let Some(m) = maintenance {
-                    sys = sys.with_maintenance(m);
-                }
-                Built::Hybrid(sys)
-            }
-            Kind::DhtOnly { seed } => {
-                let mut sys =
-                    DhtOnlySearch::assemble(world, seed, faults, deadline, capacity, recorder);
-                if let Some(m) = maintenance {
-                    sys = sys.with_maintenance(m);
-                }
-                Built::DhtOnly(sys)
-            }
+                flood,
+                faults,
+                maintenance,
+                deadline,
+                capacity,
+                recorder,
+            )),
         }
     }
 }
 
 /// A system built from a [`SearchSpec`]: use it directly through
 /// [`SearchSystem`] (it delegates to the inner system) and read its
-/// metrics back with [`Self::recorder`]. [`Self::into_hybrid`] and
-/// [`Self::into_dht_only`] unwrap the DHT-backed systems for their
-/// reporting fields (fallback and maintenance-pass counts).
+/// metrics back with [`Self::recorder`] — fallbacks, repair passes and
+/// every other count the reports print.
 #[derive(Debug)]
 pub enum Built<R: Recorder = NoopRecorder> {
     /// [`SearchSpec::flood`], [`SearchSpec::walk`] or
     /// [`SearchSpec::expanding_ring`].
     Unstructured(UnstructuredSearch<R>),
-    /// [`SearchSpec::hybrid`].
-    Hybrid(HybridSearch<R>),
-    /// [`SearchSpec::dht_only`].
-    DhtOnly(DhtOnlySearch<R>),
+    /// [`SearchSpec::hybrid`] or [`SearchSpec::dht_only`].
+    Dht(DhtSearch<R>),
 }
 
 impl<R: Recorder> Built<R> {
-    /// Unwraps a [`SearchSpec::hybrid`] build.
-    pub fn into_hybrid(self) -> HybridSearch<R> {
-        match self {
-            Built::Hybrid(s) => s,
-            // qcplint: allow(panic) — extractor misuse fails fast.
-            other => panic!("built system is {}, not hybrid", other.name()),
-        }
-    }
-
-    /// Unwraps a [`SearchSpec::dht_only`] build.
-    pub fn into_dht_only(self) -> DhtOnlySearch<R> {
-        match self {
-            Built::DhtOnly(s) => s,
-            // qcplint: allow(panic) — extractor misuse fails fast.
-            other => panic!("built system is {}, not dht-only", other.name()),
-        }
-    }
-
     /// The recorder the inner system has been writing into.
     pub fn recorder(&self) -> &R {
         match self {
             Built::Unstructured(s) => s.recorder(),
-            Built::Hybrid(s) => s.recorder(),
-            Built::DhtOnly(s) => s.recorder(),
+            Built::Dht(s) => s.recorder(),
         }
     }
 
@@ -344,8 +329,7 @@ impl<R: Recorder> Built<R> {
     pub fn into_recorder(self) -> R {
         match self {
             Built::Unstructured(s) => s.into_recorder(),
-            Built::Hybrid(s) => s.into_recorder(),
-            Built::DhtOnly(s) => s.into_recorder(),
+            Built::Dht(s) => s.into_recorder(),
         }
     }
 }
@@ -354,24 +338,21 @@ impl<R: Recorder> SearchSystem for Built<R> {
     fn name(&self) -> String {
         match self {
             Built::Unstructured(s) => s.name(),
-            Built::Hybrid(s) => s.name(),
-            Built::DhtOnly(s) => s.name(),
+            Built::Dht(s) => s.name(),
         }
     }
 
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
         match self {
             Built::Unstructured(s) => s.search(world, query, rng),
-            Built::Hybrid(s) => s.search(world, query, rng),
-            Built::DhtOnly(s) => s.search(world, query, rng),
+            Built::Dht(s) => s.search(world, query, rng),
         }
     }
 
     fn maintenance_messages(&self) -> u64 {
         match self {
             Built::Unstructured(s) => s.maintenance_messages(),
-            Built::Hybrid(s) => s.maintenance_messages(),
-            Built::DhtOnly(s) => s.maintenance_messages(),
+            Built::Dht(s) => s.maintenance_messages(),
         }
     }
 }
@@ -482,23 +463,6 @@ mod tests {
             let b = outcomes(second.as_mut(), &w, &qs);
             assert_eq!(a, b, "rebuild diverged for {}", first.name());
         }
-    }
-
-    /// Extractors hand back the DHT-backed systems with their
-    /// reporting fields intact.
-    #[test]
-    fn extractors_return_concrete_systems() {
-        let w = world();
-        let hybrid = SearchSpec::hybrid(2, 5, 1).build(&w).into_hybrid();
-        assert_eq!((hybrid.flood_ttl, hybrid.rare_threshold), (2, 5));
-        let _ = SearchSpec::dht_only(1).build(&w).into_dht_only();
-    }
-
-    #[test]
-    #[should_panic(expected = "built system is walk(k=1,ttl=5), not hybrid")]
-    fn wrong_extractor_fails_fast() {
-        let w = world();
-        let _ = SearchSpec::walk(1, 5).build(&w).into_hybrid();
     }
 
     #[test]
@@ -618,8 +582,7 @@ mod tests {
         let mut hybrid = SearchSpec::hybrid(2, 5, 11)
             .faults(ctx(33))
             .recorder(MetricsRecorder::new())
-            .build(&w)
-            .into_hybrid();
+            .build(&w);
         let out = outcomes(&mut hybrid, &w, &qs);
         let total: u64 = out.iter().map(|o| o.messages).sum();
         let rec = hybrid.recorder();
@@ -628,16 +591,15 @@ mod tests {
                 + rec.total(Kernel::ChordLookup, Counter::Messages),
             total
         );
-        assert_eq!(
-            rec.event_count(Kernel::ChordLookup, Event::Fallback),
-            hybrid.fallbacks
-        );
+        // Every lookup is a fallback, and fallbacks happen.
+        let fallbacks = rec.event_count(Kernel::ChordLookup, Event::Fallback);
+        assert!(fallbacks > 0);
+        assert_eq!(fallbacks, rec.spans(Kernel::ChordLookup));
         // DHT-only: lookups under ChordLookup; fault totals mirrored.
         let mut dht = SearchSpec::dht_only(9)
             .faults(ctx(34))
             .recorder(MetricsRecorder::new())
-            .build(&w)
-            .into_dht_only();
+            .build(&w);
         let out = outcomes(&mut dht, &w, &qs);
         let total: u64 = out.iter().map(|o| o.messages).sum();
         let mut faults = qcp_faults::FaultStats::default();
@@ -674,12 +636,10 @@ mod tests {
         let before = sys.maintenance_messages();
         let _ = outcomes(&mut sys, &w, &qs);
         assert!(sys.maintenance_messages() >= before);
-        let dht = sys.into_dht_only();
-        assert!(dht.maintenance_passes() > 0);
-        // Repair passes recorded one span each.
+        // One repair span per pass: before queries 11, 21, …, 51.
         assert_eq!(
-            dht.recorder().spans(Kernel::Repair),
-            dht.maintenance_passes()
+            sys.recorder().spans(Kernel::Repair),
+            (qs.len() as u64 - 1) / 10
         );
     }
 }

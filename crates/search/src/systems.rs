@@ -176,27 +176,23 @@ pub(crate) fn query_faults(
 
 /// A periodic maintenance schedule driven by the query clock.
 ///
-/// Systems that accept one (see [`HybridSearch::with_maintenance`] and
-/// [`DhtOnlySearch::with_maintenance`]) run a repair pass immediately
-/// before every `period`-th query, so a degraded index heals *mid*
-/// workload instead of only between experiments: stale-miss counters
-/// decay as re-replication catches up with the fault plan's churn.
+/// The DHT-backed systems accept one ([`SearchSpec::maintenance`] on a
+/// [`DhtSearch`](crate::hybrid::DhtSearch)) and run a repair pass
+/// immediately before every `period`-th query, so a degraded index heals
+/// *mid* workload instead of only between experiments: stale-miss
+/// counters decay as re-replication catches up with the fault plan's
+/// churn.
 ///
 /// The schedule is pure bookkeeping — it decides *when*, the owning
-/// system decides *what* (for the DHT-backed systems: one
+/// system decides *what* (one
 /// [`re_replicate`](qcp_dht::DhtIndex::re_replicate) pass against the
 /// plan's alive mask at the current tick). Firing depends only on the
 /// count of queries served, never on query outcomes, so attaching a
 /// schedule cannot perturb per-query fault draws.
-///
-/// [`HybridSearch::with_maintenance`]: crate::hybrid::HybridSearch::with_maintenance
-/// [`DhtOnlySearch::with_maintenance`]: crate::hybrid::DhtOnlySearch::with_maintenance
 #[derive(Debug, Clone)]
 pub struct MaintenanceSchedule {
     period: u64,
     served: u64,
-    /// Maintenance passes fired so far (for reports).
-    pub passes: u64,
 }
 
 impl MaintenanceSchedule {
@@ -205,11 +201,7 @@ impl MaintenanceSchedule {
     /// very first query, whose index is still fresh by construction).
     pub fn every(period: u64) -> Self {
         assert!(period > 0, "maintenance period must be positive");
-        Self {
-            period,
-            served: 0,
-            passes: 0,
-        }
+        Self { period, served: 0 }
     }
 
     /// Advances the served-query count; returns whether a maintenance
@@ -217,9 +209,6 @@ impl MaintenanceSchedule {
     pub fn due(&mut self) -> bool {
         let fire = self.served > 0 && self.served.is_multiple_of(self.period);
         self.served = self.served.wrapping_add(1);
-        if fire {
-            self.passes += 1;
-        }
         fire
     }
 }
@@ -240,7 +229,8 @@ pub trait SearchSystem {
     }
 }
 
-/// Which search an [`UnstructuredSearch`] runs.
+/// Which search an [`UnstructuredSearch`] (or a hybrid's flood phase)
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Strategy {
     /// Gnutella-style TTL-limited flooding ([`SearchSpec::flood`]).
@@ -300,8 +290,8 @@ pub struct UnstructuredSearch<R: Recorder = NoopRecorder> {
 /// What an engine run reads besides its [`QueryRun`] and recorder: the
 /// strategy, its engines, and the deadline and capacity layers.
 #[derive(Debug)]
-struct Runner {
-    strategy: Strategy,
+pub(crate) struct Runner {
+    pub(crate) strategy: Strategy,
     engine: FloodEngine,
     events: EventEngine,
     forwarders: Vec<bool>,
@@ -314,11 +304,32 @@ struct Runner {
 /// copies-hit shadow reruns the primary's inputs with only the holders
 /// swapped.
 #[derive(Clone, Copy)]
-struct QueryRun<'a> {
-    graph: &'a Graph,
-    source: u32,
-    holders: &'a [u32],
-    plan: Option<FloodFaults<'a>>,
+pub(crate) struct QueryRun<'a> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) source: u32,
+    pub(crate) holders: &'a [u32],
+    pub(crate) plan: Option<FloodFaults<'a>>,
+}
+
+/// One engine run's result. `out.deadline_exceeded` says the clock cut
+/// the run off before a hit; whoever decides the query is over records
+/// the `DeadlineExceeded` event. A flood also hands back what a hybrid's
+/// rare-query rule and fallback budget read: the holders it reached and,
+/// on the deadline path, the time it drained. Both are 0 otherwise.
+pub(crate) struct Ran {
+    pub(crate) out: SearchOutcome,
+    pub(crate) reached: u32,
+    pub(crate) drained: u64,
+}
+
+impl From<SearchOutcome> for Ran {
+    fn from(out: SearchOutcome) -> Self {
+        Self {
+            out,
+            reached: 0,
+            drained: 0,
+        }
+    }
 }
 
 impl<R: Recorder> UnstructuredSearch<R> {
@@ -340,14 +351,7 @@ impl<R: Recorder> UnstructuredSearch<R> {
         let replicated =
             replication.map(|plan| plan.apply(&world.topology.graph, &world.placement));
         Self {
-            runner: Runner {
-                strategy,
-                engine: FloodEngine::new(world.num_peers()),
-                events: EventEngine::new(),
-                forwarders: world.topology.forwarders(),
-                deadline,
-                capacity,
-            },
+            runner: Runner::new(world, strategy, deadline, capacity),
             faults,
             replicated,
             recorder,
@@ -390,7 +394,12 @@ impl<R: Recorder> SearchSystem for UnstructuredSearch<R> {
         // from it; the clone is dropped unused when the query fails).
         let walk = matches!(self.runner.strategy, Strategy::Walk { .. });
         let mut shadow_rng = (walk && self.replicated.is_some()).then(|| rng.clone());
-        let out = self.runner.run(&primary, rng, &mut self.recorder);
+        let out = self.runner.run(&primary, rng, &mut self.recorder).out;
+        let kernel = self.runner.strategy.kernel();
+        // The primary run ends the query, so its clock cut-off closes it.
+        if out.deadline_exceeded {
+            self.recorder.rec_event(kernel, Event::DeadlineExceeded);
+        }
         if out.success && self.replicated.is_some() {
             // Copies-hit accounting: replay the identical engine run
             // (same draws, same deadline/capacity path) over the
@@ -403,8 +412,7 @@ impl<R: Recorder> SearchSystem for UnstructuredSearch<R> {
             };
             let shadow_rng = shadow_rng.as_mut().unwrap_or(rng);
             let shadow = self.runner.run(&owner_only, shadow_rng, &mut NoopRecorder);
-            if !shadow.success {
-                let kernel = self.runner.strategy.kernel();
+            if !shadow.out.success {
                 self.recorder.rec_count(kernel, Counter::CopiesHit, 1);
             }
         }
@@ -413,17 +421,34 @@ impl<R: Recorder> SearchSystem for UnstructuredSearch<R> {
 }
 
 impl Runner {
+    /// A runner for `strategy` over `world`'s overlay.
+    pub(crate) fn new(
+        world: &SearchWorld,
+        strategy: Strategy,
+        deadline: Option<Deadline>,
+        capacity: Option<CapacityPlan>,
+    ) -> Self {
+        Self {
+            strategy,
+            engine: FloodEngine::new(world.num_peers()),
+            events: EventEngine::new(),
+            forwarders: world.topology.forwarders(),
+            deadline,
+            capacity,
+        }
+    }
+
     /// One engine run, recorded into `rec`. With a deadline (and so a
     /// fault context) attached, the strategy runs on the calendar engine
     /// behind the admission gate, cut off at the deadline, with a
     /// capacity plan queueing its arrivals (bitwise direct delivery when
     /// unlimited); otherwise it takes the synchronous path.
-    fn run<R: Recorder>(
+    pub(crate) fn run<R: Recorder>(
         &mut self,
         run: &QueryRun<'_>,
         rng: &mut Pcg64,
         rec: &mut R,
-    ) -> SearchOutcome {
+    ) -> Ran {
         let Some((deadline, plan)) = self.deadline.zip(run.plan) else {
             return self.run_sync(run, rng, rec);
         };
@@ -438,10 +463,10 @@ impl Runner {
         };
         let capacity = self.capacity.as_ref();
         if capacity.is_some_and(|cap| !cap.admit(run.source, plan.nonce)) {
-            return reject_admission(kernel, rec);
+            return reject_admission(kernel, rec).into();
         }
         let cutoff = Some(deadline.ticks);
-        let (mut out, truncated, over) = match self.strategy {
+        let (mut ran, truncated, over) = match self.strategy {
             Strategy::Flood { ttl } => {
                 let (o, stats, over) = self.events.flood(
                     run.graph,
@@ -462,7 +487,12 @@ impl Runner {
                     elapsed: o.first_hit_time.unwrap_or(o.completion_time),
                     ..SearchOutcome::default()
                 };
-                (out, o.truncated, over)
+                let ran = Ran {
+                    out,
+                    reached: o.holders_reached,
+                    drained: o.completion_time,
+                };
+                (ran, o.truncated, over)
             }
             Strategy::Walk { walkers, ttl } => {
                 let (o, stats, over) = self.events.walk(
@@ -485,41 +515,35 @@ impl Runner {
                     elapsed: o.first_hit_time.unwrap_or(o.completion_time),
                     ..SearchOutcome::default()
                 };
-                (out, o.truncated, over)
+                (out.into(), o.truncated, over)
             }
             Strategy::Ring { max_ttl } => {
-                return self.ring_timed(max_ttl, run, plan, deadline, rec)
+                return self.ring_timed(max_ttl, run, plan, deadline, rec).into()
             }
         };
         // A truncated run that found nothing was ended by the clock; a
         // run that shed work is overloaded.
+        let out = &mut ran.out;
         out.deadline_exceeded = truncated && !out.success;
-        if out.deadline_exceeded {
-            rec.rec_event(kernel, Event::DeadlineExceeded);
-        }
         out.overload = OverloadStats::from_outcome(&over);
         if out.overload.overloaded {
             rec.rec_event(kernel, Event::Overloaded);
         }
-        out
+        ran
     }
 
     /// The synchronous path: the flood census (whose level `ttl`
     /// reconstructs the standalone flood bitwise — the BFS prefix
     /// property, pinned in qcp-overlay), stepped walkers drawing from
     /// `rng`, or the census-backed ring schedule.
-    fn run_sync<R: Recorder>(
-        &mut self,
-        run: &QueryRun<'_>,
-        rng: &mut Pcg64,
-        rec: &mut R,
-    ) -> SearchOutcome {
+    fn run_sync<R: Recorder>(&mut self, run: &QueryRun<'_>, rng: &mut Pcg64, rec: &mut R) -> Ran {
         let QueryRun {
             graph,
             source,
             holders,
             plan,
         } = *run;
+        let mut reached = 0;
         let (success, messages, hops, faults) = match self.strategy {
             Strategy::Flood { ttl } => {
                 let spec = FloodSpec {
@@ -532,6 +556,7 @@ impl Runner {
                     .run(graph, source, holders, forwarders, &spec, rec);
                 let out = census.at(ttl);
                 let level = ttl.min(census.levels()) as usize;
+                reached = self.engine.hits_in_last_flood(holders);
                 (out.found, out.messages, out.found_at_hop, stats[level])
             }
             Strategy::Walk { walkers, ttl } => {
@@ -553,22 +578,27 @@ impl Runner {
                 (out.found, out.messages, out.found_at_ttl, stats)
             }
         };
-        SearchOutcome {
+        let out = SearchOutcome {
             success,
             messages,
             hops,
             faults,
             elapsed: faults.ticks,
             ..SearchOutcome::default()
+        };
+        Ran {
+            out,
+            reached,
+            drained: 0,
         }
     }
 
     /// The ring schedule on the deadline path, past the admission gate:
     /// rings run as sequential event floods on one virtual timeline,
     /// each cut off at whatever budget the earlier rings left. The
-    /// schedule closes itself: its counters sum every ring, and it
-    /// exceeds the deadline when a ring was cut off or the rings used up
-    /// the budget before a hit. Iterative deepening under a clock is
+    /// schedule records its own summary: its counters sum every ring, and
+    /// it exceeds the deadline when a ring was cut off or the rings used
+    /// up the budget before a hit. Iterative deepening under a clock is
     /// exactly the paper's trade-off — cheap rings first, but every miss
     /// burns time the deeper rings no longer have.
     fn ring_timed<R: Recorder>(
@@ -636,9 +666,6 @@ impl Runner {
             rec.rec_time(kernel, out.elapsed, 1);
         }
         rec.rec_event(kernel, if out.success { Event::Hit } else { Event::Miss });
-        if out.deadline_exceeded {
-            rec.rec_event(kernel, Event::DeadlineExceeded);
-        }
         if out.overload.overloaded {
             rec.rec_event(kernel, Event::Overloaded);
         }

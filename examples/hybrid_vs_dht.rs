@@ -6,6 +6,7 @@
 //! cargo run --release --example hybrid_vs_dht
 //! ```
 
+use qcp2p::obs::{Event, Kernel, MetricsRecorder};
 use qcp2p::search::{evaluate, gen_queries, SearchSpec, SearchWorld, WorkloadConfig, WorldConfig};
 
 fn main() {
@@ -31,7 +32,9 @@ fn main() {
     );
 
     let mut flood = SearchSpec::flood(3).build(&world);
-    let mut hybrid = SearchSpec::hybrid(3, 20, 37).build(&world).into_hybrid();
+    let mut hybrid = SearchSpec::hybrid(3, 20, 37)
+        .recorder(MetricsRecorder::new())
+        .build(&world);
     let mut dht = SearchSpec::dht_only(37).build(&world);
     let rows = evaluate(
         &world,
@@ -54,9 +57,14 @@ fn main() {
         );
     }
 
+    // The recorder counts one `Fallback` event per query re-issued over
+    // the DHT.
+    let fallbacks = hybrid
+        .recorder()
+        .event_count(Kernel::ChordLookup, Event::Fallback);
     println!(
         "\n{:.0}% of hybrid queries fell back to the DHT: the flood phase almost never finds enough replicas (Loo's 'rare' rule: < 20 results).",
-        hybrid.fallback_rate() * 100.0
+        fallbacks as f64 / rows[1].queries as f64 * 100.0
     );
     println!(
         "hybrid spends {:.0}x the messages of pure DHT for the same success — the paper's argument that hybrid designs built on content-centric assumptions are worse than going structured directly.",

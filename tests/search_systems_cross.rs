@@ -2,6 +2,7 @@
 //! shared world and workload, asserting the cross-system orderings the
 //! paper's Sections V–VII predict.
 
+use qcp2p::obs::{Event, Kernel, MetricsRecorder};
 use qcp2p::search::{
     evaluate, gen_queries, GiaSearch, SearchSpec, SearchWorld, SynopsisPolicy, SynopsisSearch,
     WorkloadConfig, WorldConfig,
@@ -48,7 +49,9 @@ fn hybrid_matches_dht_success_at_higher_cost() {
             seed: 4,
         },
     );
-    let mut hybrid = SearchSpec::hybrid(3, 20, 5).build(&w).into_hybrid();
+    let mut hybrid = SearchSpec::hybrid(3, 20, 5)
+        .recorder(MetricsRecorder::new())
+        .build(&w);
     let mut dht = SearchSpec::dht_only(5).build(&w);
     let rows = evaluate(&w, &mut [&mut hybrid, &mut dht], &queries, 6);
     assert!((rows[0].success_rate - rows[1].success_rate).abs() < 0.03);
@@ -59,11 +62,11 @@ fn hybrid_matches_dht_success_at_higher_cost() {
         rows[1].mean_messages
     );
     // Under Zipf replicas almost everything is 'rare'.
-    assert!(
-        hybrid.fallback_rate() > 0.7,
-        "fallback {}",
-        hybrid.fallback_rate()
-    );
+    let fallbacks = hybrid
+        .recorder()
+        .event_count(Kernel::ChordLookup, Event::Fallback);
+    let fallback_rate = fallbacks as f64 / queries.len() as f64;
+    assert!(fallback_rate > 0.7, "fallback {fallback_rate}");
 }
 
 #[test]
