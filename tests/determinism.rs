@@ -1783,13 +1783,26 @@ fn outcome_digest(
     world: &SearchWorld,
     queries: &[qcp2p::search::QuerySpec],
 ) -> u64 {
-    digest(outcome_words(&mut system, world, queries))
+    digest(built_words(&mut system, world, queries))
 }
 
-/// The words [`outcome_digest`] folds: per query every outcome field and
-/// the next query-RNG draw, then the system's recorder contents.
-fn outcome_words(
+/// The words [`outcome_digest`] folds: the [`outcome_words`], then the
+/// system's recorder contents.
+fn built_words(
     system: &mut qcp2p::search::Built<MetricsRecorder>,
+    world: &SearchWorld,
+    queries: &[qcp2p::search::QuerySpec],
+) -> Vec<u64> {
+    let mut words = outcome_words(system, world, queries);
+    words.extend(recorder_words(system.recorder()));
+    words
+}
+
+/// Per query every outcome field and the next query-RNG draw (the
+/// system must leave the query RNG exactly where it always has):
+/// [`OUTCOME_WORDS`] words a query.
+fn outcome_words(
+    system: &mut dyn SearchSystem,
     world: &SearchWorld,
     queries: &[qcp2p::search::QuerySpec],
 ) -> Vec<u64> {
@@ -1822,9 +1835,11 @@ fn outcome_words(
         ]);
         words.push(rng.next());
     }
-    words.extend(recorder_words(system.recorder()));
     words
 }
+
+/// Words [`outcome_words`] writes per query.
+const OUTCOME_WORDS: usize = 20;
 
 /// Digests of 200 deadline-path outcomes plus the system's recorder, in
 /// the order flood(3), walk(8, 20), expanding_ring(4), hybrid(2, 3) —
@@ -2063,7 +2078,7 @@ fn dht_search_digests() -> Vec<u64> {
             spec = spec.maintenance(MaintenanceSchedule::every(25));
         }
         let mut system = spec.recorder(MetricsRecorder::new()).build(&world);
-        digests.push(digest(outcome_words(&mut system, &world, &queries)));
+        digests.push(digest(built_words(&mut system, &world, &queries)));
         let rec = system.recorder();
         rejected += rec.total(Kernel::ChordLookup, Counter::AdmissionRejected);
         repairs += rec.spans(Kernel::Repair);
@@ -2138,8 +2153,8 @@ fn zero_threshold_hybrid_is_the_flood_system() {
             let mut flood = layered(SearchSpec::flood(ttl));
             let mut hybrid = layered(SearchSpec::hybrid(ttl, 0, 0x1a82));
             assert_eq!(
-                outcome_words(&mut hybrid, &world, &queries),
-                outcome_words(&mut flood, &world, &queries),
+                built_words(&mut hybrid, &world, &queries),
+                built_words(&mut flood, &world, &queries),
                 "hybrid(ttl={ttl},rare<0) is not flood(ttl={ttl}) under {layer:?}"
             );
             let rec = flood.recorder();
@@ -2154,6 +2169,98 @@ fn zero_threshold_hybrid_is_the_flood_system() {
         "guard: admission control must refuse some query"
     );
     assert!(missed > 0, "guard: the deadline must end some query");
+}
+
+/// Digests of the [`outcome_words`] of the informed walks over the
+/// golden workload plus one unsatisfiable query, in the order of
+/// [`INFORMED_WALK_CASES`].
+const GOLDEN_INFORMED_WALK_DIGESTS: [u64; 4] = [
+    0x6e643aa723bc44e9,
+    0x5865b4224a22516a,
+    0x754b1165ffb43815,
+    0x8cc49749203e0762,
+];
+
+/// The informed walks [`GOLDEN_INFORMED_WALK_DIGESTS`] covers, in order.
+const INFORMED_WALK_CASES: [&str; 4] = [
+    "gia(30)",
+    "synopsis(content,12,40)",
+    "synopsis(query,12,40)",
+    "advertise(8,40)",
+];
+
+fn informed_walk_digests() -> Vec<u64> {
+    use qcp2p::search::{AdvertiseSearch, GiaSearch, QuerySpec, SynopsisPolicy, SynopsisSearch};
+    let (world, mut queries) = golden_search_world();
+    let unsatisfiable = QuerySpec {
+        terms: vec![u32::MAX],
+        source: 0,
+    };
+    queries.push(unsatisfiable.clone());
+    let train = gen_queries(
+        &world,
+        &WorkloadConfig {
+            num_queries: 2_000,
+            seed: 0x1f0,
+        },
+    );
+    let mut digests = Vec::new();
+    for case in INFORMED_WALK_CASES {
+        let (mut system, ttl): (Box<dyn SearchSystem>, u64) = match case {
+            "gia(30)" => (Box::new(GiaSearch::new(&world, 30, 0x1f1)), 30),
+            "advertise(8,40)" => (Box::new(AdvertiseSearch::new(&world, 8, 40, 0x1f2)), 40),
+            _ => {
+                let policy = match case.contains("query") {
+                    true => SynopsisPolicy::QueryCentric,
+                    false => SynopsisPolicy::ContentCentric,
+                };
+                let mut synopsis = SynopsisSearch::new(&world, policy, 12, 40);
+                if policy == SynopsisPolicy::QueryCentric {
+                    synopsis.observe_queries(&world, &train, 0.5);
+                }
+                (Box::new(synopsis), 40)
+            }
+        };
+        let words = outcome_words(system.as_mut(), &world, &queries);
+        let (mut free_hit, mut full_miss) = (false, false);
+        for (query, w) in queries.iter().zip(words.chunks_exact(OUTCOME_WORDS)) {
+            let (success, messages, hops) = (w[0] == 1, w[1], w[2]);
+            let matching = world.matching_objects(&query.terms);
+            free_hit |= hops == 0 && !world.peer_answers(query.source, &matching);
+            full_miss |= !success && messages == ttl;
+            if *query == unsatisfiable {
+                assert!(
+                    matching.is_empty(),
+                    "guard: the query must be unsatisfiable"
+                );
+                assert_eq!((success, messages), (false, 0), "{case}: unsatisfiable");
+            }
+        }
+        if case.starts_with("gia") || case.starts_with("advertise") {
+            assert!(
+                free_hit,
+                "guard: {case} must answer some query at its source from an index"
+            );
+        }
+        assert!(
+            full_miss,
+            "guard: {case} must miss some query after its TTL"
+        );
+        digests.push(digest(words));
+    }
+    digests
+}
+
+/// The Gia, synopsis and advertisement walks: every outcome field and
+/// the next query-RNG draw per query.
+#[test]
+fn informed_walks_match_golden() {
+    assert_eq!(
+        informed_walk_digests(),
+        GOLDEN_INFORMED_WALK_DIGESTS.to_vec(),
+        "Gia, synopsis or advertisement walk outcomes or RNG use drifted \
+         from the golden capture"
+    );
 }
 
 /// The `repro latency --scale smoke` session.
