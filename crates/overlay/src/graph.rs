@@ -282,7 +282,8 @@ impl Graph {
     }
 
     /// Maximum degree.
-    pub fn max_degree(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_degree(&self) -> usize {
         (0..self.num_nodes() as u32)
             .map(|u| self.degree(u))
             .max()
@@ -318,7 +319,8 @@ impl Graph {
 
     /// True when every node is reachable from node 0 (and the graph is
     /// nonempty).
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
         self.num_nodes() > 0 && self.largest_component() == self.num_nodes()
     }
 

@@ -655,7 +655,8 @@ impl Maintainer {
     }
 
     /// Rounds applied so far.
-    pub fn rounds_run(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rounds_run(&self) -> u64 {
         self.round
     }
 

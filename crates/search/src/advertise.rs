@@ -11,18 +11,19 @@
 //! term is proportional to how much content carries it, not to how often
 //! users ask for it.
 
+use crate::informed::{self, WalkPolicy};
 use crate::systems::{SearchOutcome, SearchSystem};
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_util::rng::Pcg64;
-use qcp_util::{FxHashMap, FxHashSet};
+use qcp_util::FxHashMap;
 
 /// Advertisement-based search system.
 #[derive(Debug)]
 pub struct AdvertiseSearch {
     /// Peers each advertisement is pushed to.
-    pub fanout: usize,
+    fanout: usize,
     /// Steps of the consultation walk at query time.
-    pub ttl: u32,
+    ttl: u32,
     /// Per peer: advertised (object → holder) entries received.
     store: Vec<FxHashMap<u32, u32>>,
     /// Push cost (messages) spent on advertisement placement.
@@ -52,15 +53,22 @@ impl AdvertiseSearch {
             maintenance,
         }
     }
+}
 
-    /// Checks one peer's advertisement store (and own content) for a
-    /// matching object; returns the holder if known.
-    fn check(&self, world: &SearchWorld, peer: u32, matching: &[u32]) -> bool {
+impl WalkPolicy for AdvertiseSearch {
+    /// Checks one peer's own content and advertisement store for a
+    /// matching object.
+    fn answers(&self, world: &SearchWorld, peer: u32, matching: &[u32]) -> bool {
         if world.peer_answers(peer, matching) {
             return true;
         }
         let store = &self.store[peer as usize];
         matching.iter().any(|obj| store.contains_key(obj))
+    }
+
+    /// A uniform draw: the consultation walk is blind.
+    fn pick(&self, unvisited: &[u32], _query: &QuerySpec, rng: &mut Pcg64) -> u32 {
+        unvisited[rng.index(unvisited.len())]
     }
 }
 
@@ -70,57 +78,8 @@ impl SearchSystem for AdvertiseSearch {
     }
 
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
-        let matching = world.matching_objects(&query.terms);
-        if matching.is_empty() {
-            return SearchOutcome::default();
-        }
         // Local store first, then a short random consultation walk.
-        if self.check(world, query.source, &matching) {
-            return SearchOutcome {
-                success: true,
-                messages: 0,
-                hops: Some(0),
-                ..SearchOutcome::default()
-            };
-        }
-        let graph = &world.topology.graph;
-        let mut visited: FxHashSet<u32> = FxHashSet::default();
-        visited.insert(query.source);
-        let mut current = query.source;
-        let mut messages = 0u64;
-        for step in 1..=self.ttl {
-            let neighbors = graph.neighbors(current);
-            if neighbors.is_empty() {
-                break;
-            }
-            let unvisited: Vec<u32> = neighbors
-                .iter()
-                .copied()
-                .filter(|nb| !visited.contains(nb))
-                .collect();
-            let next = if unvisited.is_empty() {
-                neighbors[rng.index(neighbors.len())]
-            } else {
-                unvisited[rng.index(unvisited.len())]
-            };
-            messages += 1;
-            visited.insert(next);
-            current = next;
-            if self.check(world, current, &matching) {
-                return SearchOutcome {
-                    success: true,
-                    messages,
-                    hops: Some(step),
-                    ..SearchOutcome::default()
-                };
-            }
-        }
-        SearchOutcome {
-            success: false,
-            messages,
-            hops: None,
-            ..SearchOutcome::default()
-        }
+        informed::walk(self, self.ttl, world, query, rng)
     }
 
     fn maintenance_messages(&self) -> u64 {
@@ -160,51 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn local_store_hit_is_free() {
-        let w = world();
-        let sys = AdvertiseSearch::new(&w, 8, 10, 2);
-        // Find a peer whose store advertises some object; query for it.
-        let (peer, obj) = sys
-            .store
-            .iter()
-            .enumerate()
-            .find_map(|(p, s)| s.keys().next().map(|&o| (p as u32, o)))
-            .expect("some advertisement exists");
-        let q = QuerySpec {
-            terms: w.object_terms[obj as usize].clone(),
-            source: peer,
-        };
-        let mut sys = sys;
-        let mut rng = Pcg64::new(3);
-        let out = sys.search(&w, &q, &mut rng);
-        assert!(out.success);
-        assert_eq!(out.messages, 0);
-    }
-
-    #[test]
-    fn beats_blind_walk_at_same_ttl() {
-        let w = world();
-        let mut rng = Pcg64::new(4);
-        let queries: Vec<QuerySpec> = (0..300).map(|_| w.sample_query(&mut rng)).collect();
-        let mut ads = AdvertiseSearch::new(&w, 8, 20, 5);
-        let mut walk = crate::spec::SearchSpec::walk(1, 20).build(&w);
-        let mut ad_hits = 0;
-        let mut walk_hits = 0;
-        for q in &queries {
-            if ads.search(&w, q, &mut rng).success {
-                ad_hits += 1;
-            }
-            if walk.search(&w, q, &mut rng).success {
-                walk_hits += 1;
-            }
-        }
-        assert!(
-            ad_hits > walk_hits,
-            "advertisements ({ad_hits}) must beat blind walk ({walk_hits})"
-        );
-    }
-
-    #[test]
     fn higher_fanout_helps() {
         let w = world();
         let mut rng = Pcg64::new(6);
@@ -222,22 +136,5 @@ mod tests {
         }
         assert!(hi > lo, "fanout 16 ({hi}) must beat fanout 2 ({lo})");
         assert!(high.maintenance_messages() > low.maintenance_messages());
-    }
-
-    #[test]
-    fn unsatisfiable_query_fails_free() {
-        let w = world();
-        let mut sys = AdvertiseSearch::new(&w, 4, 10, 8);
-        let mut rng = Pcg64::new(9);
-        let out = sys.search(
-            &w,
-            &QuerySpec {
-                terms: vec![9_999_999],
-                source: 0,
-            },
-            &mut rng,
-        );
-        assert!(!out.success);
-        assert_eq!(out.messages, 0);
     }
 }

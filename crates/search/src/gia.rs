@@ -12,17 +12,17 @@
 //! (the Gia paper's own 1x/10x/100x/1000x gnutella-like distribution),
 //! biases walks by capacity, and answers queries from one-hop indices.
 
+use crate::informed::{self, WalkPolicy};
 use crate::systems::{SearchOutcome, SearchSystem};
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_faults::capacity::{gia_tier, GIA_MULTIPLIERS};
 use qcp_util::rng::Pcg64;
-use qcp_util::FxHashSet;
 
 /// Gia search system.
 #[derive(Debug)]
 pub struct GiaSearch {
     /// Walk budget in steps.
-    pub ttl: u32,
+    ttl: u32,
     /// Node capacities (heavy-tailed ladder).
     capacities: Vec<f64>,
 }
@@ -41,11 +41,14 @@ impl GiaSearch {
         Self { ttl, capacities }
     }
 
-    /// Capacity of a node (exposed for tests/reports).
-    pub fn capacity(&self, node: u32) -> f64 {
+    /// Capacity of a node.
+    #[cfg(test)]
+    fn capacity(&self, node: u32) -> f64 {
         self.capacities[node as usize]
     }
+}
 
+impl WalkPolicy for GiaSearch {
     /// One-hop-replication answer check: `node` answers if it or any
     /// neighbor holds a matching object.
     fn answers(&self, world: &SearchWorld, node: u32, matching: &[u32]) -> bool {
@@ -59,6 +62,21 @@ impl GiaSearch {
             .iter()
             .any(|&nb| world.peer_answers(nb, matching))
     }
+
+    /// The highest-capacity neighbor (Gia's bias): one random jitter per
+    /// neighbor, in order, breaks capacity ties without bias.
+    fn pick(&self, unvisited: &[u32], _query: &QuerySpec, rng: &mut Pcg64) -> u32 {
+        let mut best = unvisited[0];
+        let mut best_cap = f64::NEG_INFINITY;
+        for &nb in unvisited {
+            let jitter = self.capacities[nb as usize] * (1.0 + 0.01 * rng.next_f64());
+            if jitter > best_cap {
+                best_cap = jitter;
+                best = nb;
+            }
+        }
+        best
+    }
 }
 
 impl SearchSystem for GiaSearch {
@@ -67,64 +85,7 @@ impl SearchSystem for GiaSearch {
     }
 
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
-        let matching = world.matching_objects(&query.terms);
-        if matching.is_empty() {
-            return SearchOutcome::default();
-        }
-        let graph = &world.topology.graph;
-        let mut visited: FxHashSet<u32> = FxHashSet::default();
-        let mut current = query.source;
-        visited.insert(current);
-        let mut messages = 0u64;
-
-        if self.answers(world, current, &matching) {
-            return SearchOutcome {
-                success: true,
-                messages: 0,
-                hops: Some(0),
-                ..SearchOutcome::default()
-            };
-        }
-        for step in 1..=self.ttl {
-            // Choose the highest-capacity unvisited neighbor (Gia's bias);
-            // fall back to any neighbor when all are visited.
-            let neighbors = graph.neighbors(current);
-            if neighbors.is_empty() {
-                break;
-            }
-            let mut best: Option<u32> = None;
-            let mut best_cap = f64::NEG_INFINITY;
-            for &nb in neighbors {
-                if visited.contains(&nb) {
-                    continue;
-                }
-                let cap = self.capacities[nb as usize];
-                // Random jitter breaks capacity ties without bias.
-                let jitter = cap * (1.0 + 0.01 * rng.next_f64());
-                if jitter > best_cap {
-                    best_cap = jitter;
-                    best = Some(nb);
-                }
-            }
-            let next = best.unwrap_or_else(|| neighbors[rng.index(neighbors.len())]);
-            messages += 1;
-            visited.insert(next);
-            current = next;
-            if self.answers(world, current, &matching) {
-                return SearchOutcome {
-                    success: true,
-                    messages,
-                    hops: Some(step),
-                    ..SearchOutcome::default()
-                };
-            }
-        }
-        SearchOutcome {
-            success: false,
-            messages,
-            hops: None,
-            ..SearchOutcome::default()
-        }
+        informed::walk(self, self.ttl, world, query, rng)
     }
 }
 
@@ -168,58 +129,6 @@ mod tests {
         assert!(gia.answers(&w, holder, &matching));
         for &nb in w.topology.graph.neighbors(holder) {
             assert!(gia.answers(&w, nb, &matching));
-        }
-    }
-
-    #[test]
-    fn gia_beats_plain_walk_on_same_budget() {
-        let w = world();
-        let mut rng = Pcg64::new(3);
-        let queries: Vec<QuerySpec> = (0..300).map(|_| w.sample_query(&mut rng)).collect();
-        let mut gia = GiaSearch::new(&w, 30, 4);
-        let mut walk = crate::spec::SearchSpec::walk(1, 30).build(&w);
-        let mut gia_hits = 0;
-        let mut walk_hits = 0;
-        for q in &queries {
-            if gia.search(&w, q, &mut rng).success {
-                gia_hits += 1;
-            }
-            if walk.search(&w, q, &mut rng).success {
-                walk_hits += 1;
-            }
-        }
-        assert!(
-            gia_hits > walk_hits,
-            "gia {gia_hits} should beat 1-walker walk {walk_hits}"
-        );
-    }
-
-    #[test]
-    fn unsatisfiable_query_is_free_failure() {
-        let w = world();
-        let mut gia = GiaSearch::new(&w, 30, 5);
-        let mut rng = Pcg64::new(6);
-        let out = gia.search(
-            &w,
-            &QuerySpec {
-                terms: vec![4_999_999],
-                source: 1,
-            },
-            &mut rng,
-        );
-        assert!(!out.success);
-        assert_eq!(out.messages, 0);
-    }
-
-    #[test]
-    fn ttl_bounds_cost() {
-        let w = world();
-        let mut gia = GiaSearch::new(&w, 7, 7);
-        let mut rng = Pcg64::new(8);
-        for _ in 0..50 {
-            let q = w.sample_query(&mut rng);
-            let out = gia.search(&w, &q, &mut rng);
-            assert!(out.messages <= 7);
         }
     }
 }

@@ -15,6 +15,10 @@
 //!   recorders;
 //! * [`gia`] — the Gia baseline (paper ref \[17\]): capacity-weighted
 //!   topology roles, one-hop replication, biased walks;
+//! * `informed` (private) — the one walk frame behind Gia, the synopsis
+//!   walk and the advertisement walk: the source check, visited set,
+//!   step loop and outcome, with each system's next-hop rule and answer
+//!   test as a `WalkPolicy`;
 //! * [`hybrid`] — the DHT-backed systems as one [`DhtSearch`]: pure
 //!   Chord inverted-index search, and flood-then-DHT hybrid search with
 //!   the Loo et al. rare-query rule (paper ref \[5\]), whose flood phase
@@ -38,6 +42,7 @@ pub mod advertise;
 pub mod eval;
 pub mod gia;
 pub mod hybrid;
+mod informed;
 pub mod qrp;
 pub mod spec;
 pub mod synopsis;

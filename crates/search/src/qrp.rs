@@ -31,7 +31,7 @@ fn qrp_key(term: u32) -> u64 {
 #[derive(Debug)]
 pub struct QrpFloodSearch {
     /// Flood TTL over the ultrapeer mesh.
-    pub ttl: u32,
+    ttl: u32,
     /// Per-node QRP table (meaningful for leaves; ultrapeers route).
     tables: Vec<BloomFilter>,
     kinds: Vec<NodeKind>,

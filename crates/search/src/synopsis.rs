@@ -19,11 +19,12 @@
 //! Ablation A1 runs both at identical budgets and shows the query-centric
 //! policy resolving substantially more queries per synopsis bit.
 
+use crate::informed::{self, WalkPolicy};
 use crate::systems::{SearchOutcome, SearchSystem};
 use crate::world::{QuerySpec, SearchWorld};
 use qcp_sketch::{SynopsisBudget, TermSynopsis};
 use qcp_util::rng::Pcg64;
-use qcp_util::{FxHashMap, FxHashSet, Symbol};
+use qcp_util::{FxHashMap, Symbol};
 
 /// Synopsis admission policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,9 +39,9 @@ pub enum SynopsisPolicy {
 #[derive(Debug)]
 pub struct SynopsisSearch {
     /// Admission policy.
-    pub policy: SynopsisPolicy,
+    policy: SynopsisPolicy,
     /// Walk budget in steps.
-    pub ttl: u32,
+    ttl: u32,
     budget: SynopsisBudget,
     synopses: Vec<TermSynopsis>,
     /// Decayed global query-term popularity (term id → weight).
@@ -67,7 +68,7 @@ impl SynopsisSearch {
 
     /// Rebuilds every peer's synopsis under the current weights and counts
     /// the gossip cost (each peer ships its synopsis to every neighbor).
-    pub fn rebuild(&mut self, world: &SearchWorld) {
+    fn rebuild(&mut self, world: &SearchWorld) {
         self.synopses = (0..world.num_peers() as u32)
             .map(|peer| {
                 let counts = world.peer_term_counts(peer);
@@ -118,6 +119,32 @@ impl SynopsisSearch {
     }
 }
 
+impl WalkPolicy for SynopsisSearch {
+    /// A uniform draw among the neighbors whose synopses advertise the
+    /// most query terms, or among all of them when none advertises any.
+    fn pick(&self, unvisited: &[u32], query: &QuerySpec, rng: &mut Pcg64) -> u32 {
+        let mut best_score = 0usize;
+        let mut best: Vec<u32> = Vec::new();
+        for &nb in unvisited {
+            let score = self.advertised_count(nb, &query.terms);
+            match score.cmp(&best_score) {
+                std::cmp::Ordering::Greater => {
+                    best_score = score;
+                    best.clear();
+                    best.push(nb);
+                }
+                std::cmp::Ordering::Equal if score > 0 => best.push(nb),
+                _ => {}
+            }
+        }
+        if best.is_empty() {
+            unvisited[rng.index(unvisited.len())]
+        } else {
+            best[rng.index(best.len())]
+        }
+    }
+}
+
 impl SearchSystem for SynopsisSearch {
     fn name(&self) -> String {
         let p = match self.policy {
@@ -128,74 +155,7 @@ impl SearchSystem for SynopsisSearch {
     }
 
     fn search(&mut self, world: &SearchWorld, query: &QuerySpec, rng: &mut Pcg64) -> SearchOutcome {
-        let matching = world.matching_objects(&query.terms);
-        if matching.is_empty() {
-            return SearchOutcome::default();
-        }
-        let graph = &world.topology.graph;
-        let mut visited: FxHashSet<u32> = FxHashSet::default();
-        let mut current = query.source;
-        visited.insert(current);
-        if world.peer_answers(current, &matching) {
-            return SearchOutcome {
-                success: true,
-                messages: 0,
-                hops: Some(0),
-                ..SearchOutcome::default()
-            };
-        }
-        let mut messages = 0u64;
-        for step in 1..=self.ttl {
-            let neighbors = graph.neighbors(current);
-            if neighbors.is_empty() {
-                break;
-            }
-            // Score unvisited neighbors by advertised query terms; walk to
-            // the best (random among ties), falling back to random.
-            let mut best_score = 0usize;
-            let mut best: Vec<u32> = Vec::new();
-            let mut unvisited: Vec<u32> = Vec::new();
-            for &nb in neighbors {
-                if visited.contains(&nb) {
-                    continue;
-                }
-                unvisited.push(nb);
-                let score = self.advertised_count(nb, &query.terms);
-                match score.cmp(&best_score) {
-                    std::cmp::Ordering::Greater => {
-                        best_score = score;
-                        best.clear();
-                        best.push(nb);
-                    }
-                    std::cmp::Ordering::Equal if score > 0 => best.push(nb),
-                    _ => {}
-                }
-            }
-            let next = if !best.is_empty() {
-                best[rng.index(best.len())]
-            } else if !unvisited.is_empty() {
-                unvisited[rng.index(unvisited.len())]
-            } else {
-                neighbors[rng.index(neighbors.len())]
-            };
-            messages += 1;
-            visited.insert(next);
-            current = next;
-            if world.peer_answers(current, &matching) {
-                return SearchOutcome {
-                    success: true,
-                    messages,
-                    hops: Some(step),
-                    ..SearchOutcome::default()
-                };
-            }
-        }
-        SearchOutcome {
-            success: false,
-            messages,
-            hops: None,
-            ..SearchOutcome::default()
-        }
+        informed::walk(self, self.ttl, world, query, rng)
     }
 
     fn maintenance_messages(&self) -> u64 {
@@ -222,22 +182,6 @@ mod tests {
     fn queries(world: &SearchWorld, n: usize, seed: u64) -> Vec<QuerySpec> {
         let mut rng = Pcg64::new(seed);
         (0..n).map(|_| world.sample_query(&mut rng)).collect()
-    }
-
-    #[test]
-    fn source_holder_succeeds_at_zero_cost() {
-        let w = world();
-        let mut sys = SynopsisSearch::new(&w, SynopsisPolicy::ContentCentric, 16, 30);
-        let obj = 12u32;
-        let holder = w.placement.holders(obj)[0];
-        let q = QuerySpec {
-            terms: w.object_terms[obj as usize].clone(),
-            source: holder,
-        };
-        let mut rng = Pcg64::new(1);
-        let out = sys.search(&w, &q, &mut rng);
-        assert!(out.success);
-        assert_eq!(out.messages, 0);
     }
 
     #[test]
@@ -296,64 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn synopsis_beats_blind_walk() {
-        let w = world();
-        let train = queries(&w, 3_000, 6);
-        let test = queries(&w, 400, 7);
-        let mut qc = SynopsisSearch::new(&w, SynopsisPolicy::QueryCentric, 12, 40);
-        qc.observe_queries(&w, &train, 0.5);
-        let mut walk = crate::spec::SearchSpec::walk(1, 40).build(&w);
-        let mut rng = Pcg64::new(8);
-        let mut qc_hits = 0;
-        let mut walk_hits = 0;
-        for q in &test {
-            if qc.search(&w, q, &mut rng).success {
-                qc_hits += 1;
-            }
-            if walk.search(&w, q, &mut rng).success {
-                walk_hits += 1;
-            }
-        }
-        assert!(
-            qc_hits > walk_hits,
-            "synopsis walk ({qc_hits}) must beat blind walk ({walk_hits})"
-        );
-    }
-
-    #[test]
     fn maintenance_grows_with_rebuilds() {
         let w = world();
         let mut sys = SynopsisSearch::new(&w, SynopsisPolicy::QueryCentric, 8, 20);
         let m0 = sys.maintenance_messages();
         sys.observe_queries(&w, &queries(&w, 100, 9), 0.5);
         assert!(sys.maintenance_messages() > m0);
-    }
-
-    #[test]
-    fn unsatisfiable_query_fails_fast() {
-        let w = world();
-        let mut sys = SynopsisSearch::new(&w, SynopsisPolicy::ContentCentric, 8, 20);
-        let mut rng = Pcg64::new(10);
-        let out = sys.search(
-            &w,
-            &QuerySpec {
-                terms: vec![6_000_000],
-                source: 0,
-            },
-            &mut rng,
-        );
-        assert!(!out.success);
-        assert_eq!(out.messages, 0);
-    }
-
-    #[test]
-    fn ttl_bounds_messages() {
-        let w = world();
-        let mut sys = SynopsisSearch::new(&w, SynopsisPolicy::ContentCentric, 8, 9);
-        let mut rng = Pcg64::new(11);
-        for _ in 0..40 {
-            let q = w.sample_query(&mut rng);
-            assert!(sys.search(&w, &q, &mut rng).messages <= 9);
-        }
     }
 }

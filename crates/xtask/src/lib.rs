@@ -34,6 +34,7 @@
 
 pub mod callgraph;
 pub mod lexer;
+pub mod loc;
 pub mod parser;
 pub mod rules;
 pub mod taint;

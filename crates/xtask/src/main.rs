@@ -12,6 +12,9 @@
 //!   usage / I/O error.
 //! * `lint --explain <rule|family>` — print the long-form rationale for
 //!   a rule key (`seed-stream-alias`) or family (`D3`) and exit.
+//! * `loc <path>...` — print the non-blank, non-comment lines outside
+//!   `#[cfg(test)]` regions of each `.rs` file under the paths, then the
+//!   total. Exit codes: `0` counted, `2` usage / I/O error.
 
 #![forbid(unsafe_code)]
 
@@ -19,14 +22,14 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use qcp_xtask::{
-    lint_workspace,
+    lint_workspace, loc,
     rules::{LintConfig, Rule},
     Baseline,
 };
 
 const USAGE: &str = "usage: qcp-xtask lint [--root <dir>] [--format text|json] \
                      [--deny-warnings] [--baseline <file>] [--write-baseline] \
-                     [--explain <rule|family>]";
+                     [--explain <rule|family>]\n       qcp-xtask loc <path>...";
 
 #[derive(PartialEq)]
 enum Format {
@@ -41,6 +44,9 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    if cmd == "loc" {
+        return run_loc(iter.as_slice());
+    }
     if cmd != "lint" {
         eprintln!("error: unknown subcommand `{cmd}`");
         eprintln!("{USAGE}");
@@ -88,6 +94,40 @@ fn main() -> ExitCode {
         },
     };
     run_lint(&root, format, deny_warnings, baseline_path, write_baseline)
+}
+
+/// Prints the production code lines of every `.rs` file under `paths`,
+/// one file a line, then the total.
+fn run_loc(paths: &[String]) -> ExitCode {
+    if paths.is_empty() {
+        return usage_error("loc requires at least one path");
+    }
+    if let Some(flag) = paths.iter().find(|p| p.starts_with("--")) {
+        return usage_error(&format!("loc takes no flags, got `{flag}`"));
+    }
+    let mut total = 0;
+    for path in paths {
+        let files = match loc::rs_files(Path::new(path)) {
+            Ok(files) => files,
+            Err(e) => {
+                eprintln!("loc: cannot read {path}: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        for file in files {
+            let lines = match std::fs::read_to_string(&file) {
+                Ok(source) => loc::code_lines(&source),
+                Err(e) => {
+                    eprintln!("loc: cannot read {}: {e}", file.display());
+                    return ExitCode::from(2);
+                }
+            };
+            println!("{lines:>7} {}", file.display());
+            total += lines;
+        }
+    }
+    println!("{total:>7} total");
+    ExitCode::SUCCESS
 }
 
 fn usage_error(msg: &str) -> ExitCode {

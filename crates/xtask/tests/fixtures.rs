@@ -307,3 +307,25 @@ fn whole_workspace_is_clean() {
         "workspace has stale pragmas:\n{report}"
     );
 }
+
+#[test]
+fn loc_counts_code_lines_outside_tests() {
+    let sample = fixture("loc").join("sample.rs");
+    let out = Command::new(env!("CARGO_BIN_EXE_qcp-xtask"))
+        .arg("loc")
+        .arg(&sample)
+        .output()
+        .expect("failed to run qcp-xtask");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("      3 {}\n      3 total\n", sample.display())
+    );
+    for args in [&["loc"][..], &["loc", "--root", "."]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_qcp-xtask"))
+            .args(args)
+            .output()
+            .expect("failed to run qcp-xtask");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+    }
+}

@@ -4,8 +4,8 @@
 
 use qcp2p::obs::{Event, Kernel, MetricsRecorder};
 use qcp2p::search::{
-    evaluate, gen_queries, GiaSearch, SearchSpec, SearchWorld, SynopsisPolicy, SynopsisSearch,
-    WorkloadConfig, WorldConfig,
+    evaluate, gen_queries, AdvertiseSearch, GiaSearch, QrpFloodSearch, SearchSpec, SearchWorld,
+    SynopsisPolicy, SynopsisSearch, WorkloadConfig, WorldConfig,
 };
 
 fn world() -> SearchWorld {
@@ -124,8 +124,10 @@ fn query_centric_synopsis_outperforms_content_centric() {
 
 #[test]
 fn all_systems_report_consistent_outcomes() {
-    // Success implies hops reported; failure implies no hops; message
-    // counts are bounded by each system's budget.
+    // Success implies hops reported; failure implies no hops, except in
+    // the DHT-backed systems, whose misses still report the routing hops
+    // of their term lookups; message counts are bounded by each system's
+    // budget.
     use qcp2p::search::SearchSystem;
     use qcp2p::util::rng::Pcg64;
 
@@ -137,20 +139,36 @@ fn all_systems_report_consistent_outcomes() {
             seed: 13,
         },
     );
-    let mut systems: Vec<Box<dyn SearchSystem>> = vec![
-        Box::new(SearchSpec::flood(2).build(&w)),
-        Box::new(SearchSpec::walk(4, 25).build(&w)),
-        Box::new(GiaSearch::new(&w, 25, 14)),
-        Box::new(SearchSpec::hybrid(2, 10, 15).build(&w)),
-        Box::new(SearchSpec::dht_only(15).build(&w)),
-        Box::new(SynopsisSearch::new(&w, SynopsisPolicy::QueryCentric, 8, 25)),
+    // (system, whether a miss reports hops)
+    let mut systems: Vec<(Box<dyn SearchSystem>, bool)> = vec![
+        (Box::new(SearchSpec::flood(2).build(&w)), false),
+        (Box::new(SearchSpec::walk(4, 25).build(&w)), false),
+        (Box::new(GiaSearch::new(&w, 25, 14)), false),
+        (Box::new(SearchSpec::hybrid(2, 10, 15).build(&w)), true),
+        (Box::new(SearchSpec::dht_only(15).build(&w)), true),
+        (
+            Box::new(SynopsisSearch::new(&w, SynopsisPolicy::QueryCentric, 8, 25)),
+            false,
+        ),
+        (Box::new(AdvertiseSearch::new(&w, 8, 25, 16)), false),
+        (Box::new(QrpFloodSearch::new(&w, 2, 4096)), false),
     ];
     let mut rng = Pcg64::new(16);
-    for sys in &mut systems {
+    for (sys, miss_hops) in &mut systems {
+        let (mut hits, mut misses) = (0, 0);
         for q in &queries {
             let out = sys.search(&w, q, &mut rng);
             if out.success {
+                hits += 1;
                 assert!(out.hops.is_some(), "{}: success without hops", sys.name());
+            } else {
+                misses += 1;
+                assert!(
+                    *miss_hops || out.hops.is_none(),
+                    "{}: a miss reports hops {:?}",
+                    sys.name(),
+                    out.hops
+                );
             }
             assert!(
                 out.messages < 2_000_000,
@@ -158,6 +176,11 @@ fn all_systems_report_consistent_outcomes() {
                 sys.name()
             );
         }
+        assert!(
+            hits > 0 && misses > 0,
+            "{}: {hits} hits, {misses} misses",
+            sys.name()
+        );
     }
 }
 
